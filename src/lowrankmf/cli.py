@@ -6,8 +6,8 @@ disk; ``verify`` runs the numerical oracle checks on small instances;
 ``bench`` sweeps a lambda grid and reports the value with the lowest
 reconstruction error.
 
-Exit codes: 0 converged/iteration cap, 1 runtime error, 2 usage error,
-3 degenerate (all columns pruned).
+Exit codes: 0 converged/iteration cap/stalled, 1 runtime error, 2 usage
+error, 3 degenerate (all columns pruned).
 """
 
 from __future__ import annotations
@@ -270,11 +270,7 @@ def _run_bench(args) -> int:
     if not grid or any(g <= 0 for g in grid):
         print("bench: lambda grid values must be positive", file=sys.stderr)
         return EXIT_USAGE
-    kind = {
-        "denoise": ProblemKind.DENOISE,
-        "complete": ProblemKind.COMPLETE,
-        "nmf": ProblemKind.NMF,
-    }[args.problem]
+    kind = ProblemKind(args.problem)
     y, mask, x0 = _load_instance(args, kind)
     if x0 is None:
         print("bench: needs a synthetic instance (ground truth)", file=sys.stderr)
@@ -297,12 +293,7 @@ def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         if args.command in ("denoise", "complete", "nmf"):
-            kind = {
-                "denoise": ProblemKind.DENOISE,
-                "complete": ProblemKind.COMPLETE,
-                "nmf": ProblemKind.NMF,
-            }[args.command]
-            return _run_solver(args, kind)
+            return _run_solver(args, ProblemKind(args.command))
         if args.command == "synth":
             return _run_synth(args)
         if args.command == "verify":

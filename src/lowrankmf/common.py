@@ -1,12 +1,21 @@
-"""Shared solver infrastructure: configuration, pruning, stopping, tracing."""
+"""Shared solver infrastructure: configuration, the alternating driver,
+pruning, stopping and tracing."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FactorPair, InvalidParameterError, column_pair_norms
+from .core import (
+    FactorPair,
+    InvalidParameterError,
+    ProblemKind,
+    column_pair_norms,
+    objective,
+    weight_diag,
+)
 
 __all__ = [
     "NmfOptions",
@@ -17,8 +26,10 @@ __all__ = [
     "STATUS_CONVERGED",
     "STATUS_MAX_ITER",
     "STATUS_DEGENERATE",
+    "STATUS_STALLED",
     "prune_columns",
     "relative_change",
+    "stop_status",
     "should_stop",
     "init_factors",
 ]
@@ -26,6 +37,7 @@ __all__ = [
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
 STATUS_DEGENERATE = "degenerate"
+STATUS_STALLED = "stalled"
 
 
 @dataclass(frozen=True)
@@ -229,19 +241,34 @@ def safe_relative_change(prev: FactorPair, next_: FactorPair) -> float:
         return 0.0 if tn == 0.0 else float("inf")
 
 
-def should_stop(trace: IterationTrace, cfg: SolverConfig) -> bool:
-    """Stop when the relative product change drops below tol, the iteration
-    cap is hit, or every column has been pruned."""
+def stop_status(trace: IterationTrace, cfg: SolverConfig) -> str | None:
+    """Why the solve stops after its last iteration, or None to go on.
+
+    Degenerate when every column has been pruned; stalled when the
+    iteration returned its own input (neither the factors nor their
+    product moved and no column was pruned, e.g. both Armijo searches
+    exhausted their backtracking cap), so no later iteration can move it
+    either; converged when the relative product change drops below tol;
+    max_iter at the iteration cap.
+    """
     if not trace.records:
         raise InvalidParameterError("need at least one completed iteration")
     last = trace.records[-1]
     if last.d == 0:
-        return True
+        return STATUS_DEGENERATE
+    pruned = bool(trace.prunes) and trace.prunes[-1].iteration == last.k
+    if last.rel_change == 0.0 and last.displacement_sq == 0.0 and not pruned:
+        return STATUS_STALLED
     if last.rel_change < cfg.tol:
-        return True
+        return STATUS_CONVERGED
     if last.k >= cfg.max_iter:
-        return True
-    return False
+        return STATUS_MAX_ITER
+    return None
+
+
+def should_stop(trace: IterationTrace, cfg: SolverConfig) -> bool:
+    """True when :func:`stop_status` names a reason to stop."""
+    return stop_status(trace, cfg) is not None
 
 
 def init_factors(
@@ -267,3 +294,104 @@ def init_factors(
     if nonneg:
         u, v = np.abs(u), np.abs(v)
     return FactorPair(u, v)
+
+
+def _iteration_diagnostics(fp: FactorPair) -> tuple[float, float]:
+    gram_u = fp.u.T @ fp.u
+    gram_v = fp.v.T @ fp.v
+    min_eig = min(
+        float(np.linalg.eigvalsh(gram_u)[0]), float(np.linalg.eigvalsh(gram_v)[0])
+    )
+    max_col = max(float(np.max(np.diag(gram_u))), float(np.max(np.diag(gram_v))))
+    return min_eig, max_col
+
+
+def finish_iteration(
+    trace: IterationTrace,
+    cfg: SolverConfig,
+    k: int,
+    prev: FactorPair,
+    next_: FactorPair,
+    delta: float,
+    kind: ProblemKind,
+    y: np.ndarray,
+    mask,
+    t0: float,
+) -> FactorPair:
+    """Shared post-update bookkeeping: prune, record, return current pair."""
+    disp = float(np.sum((next_.u - prev.u) ** 2) + float(np.sum((next_.v - prev.v) ** 2)))
+    rel = safe_relative_change(prev, next_)
+    if next_.d > 0:
+        min_eig, max_col = _iteration_diagnostics(next_)
+    else:
+        min_eig, max_col = 0.0, 0.0
+
+    norms = column_pair_norms(next_)
+    w_next = 1.0 / np.sqrt(norms * norms + cfg.eta * cfg.eta)
+    if norms.size and norms.max() < cfg.eta:
+        # Every column sits below the smoothing scale: the factorization
+        # carries no signal the regularizer can distinguish from zero, so
+        # the relative rule (scale invariant by design) would never fire.
+        pruned = FactorPair(next_.u[:, :0], next_.v[:, :0])
+        kept = []
+    else:
+        pruned, _, kept = prune_columns(next_, w_next, cfg.prune_tol)
+    if len(kept) < next_.d:
+        removed = [i for i in range(next_.d) if i not in set(kept)]
+        trace.prunes.append(
+            PruneEvent(
+                iteration=k,
+                removed_columns=removed,
+                pair_norms_at_removal=[float(norms[i]) for i in removed],
+            )
+        )
+    obj = objective(kind, y, mask, pruned, cfg.lam, cfg.eta)
+    trace.records.append(
+        IterationRecord(
+            k=k,
+            objective=obj,
+            d=pruned.d,
+            rel_change=rel,
+            delta=delta,
+            ms=(time.perf_counter() - t0) * 1e3,
+            displacement_sq=disp,
+            gram_min_eig=min_eig,
+            max_col_sq=max_col,
+        )
+    )
+    return pruned
+
+
+def alternate(
+    kind: ProblemKind,
+    y: np.ndarray,
+    mask,
+    fp: FactorPair,
+    cfg: SolverConfig,
+    step,
+    certificate,
+) -> tuple[FactorPair, IterationTrace]:
+    """The alternating reweighted iteration shared by every solver.
+
+    Each iteration refreshes the weight diagonal at (U_k, V_k) and takes
+    the U step, refreshes it at (U_{k+1}, V_k) and takes the V step, then
+    prunes, records and tests the stopping rule.  ``step(side, fp, w)``
+    returns the new factor and what the step certifies about its own
+    decrease; ``certificate(prev, next_, (cert_u, cert_v))`` turns that
+    into the iteration's guaranteed objective drop ``delta``.
+    """
+    trace = IterationTrace(config=cfg)
+    trace.initial_objective = objective(kind, y, mask, fp, cfg.lam, cfg.eta)
+    for k in range(1, cfg.max_iter + 1):
+        t0 = time.perf_counter()
+        u_new, cert_u = step("u", fp, weight_diag(fp, cfg.eta))
+        mid = FactorPair(u_new, fp.v)
+        v_new, cert_v = step("v", mid, weight_diag(mid, cfg.eta))
+        next_fp = FactorPair(u_new, v_new)
+        delta = certificate(fp, next_fp, (cert_u, cert_v))
+        fp = finish_iteration(trace, cfg, k, fp, next_fp, delta, kind, y, mask, t0)
+        status = stop_status(trace, cfg)
+        if status is not None:
+            trace.status = status
+            break
+    return fp, trace

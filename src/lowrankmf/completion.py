@@ -7,55 +7,26 @@ so an iteration costs O(card(Omega) d + (m + n) d^2 + d^3).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
-from .common import (
-    IterationTrace,
-    SolverConfig,
-    init_factors,
-    should_stop,
-)
+from .common import IterationTrace, SolverConfig, alternate, init_factors
 from .core import (
     FactorPair,
     InvalidParameterError,
     ObservedMask,
     ProblemKind,
+    _MaskedResidual,
     as_matrix,
-    objective,
-    weight_diag,
 )
-from .denoise import final_status, finish_iteration
 from .oracles import proximity_delta_a
 
+# Unused here: bench/ traces and checks these bindings of the shared functions.
+from .common import finish_iteration  # noqa: F401
+from .core import objective  # noqa: F401
+
 __all__ = ["update_factor_mc", "solve_mc"]
-
-
-class _MaskedResidual:
-    """Observed-entry residual with a fixed sparsity pattern.
-
-    Builds the CSR index structure once; per-iteration work only refills
-    the value array.
-    """
-
-    def __init__(self, y: np.ndarray, mask: ObservedMask):
-        order = np.lexsort((mask.col_idx, mask.row_idx))
-        self.row_idx = mask.row_idx[order]
-        self.col_idx = mask.col_idx[order]
-        self.y_obs = y[self.row_idx, self.col_idx]
-        self.template = sp.csr_matrix(
-            (np.zeros(mask.card), (self.row_idx, self.col_idx)),
-            shape=(mask.rows, mask.cols),
-        )
-
-    def csr(self, fp: FactorPair) -> sp.csr_matrix:
-        pred = np.einsum("ij,ij->i", fp.u[self.row_idx], fp.v[self.col_idx])
-        r = self.template.copy()
-        r.data = pred - self.y_obs
-        return r
 
 
 def _mc_step(
@@ -107,27 +78,11 @@ def solve_mc(
     y = as_matrix(y, "y")
     if (mask.rows, mask.cols) != y.shape:
         raise InvalidParameterError("mask shape does not match data")
-    rng = np.random.default_rng(cfg.seed)
-    obs_frob = float(np.linalg.norm(y[mask.row_idx, mask.col_idx]))
-    fp = init_factors(y, cfg.d_init, rng, frob=obs_frob)
     residual = _MaskedResidual(y, mask)
-    trace = IterationTrace(config=cfg)
-    trace.initial_objective = objective(
-        ProblemKind.COMPLETE, y, mask, fp, cfg.lam, cfg.eta
+    frob = float(np.linalg.norm(residual.y_obs))
+    fp = init_factors(y, cfg.d_init, np.random.default_rng(cfg.seed), frob=frob)
+    return alternate(
+        ProblemKind.COMPLETE, y, mask, fp, cfg,
+        lambda side, fp, w: (_mc_step(side, residual.csr(fp), fp, w, cfg.lam), None),
+        lambda prev, next_, _: proximity_delta_a(prev, next_, cfg.lam, cfg.eta),
     )
-    for k in range(1, cfg.max_iter + 1):
-        t0 = time.perf_counter()
-        w = weight_diag(fp, cfg.eta)
-        u_new = _mc_step("u", residual.csr(fp), fp, w, cfg.lam)
-        mid = FactorPair(u_new, fp.v)
-        w_mid = weight_diag(mid, cfg.eta)
-        v_new = _mc_step("v", residual.csr(mid), mid, w_mid, cfg.lam)
-        next_fp = FactorPair(u_new, v_new)
-        delta = proximity_delta_a(fp, next_fp, cfg.lam, cfg.eta)
-        fp = finish_iteration(
-            trace, cfg, k, fp, next_fp, delta, ProblemKind.COMPLETE, y, mask, t0
-        )
-        if should_stop(trace, cfg):
-            break
-    trace.status = final_status(trace, cfg)
-    return fp, trace

@@ -98,7 +98,7 @@ class FactorPair:
 
 @dataclass(frozen=True)
 class ObservedMask:
-    """Index set of observed entries of an m x n matrix."""
+    """Index set of observed entries of an m x n matrix, in row-major order."""
 
     rows: int
     cols: int
@@ -114,9 +114,10 @@ class ObservedMask:
             raise InvalidParameterError("mask must contain at least one entry")
         if ri.min() < 0 or ri.max() >= self.rows or ci.min() < 0 or ci.max() >= self.cols:
             raise InvalidParameterError("mask index out of range")
-        flat = ri * self.cols + ci
-        if np.unique(flat).size != flat.size:
+        flat = np.unique(ri * self.cols + ci)
+        if flat.size != ri.size:
             raise InvalidParameterError("mask contains duplicate index pairs")
+        ri, ci = np.divmod(flat, self.cols)
         object.__setattr__(self, "row_idx", ri)
         object.__setattr__(self, "col_idx", ci)
 
@@ -199,19 +200,27 @@ def _check_problem_inputs(kind: ProblemKind, y: np.ndarray, mask, fp: FactorPair
             raise ConstraintViolationError("NMF factors must be elementwise nonnegative")
 
 
-def _observed_residual_values(y: np.ndarray, mask: ObservedMask, fp: FactorPair) -> np.ndarray:
-    """Values of (U V^T - Y) at the observed entries only."""
-    pred = np.einsum(
-        "ij,ij->i", fp.u[mask.row_idx], fp.v[mask.col_idx]
-    )
-    return pred - y[mask.row_idx, mask.col_idx]
+class _MaskedResidual:
+    """Residual U V^T - Y at the observed entries, as values or as CSR.
 
+    The mask's row-major order is CSR order, so the row pointers are
+    computed once and each evaluation is one gather of the predictions.
+    """
 
-def _residual_csr(y: np.ndarray, mask: ObservedMask, fp: FactorPair) -> sp.csr_matrix:
-    vals = _observed_residual_values(y, mask, fp)
-    return sp.csr_matrix(
-        (vals, (mask.row_idx, mask.col_idx)), shape=(mask.rows, mask.cols)
-    )
+    def __init__(self, y: np.ndarray, mask: ObservedMask):
+        self.mask = mask
+        self.y_obs = y[mask.row_idx, mask.col_idx]
+        self.indptr = np.searchsorted(mask.row_idx, np.arange(mask.rows + 1))
+
+    def values(self, fp: FactorPair) -> np.ndarray:
+        m = self.mask
+        return np.einsum("ij,ij->i", fp.u[m.row_idx], fp.v[m.col_idx]) - self.y_obs
+
+    def csr(self, fp: FactorPair) -> sp.csr_matrix:
+        m = self.mask
+        return sp.csr_matrix(
+            (self.values(fp), m.col_idx, self.indptr), shape=(m.rows, m.cols)
+        )
 
 
 def objective(
@@ -229,15 +238,13 @@ def objective(
     """
     y = as_matrix(y, "y")
     _check_problem_inputs(kind, y, mask, fp)
-    if kind is ProblemKind.COMPLETE:
-        if mask.density < SPARSE_DENSITY_CUTOFF:
-            r = _observed_residual_values(y, mask, fp)
-            fit = 0.5 * float(r @ r)
-        else:
-            res = apply_mask(fp.product() - y, mask)
-            fit = 0.5 * float(np.sum(res * res))
+    if kind is ProblemKind.COMPLETE and mask.density < SPARSE_DENSITY_CUTOFF:
+        r = _MaskedResidual(y, mask).values(fp)
+        fit = 0.5 * float(r @ r)
     else:
         res = fp.product() - y
+        if kind is ProblemKind.COMPLETE:
+            res = apply_mask(res, mask)
         fit = 0.5 * float(np.sum(res * res))
     return fit + lam * smoothed_regularizer(fp, eta)
 
@@ -262,16 +269,13 @@ def gradient(
     if side not in ("u", "v"):
         raise InvalidParameterError(f"side must be 'u' or 'v', got {side!r}")
     w = weight_diag(fp, eta)
-    if kind is ProblemKind.COMPLETE:
-        if mask.density < SPARSE_DENSITY_CUTOFF:
-            r = _residual_csr(y, mask, fp)
-            rv = r @ fp.v if side == "u" else r.T @ fp.u
-        else:
-            res = apply_mask(fp.product() - y, mask)
-            rv = res @ fp.v if side == "u" else res.T @ fp.u
-    else:
+    if kind is not ProblemKind.COMPLETE:
         res = fp.product() - y
-        rv = res @ fp.v if side == "u" else res.T @ fp.u
+    elif mask.density < SPARSE_DENSITY_CUTOFF:
+        res = _MaskedResidual(y, mask).csr(fp)
+    else:
+        res = apply_mask(fp.product() - y, mask)
+    rv = res @ fp.v if side == "u" else res.T @ fp.u
     factor = fp.u if side == "u" else fp.v
     return np.asarray(rv) + lam * factor * w
 
@@ -290,8 +294,8 @@ def nmae(y, mask: ObservedMask, fp: FactorPair) -> float:
     y = as_matrix(y, "y")
     if mask.card < 1:
         raise InvalidParameterError("mask must contain at least one entry")
-    pred = np.einsum("ij,ij->i", fp.u[mask.row_idx], fp.v[mask.col_idx])
-    return float(np.sum(np.abs(pred - y[mask.row_idx, mask.col_idx]))) / (4.0 * mask.card)
+    r = _MaskedResidual(y, mask).values(fp)
+    return float(np.sum(np.abs(r))) / (4.0 * mask.card)
 
 
 def freedom_ratio(r: int, n: int, card_omega: int) -> float:

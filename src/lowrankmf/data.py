@@ -76,7 +76,7 @@ def sample_mask(m: int, n: int, card: int, seed: int) -> ObservedMask:
         raise InvalidParameterError("need 1 <= card <= m*n")
     rng = np.random.default_rng(seed)
     flat = rng.choice(m * n, size=card, replace=False)
-    ri, ci = np.divmod(np.sort(flat), n)
+    ri, ci = np.divmod(flat, n)
     return ObservedMask(m, n, ri, ci)
 
 
@@ -151,8 +151,9 @@ def _parse_float(tok: str, path, lineno: int) -> float:
         raise ParseError(f"non-numeric token {tok!r}", path, lineno) from None
 
 
-def _read_mm(path):
-    lines = _read_tokens(path)
+def _read_mm(lines, path) -> tuple[np.ndarray, np.ndarray | None]:
+    """Parse MatrixMarket lines once: the dense matrix and, for a coordinate
+    file, the row-major flat index of each entry (duplicates: last wins)."""
     if not lines:
         raise ParseError("empty file", path)
     header = lines[0].strip()
@@ -173,33 +174,35 @@ def _read_mm(path):
     size_tokens = size_line.split()
     if coordinate:
         if len(size_tokens) != 3:
-            raise ParseError("coordinate size line needs rows cols nnz", path, size_line_no + 1)
+            raise ParseError("coordinate size line needs rows cols nnz", path, size_line_no)
         rows, cols, nnz = (int(t) for t in size_tokens)
         out = np.zeros((rows, cols))
         data = body[1:]
         if len(data) != nnz:
             raise ParseError(f"expected {nnz} entries, found {len(data)}", path)
-        for lineno, entry in data:
+        flat = np.empty(nnz, dtype=np.int64)
+        for n, (lineno, entry) in enumerate(data):
             toks = entry.split()
             if len(toks) != 3:
-                raise ParseError("coordinate entry needs i j value", path, lineno + 1)
+                raise ParseError("coordinate entry needs i j value", path, lineno)
             i, j = int(toks[0]), int(toks[1])
-            val = _parse_float(toks[2], path, lineno + 1)
+            val = _parse_float(toks[2], path, lineno)
             if not (1 <= i <= rows and 1 <= j <= cols):
-                raise ParseError(f"index ({i}, {j}) out of bounds", path, lineno + 1)
+                raise ParseError(f"index ({i}, {j}) out of bounds", path, lineno)
             out[i - 1, j - 1] = val
-        return out
+            flat[n] = (i - 1) * cols + (j - 1)
+        return out, flat
     if len(size_tokens) != 2:
-        raise ParseError("array size line needs rows cols", path, size_line_no + 1)
+        raise ParseError("array size line needs rows cols", path, size_line_no)
     rows, cols = (int(t) for t in size_tokens)
     values = []
     for lineno, entry in body[1:]:
         for tok in entry.split():
-            values.append(_parse_float(tok, path, lineno + 1))
+            values.append(_parse_float(tok, path, lineno))
     if len(values) != rows * cols:
         raise ParseError(f"expected {rows * cols} values, found {len(values)}", path)
     # MatrixMarket array format is column-major.
-    return np.array(values).reshape((cols, rows)).T
+    return np.array(values).reshape((cols, rows)).T, None
 
 
 def _read_csv(path):
@@ -229,20 +232,15 @@ def read_coordinate(path) -> tuple[np.ndarray, ObservedMask]:
     lines = _read_tokens(path)
     if not lines or lines[0].strip() != MM_HEADER_COORD:
         raise ParseError("expected a MatrixMarket coordinate header", path, 1)
-    y = _read_mm(path)
-    pairs = []
-    body = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
-    for entry in body[1:]:
-        toks = entry.split()
-        pairs.append((int(toks[0]) - 1, int(toks[1]) - 1))
-    mask = ObservedMask.from_pairs(y.shape[0], y.shape[1], sorted(set(pairs)))
-    return y, mask
+    y, flat = _read_mm(lines, path)
+    ri, ci = np.divmod(np.unique(flat), y.shape[1])
+    return y, ObservedMask(y.shape[0], y.shape[1], ri, ci)
 
 
 def read_matrix(path, fmt: str) -> np.ndarray:
     """Read a dense matrix from a MatrixMarket (``mm``) or ``csv`` file."""
     if fmt == "mm":
-        out = _read_mm(path)
+        out = _read_mm(_read_tokens(path), path)[0]
     elif fmt == "csv":
         out = _read_csv(path)
     else:

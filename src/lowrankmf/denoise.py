@@ -8,34 +8,16 @@ diagnostics.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .common import (
-    STATUS_CONVERGED,
-    STATUS_DEGENERATE,
-    STATUS_MAX_ITER,
-    IterationRecord,
-    IterationTrace,
-    PruneEvent,
-    SolverConfig,
-    init_factors,
-    prune_columns,
-    safe_relative_change,
-    should_stop,
-)
-from .core import (
-    FactorPair,
-    InvalidParameterError,
-    ProblemKind,
-    as_matrix,
-    column_pair_norms,
-    objective,
-    weight_diag,
-)
+from .common import IterationTrace, SolverConfig, alternate, init_factors
+from .core import FactorPair, InvalidParameterError, ProblemKind, as_matrix
 from .oracles import proximity_delta_a
+
+# Unused here: bench/ traces and checks these bindings of the shared functions.
+from .common import finish_iteration  # noqa: F401
+from .core import objective  # noqa: F401
 
 __all__ = ["update_factor_denoise", "solve_denoise"]
 
@@ -64,81 +46,6 @@ def update_factor_denoise(
     return cho_solve(c, b.T).T
 
 
-def _iteration_diagnostics(fp: FactorPair) -> tuple[float, float]:
-    gram_u = fp.u.T @ fp.u
-    gram_v = fp.v.T @ fp.v
-    min_eig = min(
-        float(np.linalg.eigvalsh(gram_u)[0]), float(np.linalg.eigvalsh(gram_v)[0])
-    )
-    max_col = max(float(np.max(np.diag(gram_u))), float(np.max(np.diag(gram_v))))
-    return min_eig, max_col
-
-
-def finish_iteration(
-    trace: IterationTrace,
-    cfg: SolverConfig,
-    k: int,
-    prev: FactorPair,
-    next_: FactorPair,
-    delta: float,
-    kind: ProblemKind,
-    y: np.ndarray,
-    mask,
-    t0: float,
-) -> FactorPair:
-    """Shared post-update bookkeeping: prune, record, return current pair."""
-    disp = float(np.sum((next_.u - prev.u) ** 2) + float(np.sum((next_.v - prev.v) ** 2)))
-    rel = safe_relative_change(prev, next_)
-    if next_.d > 0:
-        min_eig, max_col = _iteration_diagnostics(next_)
-    else:
-        min_eig, max_col = 0.0, 0.0
-
-    norms = column_pair_norms(next_)
-    w_next = 1.0 / np.sqrt(norms * norms + cfg.eta * cfg.eta)
-    if norms.size and norms.max() < cfg.eta:
-        # Every column sits below the smoothing scale: the factorization
-        # carries no signal the regularizer can distinguish from zero, so
-        # the relative rule (scale invariant by design) would never fire.
-        pruned = FactorPair(next_.u[:, :0], next_.v[:, :0])
-        kept = []
-    else:
-        pruned, _, kept = prune_columns(next_, w_next, cfg.prune_tol)
-    if len(kept) < next_.d:
-        removed = [i for i in range(next_.d) if i not in set(kept)]
-        trace.prunes.append(
-            PruneEvent(
-                iteration=k,
-                removed_columns=removed,
-                pair_norms_at_removal=[float(norms[i]) for i in removed],
-            )
-        )
-    obj = objective(kind, y, mask, pruned, cfg.lam, cfg.eta)
-    trace.records.append(
-        IterationRecord(
-            k=k,
-            objective=obj,
-            d=pruned.d,
-            rel_change=rel,
-            delta=delta,
-            ms=(time.perf_counter() - t0) * 1e3,
-            displacement_sq=disp,
-            gram_min_eig=min_eig,
-            max_col_sq=max_col,
-        )
-    )
-    return pruned
-
-
-def final_status(trace: IterationTrace, cfg: SolverConfig) -> str:
-    last = trace.records[-1]
-    if last.d == 0:
-        return STATUS_DEGENERATE
-    if last.rel_change < cfg.tol:
-        return STATUS_CONVERGED
-    return STATUS_MAX_ITER
-
-
 def solve_denoise(y, cfg: SolverConfig) -> tuple[FactorPair, IterationTrace]:
     """Run the alternating reweighted solver on dense data.
 
@@ -148,23 +55,9 @@ def solve_denoise(y, cfg: SolverConfig) -> tuple[FactorPair, IterationTrace]:
     """
     cfg.validate()
     y = as_matrix(y, "y")
-    rng = np.random.default_rng(cfg.seed)
-    fp = init_factors(y, cfg.d_init, rng)
-    trace = IterationTrace(config=cfg)
-    trace.initial_objective = objective(ProblemKind.DENOISE, y, None, fp, cfg.lam, cfg.eta)
-    for k in range(1, cfg.max_iter + 1):
-        t0 = time.perf_counter()
-        w = weight_diag(fp, cfg.eta)
-        u_new = update_factor_denoise("u", y, fp, w, cfg.lam)
-        mid = FactorPair(u_new, fp.v)
-        w_mid = weight_diag(mid, cfg.eta)
-        v_new = update_factor_denoise("v", y, mid, w_mid, cfg.lam)
-        next_fp = FactorPair(u_new, v_new)
-        delta = proximity_delta_a(fp, next_fp, cfg.lam, cfg.eta)
-        fp = finish_iteration(
-            trace, cfg, k, fp, next_fp, delta, ProblemKind.DENOISE, y, None, t0
-        )
-        if should_stop(trace, cfg):
-            break
-    trace.status = final_status(trace, cfg)
-    return fp, trace
+    fp = init_factors(y, cfg.d_init, np.random.default_rng(cfg.seed))
+    return alternate(
+        ProblemKind.DENOISE, y, None, fp, cfg,
+        lambda side, fp, w: (update_factor_denoise(side, y, fp, w, cfg.lam), None),
+        lambda prev, next_, _: proximity_delta_a(prev, next_, cfg.lam, cfg.eta),
+    )

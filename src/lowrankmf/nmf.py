@@ -8,18 +8,12 @@ projection arc, so every iterate stays elementwise nonnegative.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .common import (
-    IterationTrace,
-    SolverConfig,
-    init_factors,
-    should_stop,
-)
+from .common import IterationTrace, SolverConfig, alternate, init_factors
 from .core import (
     ConstraintViolationError,
     FactorPair,
@@ -28,9 +22,10 @@ from .core import (
     as_matrix,
     gradient,
     objective,
-    weight_diag,
 )
-from .denoise import final_status, finish_iteration
+
+# Unused here: bench/ checks this binding of the shared function.
+from .common import finish_iteration  # noqa: F401
 
 __all__ = [
     "ActiveSet",
@@ -178,42 +173,28 @@ def armijo_search(
 def solve_nmf(y, cfg: SolverConfig) -> tuple[FactorPair, IterationTrace]:
     """Alternating projected Newton updates with pruning and tracing.
 
-    An iteration that exhausts the backtracking cap keeps the previous
-    factor; two such iterations in a row on both factors stop the solve.
+    A search that exhausts the backtracking cap keeps the previous factor;
+    an iteration in which both searches do so leaves the iterate unchanged
+    and stops the solve with status ``stalled``.
     """
     cfg.validate()
     y = as_matrix(y, "y")
     if np.any(y < 0):
         raise ConstraintViolationError("NMF data must be elementwise nonnegative")
-    rng = np.random.default_rng(cfg.seed)
-    fp = init_factors(y, cfg.d_init, rng, nonneg=True)
-    trace = IterationTrace(config=cfg)
-    trace.initial_objective = objective(ProblemKind.NMF, y, None, fp, cfg.lam, cfg.eta)
-    stalled = 0
-    for k in range(1, cfg.max_iter + 1):
-        t0 = time.perf_counter()
-        w = weight_diag(fp, cfg.eta)
-        res_u = armijo_search("u", y, fp, w, cfg.lam, cfg)
-        u_new = res_u.factor if res_u.accepted else fp.u
-        mid = FactorPair(u_new, fp.v)
-        w_mid = weight_diag(mid, cfg.eta)
-        res_v = armijo_search("v", y, mid, w_mid, cfg.lam, cfg)
-        v_new = res_v.factor if res_v.accepted else fp.v
-        next_fp = FactorPair(u_new, v_new)
-        # Certified per-iteration decrease: the accepted sufficient-decrease
-        # thresholds.  These lower-bound the objective drop by construction
-        # and vanish exactly at fixed points, which is what the sublinear
-        # rate checks need.  The quadratic-form proximity measure only
-        # bounds the drop when the step length obeys the curvature-ratio
-        # cap, which a unit initial step deliberately ignores.
-        delta = (res_u.rhs if res_u.accepted else 0.0) + (
-            res_v.rhs if res_v.accepted else 0.0
-        )
-        fp = finish_iteration(
-            trace, cfg, k, fp, next_fp, delta, ProblemKind.NMF, y, None, t0
-        )
-        stalled = stalled + 1 if not (res_u.accepted or res_v.accepted) else 0
-        if stalled >= 2 or should_stop(trace, cfg):
-            break
-    trace.status = final_status(trace, cfg)
-    return fp, trace
+    fp = init_factors(y, cfg.d_init, np.random.default_rng(cfg.seed), nonneg=True)
+
+    def step(side, fp, w):
+        res = armijo_search(side, y, fp, w, cfg.lam, cfg)
+        return res.factor, res.rhs
+
+    # Certified per-iteration decrease: the accepted sufficient-decrease
+    # thresholds (0 for a rejected search).  These lower-bound the objective
+    # drop by construction and vanish exactly at fixed points, which is what
+    # the sublinear rate checks need.  The quadratic-form proximity measure
+    # only bounds the drop when the step length obeys the curvature-ratio
+    # cap, which a unit initial step deliberately ignores.
+    return alternate(
+        ProblemKind.NMF, y, None, fp, cfg,
+        step,
+        lambda prev, next_, rhs: rhs[0] + rhs[1],
+    )

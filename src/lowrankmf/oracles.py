@@ -24,6 +24,7 @@ from .core import (
     objective,
     weight_diag,
 )
+from .nmf import partial_diag_block
 
 __all__ = [
     "HESSIAN_SIZE_GUARD",
@@ -158,18 +159,6 @@ def surrogate_value(
     return f0 + float(np.sum(diff * g)) + 0.5 * quad
 
 
-def _partially_diagonalized(mat: np.ndarray, rowset) -> np.ndarray:
-    """Zero off-diagonal entries whose row or column index is in ``rowset``."""
-    out = mat.copy()
-    idx = np.asarray(list(rowset), dtype=int)
-    if idx.size:
-        diag = np.diag(out).copy()
-        out[idx, :] = 0.0
-        out[:, idx] = 0.0
-        np.fill_diagonal(out, diag)
-    return out
-
-
 def nmf_surrogate_value(
     y,
     side: str,
@@ -188,7 +177,7 @@ def nmf_surrogate_value(
     diff = cand - factor
     quad = 0.0
     for i in range(factor.shape[0]):
-        block = _partially_diagonalized(h_tilde, active_sets[i])
+        block = partial_diag_block(h_tilde, active_sets[i])
         quad += float(diff[i] @ block @ diff[i])
     return f0 + float(np.sum(diff * g)) + quad / (2.0 * alpha)
 
@@ -201,7 +190,7 @@ def nmf_alpha_bound(
     h_tilde = surrogate_hessian(side, fp, lam, eta)
     factor = fp.u if side == "u" else fp.v
     lam_min = min(
-        float(np.linalg.eigvalsh(_partially_diagonalized(h_tilde, active_sets[i]))[0])
+        float(np.linalg.eigvalsh(partial_diag_block(h_tilde, active_sets[i]))[0])
         for i in range(factor.shape[0])
     )
     lam_max = float(np.linalg.eigvalsh(h)[-1])
@@ -255,9 +244,9 @@ def proximity_delta_b(
     act_u, act_v = active_sets
     quad = 0.0
     for i in range(prev.u.shape[0]):
-        quad += float(du[i] @ _partially_diagonalized(gram_v, act_u[i]) @ du[i])
+        quad += float(du[i] @ partial_diag_block(gram_v, act_u[i]) @ du[i])
     for i in range(prev.v.shape[0]):
-        quad += float(dv[i] @ _partially_diagonalized(gram_u, act_v[i]) @ dv[i])
+        quad += float(dv[i] @ partial_diag_block(gram_u, act_v[i]) @ dv[i])
     w_prev = weight_diag(prev, eta)
     w_mid = weight_diag(FactorPair(next_.u, prev.v), eta)
     val = 0.5 * quad

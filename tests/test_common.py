@@ -15,7 +15,13 @@ from lowrankmf import (
     should_stop,
     smoothed_regularizer,
 )
-from lowrankmf.common import IterationRecord, IterationTrace, init_factors
+from lowrankmf.common import (
+    IterationRecord,
+    IterationTrace,
+    PruneEvent,
+    init_factors,
+    stop_status,
+)
 
 
 def pair_with_norms(norms, m=4, n=3, seed=0):
@@ -187,6 +193,14 @@ def test_should_continue():
 def test_should_stop_degenerate():
     trace, cfg = make_trace(1.0, k=1, d=0)
     assert should_stop(trace, cfg)
+
+
+@pytest.mark.parametrize("prune_at_k, want", [(False, "stalled"), (True, "converged")])
+def test_stop_status_stall_is_an_unmoved_unpruned_iterate(prune_at_k, want):
+    trace, cfg = make_trace(0.0, k=10)
+    if prune_at_k:
+        trace.prunes.append(PruneEvent(10, [3], [0.0]))
+    assert stop_status(trace, cfg) == want
 
 
 def test_should_stop_needs_an_iteration():

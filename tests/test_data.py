@@ -238,3 +238,25 @@ def test_read_matrix_rejects_nonfinite(tmp_path):
 def test_unknown_format():
     with pytest.raises(InvalidParameterError):
         read_matrix("whatever", "hdf5")
+
+
+def test_coordinate_duplicate_entry_last_wins(tmp_path):
+    p = tmp_path / "dup.mtx"
+    p.write_text(
+        "%%MatrixMarket matrix coordinate real general\n2 2 3\n"
+        "2 1 1.0\n1 2 2.0\n2 1 3.0\n"
+    )
+    y, mask = read_coordinate(p)
+    assert y[1, 0] == 3.0 and y[0, 1] == 2.0
+    assert mask.row_idx.tolist() == [0, 1]
+    assert mask.col_idx.tolist() == [1, 0]
+
+
+def test_coordinate_error_names_the_offending_line(tmp_path):
+    p = tmp_path / "bad.mtx"
+    p.write_text(
+        "%%MatrixMarket matrix coordinate real general\n% comment\n2 2 1\n3 1 1.0\n"
+    )
+    with pytest.raises(ParseError) as err:
+        read_coordinate(p)
+    assert err.value.line == 4

@@ -280,3 +280,15 @@ def test_solve_deterministic():
     b, tb = solve_nmf(y, cfg)
     assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
     assert [r.objective for r in ta.records] == [r.objective for r in tb.records]
+
+
+def test_solve_reports_stall_when_every_search_is_rejected():
+    # No step meets a sufficient-decrease factor of 1e6 within 3
+    # backtracks, so the iterate never moves: that is a stall, not
+    # convergence.
+    y = gen_lowrank(30, 20, 3, "uniform01", 0)
+    cfg = SolverConfig(lam=1.0, d_init=5, nmf=NmfOptions(sigma=1e6, max_backtracks=3))
+    fp, trace = solve_nmf(y, cfg)
+    assert trace.status == "stalled"
+    assert trace.iterations == 1
+    assert trace.records[0].objective == trace.initial_objective
