@@ -58,12 +58,12 @@ def _add_solver_flags(p: argparse.ArgumentParser, lambda_required: bool = True):
     p.add_argument("--input", help="input matrix file")
     p.add_argument("--format", choices=["mm", "csv", "movielens"], default="mm")
     p.add_argument("--lambda", dest="lam", type=_positive_float, required=lambda_required, default=1.0)
-    p.add_argument("--eta", type=_positive_float, default=1e-6)
+    p.add_argument("--eta", type=_positive_float, default=SolverConfig.eta)
     p.add_argument("--rank-init", type=_positive_int, default=None)
-    p.add_argument("--tol", type=_positive_float, default=1e-4)
-    p.add_argument("--max-iter", type=_positive_int, default=500)
-    p.add_argument("--prune-tol", type=_positive_float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=_positive_float, default=SolverConfig.tol)
+    p.add_argument("--max-iter", type=_positive_int, default=SolverConfig.max_iter)
+    p.add_argument("--prune-tol", type=_positive_float, default=SolverConfig.prune_tol)
+    p.add_argument("--seed", type=int, default=SolverConfig.seed)
     p.add_argument("--output", help="factor output prefix (writes .u.mtx/.v.mtx)")
     p.add_argument("--trace", help="write the iteration trace as JSON")
     _add_synth_flags(p)
@@ -79,10 +79,10 @@ def _add_synth_flags(p: argparse.ArgumentParser):
 
 
 def _add_nmf_flags(p: argparse.ArgumentParser):
-    p.add_argument("--beta-u", type=float, default=0.1)
-    p.add_argument("--beta-v", type=float, default=0.1)
-    p.add_argument("--sigma-armijo", type=_positive_float, default=1e-2)
-    p.add_argument("--eps-active", type=_positive_float, default=1e-6)
+    p.add_argument("--beta-u", type=float, default=NmfOptions.beta_u)
+    p.add_argument("--beta-v", type=float, default=NmfOptions.beta_v)
+    p.add_argument("--sigma-armijo", type=_positive_float, default=NmfOptions.sigma)
+    p.add_argument("--eps-active", type=_positive_float, default=NmfOptions.eps_active)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,12 +132,14 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def _config_from_args(args, d_init: int) -> SolverConfig:
-    nmf = NmfOptions(
-        beta_u=getattr(args, "beta_u", 0.1),
-        beta_v=getattr(args, "beta_v", 0.1),
-        sigma=getattr(args, "sigma_armijo", 1e-2),
-        eps_active=getattr(args, "eps_active", 1e-6),
-    )
+    nmf = NmfOptions()
+    if hasattr(args, "beta_u"):  # only nmf and bench take the NMF flags
+        nmf = NmfOptions(
+            beta_u=args.beta_u,
+            beta_v=args.beta_v,
+            sigma=args.sigma_armijo,
+            eps_active=args.eps_active,
+        )
     return SolverConfig(
         lam=args.lam,
         eta=args.eta,

@@ -28,18 +28,14 @@ from .core import (
 from .common import finish_iteration  # noqa: F401
 
 __all__ = [
-    "ActiveSet",
     "ArmijoResult",
     "active_set_rows",
+    "check_active_mask",
     "partial_diag_block",
     "projected_newton_step",
     "armijo_search",
     "solve_nmf",
 ]
-
-# Per-row lists of active coordinate indices.
-ActiveSet = list
-
 
 @dataclass
 class ArmijoResult:
@@ -51,13 +47,13 @@ class ArmijoResult:
     # lower bound on the objective drop of this half-step.
     rhs: float
     factor: np.ndarray = field(repr=False)
-    active: ActiveSet = field(repr=False)
+    active: np.ndarray = field(repr=False)
     grad: np.ndarray = field(repr=False)
     direction: np.ndarray = field(repr=False)
 
 
-def active_set_rows(factor, grad, eps: float) -> ActiveSet:
-    """Per-row index sets of near-boundary coordinates with ascent gradients.
+def active_set_rows(factor, grad, eps: float) -> np.ndarray:
+    """Boolean mask of near-boundary coordinates with ascent gradients.
 
     A coordinate (i, j) is active when 0 <= factor_ij <= eps_k and
     grad_ij > 0, with eps_k = min(eps, ||factor - grad||_F^2).
@@ -69,63 +65,59 @@ def active_set_rows(factor, grad, eps: float) -> ActiveSet:
     if factor.shape != grad.shape:
         raise InvalidParameterError("factor and gradient shapes differ")
     eps_k = min(eps, float(np.sum((factor - grad) ** 2)))
-    near = (factor >= 0.0) & (factor <= eps_k) & (grad > 0.0)
-    return [np.nonzero(near[i])[0] for i in range(factor.shape[0])]
+    return (factor >= 0.0) & (factor <= eps_k) & (grad > 0.0)
 
 
-def partial_diag_block(h_tilde: np.ndarray, rowset) -> np.ndarray:
-    """Zero the off-diagonal entries of an SPD block in active rows/columns."""
+def check_active_mask(active, shape) -> np.ndarray:
+    """Return ``active`` if it is a boolean array of ``shape``, else raise:
+    an index list read as booleans would mark the wrong coordinates."""
+    shape = tuple(shape)
+    if not isinstance(active, np.ndarray) or active.dtype != bool or active.shape != shape:
+        raise InvalidParameterError(f"active set must be a boolean array of shape {shape}")
+    return active
+
+
+def _partial_diag(h_tilde: np.ndarray, active_row: np.ndarray) -> np.ndarray:
     out = np.array(h_tilde, dtype=float, copy=True)
-    idx = np.asarray(rowset, dtype=int).ravel()
-    if idx.size:
-        diag = np.diag(out).copy()
-        out[idx, :] = 0.0
-        out[:, idx] = 0.0
-        out[np.arange(out.shape[0]), np.arange(out.shape[0])] = diag
+    out[active_row, :] = 0.0
+    out[:, active_row] = 0.0
+    np.fill_diagonal(out, np.diag(h_tilde))
     return out
 
 
+def partial_diag_block(h_tilde: np.ndarray, active_row: np.ndarray) -> np.ndarray:
+    """Zero the off-diagonal entries of an SPD block in the rows and
+    columns that the boolean ``active_row`` marks."""
+    h_tilde = np.asarray(h_tilde, dtype=float)
+    return _partial_diag(h_tilde, check_active_mask(active_row, h_tilde.shape[:1]))
+
+
 def _newton_directions(
-    grad: np.ndarray, h_tilde: np.ndarray, active: ActiveSet
+    grad: np.ndarray, h_tilde: np.ndarray, active: np.ndarray
 ) -> np.ndarray:
-    """Row-wise solves (H_tilde^{I_i})^{-1} grad_i; rows with an empty
-    active set share one Cholesky factorization."""
-    rows, d = grad.shape
+    """Row-wise solves (H_tilde^{I_i})^{-1} grad_i, with one Cholesky
+    factorization per distinct active pattern."""
+    keys = np.packbits(active, axis=1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
     p = np.empty_like(grad)
-    empty = np.array([len(active[i]) == 0 for i in range(rows)])
-    if empty.any():
-        c = cho_factor(h_tilde, lower=True)
-        p[empty] = cho_solve(c, grad[empty].T).T
-    for i in np.nonzero(~empty)[0]:
-        block = partial_diag_block(h_tilde, active[i])
-        p[i] = cho_solve(cho_factor(block, lower=True), grad[i])
+    for g, i in enumerate(first):
+        rows = group == g
+        c = cho_factor(_partial_diag(h_tilde, active[i]), lower=True)
+        p[rows] = cho_solve(c, grad[rows].T).T
     return p
 
 
 def projected_newton_step(
-    factor, grad, h_tilde: np.ndarray, active: ActiveSet, alpha: float
+    factor, grad, h_tilde: np.ndarray, active: np.ndarray, alpha: float
 ) -> np.ndarray:
     """Per-row damped Newton step clipped to the nonnegative orthant."""
     if not 0.0 < alpha <= 1.0:
         raise InvalidParameterError("alpha must lie in (0, 1]")
     factor = np.asarray(factor, dtype=float)
     grad = np.asarray(grad, dtype=float)
-    p = _newton_directions(grad, h_tilde, active)
+    p = _newton_directions(grad, h_tilde, check_active_mask(active, factor.shape))
     return np.maximum(factor - alpha * p, 0.0)
-
-
-def _armijo_rhs(
-    sigma: float,
-    alpha: float,
-    grad: np.ndarray,
-    direction: np.ndarray,
-    factor: np.ndarray,
-    cand: np.ndarray,
-    active_mask: np.ndarray,
-) -> float:
-    inactive = float(np.sum(grad[~active_mask] * direction[~active_mask]))
-    moved = float(np.sum(grad[active_mask] * (factor - cand)[active_mask]))
-    return sigma * (alpha * inactive + moved)
 
 
 def armijo_search(
@@ -143,15 +135,13 @@ def armijo_search(
     h_tilde = other.T @ other + lam * np.diag(w)
     active = active_set_rows(factor, grad, cfg.nmf.eps_active)
     direction = _newton_directions(grad, h_tilde, active)
-    active_mask = np.zeros(factor.shape, dtype=bool)
-    for i, idx in enumerate(active):
-        active_mask[i, idx] = True
 
     f0 = objective(ProblemKind.NMF, y, None, fp, lam, cfg.eta)
     beta = cfg.nmf.beta_u if side == "u" else cfg.nmf.beta_v
     sigma = cfg.nmf.sigma
     cap = cfg.nmf.max_backtracks
     decrease = 0.0
+    inactive = float(np.sum(grad[~active] * direction[~active]))
     for m in range(cap + 1):
         alpha = beta**m
         cand = np.maximum(factor - alpha * direction, 0.0)
@@ -160,7 +150,8 @@ def armijo_search(
         else:
             f_new = objective(ProblemKind.NMF, y, None, FactorPair(fp.u, cand), lam, cfg.eta)
         decrease = f0 - f_new
-        rhs = _armijo_rhs(sigma, alpha, grad, direction, factor, cand, active_mask)
+        moved = float(np.sum(grad[active] * (factor - cand)[active]))
+        rhs = sigma * (alpha * inactive + moved)
         if decrease >= rhs:
             return ArmijoResult(
                 m, alpha, True, decrease, rhs, cand, active, grad, direction

@@ -24,7 +24,7 @@ from .core import (
     objective,
     weight_diag,
 )
-from .nmf import partial_diag_block
+from .nmf import check_active_mask, partial_diag_block
 
 __all__ = [
     "HESSIAN_SIZE_GUARD",
@@ -166,31 +166,33 @@ def nmf_surrogate_value(
     lam: float,
     eta: float,
     cand: np.ndarray,
-    active_sets,
+    active: np.ndarray,
     alpha: float,
 ) -> float:
     """Projected-Newton surrogate with per-row partially diagonalized blocks."""
+    factor = fp.u if side == "u" else fp.v
+    check_active_mask(active, factor.shape)
     f0 = objective(ProblemKind.DENOISE, y, None, fp, lam, eta)
     g = gradient(ProblemKind.DENOISE, side, y, None, fp, lam, eta)
     h_tilde = surrogate_hessian(side, fp, lam, eta)
-    factor = fp.u if side == "u" else fp.v
     diff = cand - factor
     quad = 0.0
     for i in range(factor.shape[0]):
-        block = partial_diag_block(h_tilde, active_sets[i])
+        block = partial_diag_block(h_tilde, active[i])
         quad += float(diff[i] @ block @ diff[i])
     return f0 + float(np.sum(diff * g)) + quad / (2.0 * alpha)
 
 
 def nmf_alpha_bound(
-    y, side: str, fp: FactorPair, lam: float, eta: float, active_sets
+    y, side: str, fp: FactorPair, lam: float, eta: float, active: np.ndarray
 ) -> float:
     """Step bound lambda_min(partially diagonalized blocks) / lambda_max(exact H)."""
+    factor = fp.u if side == "u" else fp.v
+    check_active_mask(active, factor.shape)
     h = exact_hessian(ProblemKind.DENOISE, side, y, None, fp, lam, eta)
     h_tilde = surrogate_hessian(side, fp, lam, eta)
-    factor = fp.u if side == "u" else fp.v
     lam_min = min(
-        float(np.linalg.eigvalsh(partial_diag_block(h_tilde, active_sets[i]))[0])
+        float(np.linalg.eigvalsh(partial_diag_block(h_tilde, active[i]))[0])
         for i in range(factor.shape[0])
     )
     lam_max = float(np.linalg.eigvalsh(h)[-1])
@@ -222,18 +224,19 @@ def proximity_delta_b(
     prev: FactorPair,
     next_: FactorPair,
     grads: tuple[np.ndarray, np.ndarray],
-    active_sets: tuple[list, list],
+    active_sets: tuple[np.ndarray, np.ndarray],
     lam: float,
     eta: float,
 ) -> float:
     """Descent lower bound for the projected Newton NMF iteration.
 
     ``grads`` holds the gradients w.r.t. U at (U, V) and w.r.t. V at
-    (U_next, V); ``active_sets`` the per-row active index lists used by
-    the generating iteration.  The gradient inner products only run over
-    the active coordinates: the constrained stationarity condition that
-    produces them holds there and nowhere else, and including the
-    inactive coordinates would overstate the guaranteed decrease.
+    (U_next, V); ``active_sets`` the boolean active-set masks of U and V
+    used by the generating iteration.  The gradient inner products only
+    run over the active coordinates: the constrained stationarity
+    condition that produces them holds there and nowhere else, and
+    including the inactive coordinates would overstate the guaranteed
+    decrease.
     """
     if prev.shape != next_.shape or prev.d != next_.d:
         raise InvalidParameterError("factor pairs must have matching dimensions")
@@ -241,7 +244,8 @@ def proximity_delta_b(
     dv = prev.v - next_.v
     gram_v = prev.v.T @ prev.v
     gram_u = next_.u.T @ next_.u
-    act_u, act_v = active_sets
+    act_u = check_active_mask(active_sets[0], prev.u.shape)
+    act_v = check_active_mask(active_sets[1], prev.v.shape)
     quad = 0.0
     for i in range(prev.u.shape[0]):
         quad += float(du[i] @ partial_diag_block(gram_v, act_u[i]) @ du[i])
@@ -252,14 +256,8 @@ def proximity_delta_b(
     val = 0.5 * quad
     val += 0.5 * lam * (_weighted_col_sq(du, w_prev) + _weighted_col_sq(dv, w_mid))
     g_u, g_v = grads
-    for i in range(prev.u.shape[0]):
-        idx = np.asarray(list(act_u[i]), dtype=int)
-        if idx.size:
-            val += float(np.sum(du[i, idx] * g_u[i, idx]))
-    for i in range(prev.v.shape[0]):
-        idx = np.asarray(list(act_v[i]), dtype=int)
-        if idx.size:
-            val += float(np.sum(dv[i, idx] * g_v[i, idx]))
+    val += float(np.sum(du[act_u] * g_u[act_u]))
+    val += float(np.sum(dv[act_v] * g_v[act_v]))
     return val
 
 

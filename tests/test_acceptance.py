@@ -346,9 +346,8 @@ def test_criterion_10_nmf_feasibility_and_armijo():
         f1 = objective(
             ProblemKind.NMF, y, None, FactorPair(res.factor, fp.v), cfg.lam, cfg.eta
         )
-        active_mask = np.zeros(fp.u.shape, dtype=bool)
-        for i, idx in enumerate(res.active):
-            active_mask[i, idx] = True
+        active_mask = res.active
+        assert active_mask.dtype == bool and active_mask.shape == fp.u.shape
         inactive = float(np.sum(res.grad[~active_mask] * res.direction[~active_mask]))
         moved = float(np.sum(res.grad[active_mask] * (fp.u - res.factor)[active_mask]))
         rhs = cfg.nmf.sigma * (res.alpha * inactive + moved)

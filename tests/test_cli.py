@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from lowrankmf.cli import main, parse_args
+from lowrankmf import SolverConfig
+from lowrankmf.cli import _config_from_args, main, parse_args
 from lowrankmf.data import read_matrix
 
 TRACE_KEYS = {"config", "iterations", "prunes", "status", "metrics"}
@@ -36,6 +37,12 @@ def test_parse_complete_movielens_flags():
     assert args.lam == 0.3
     assert args.rank_init == 12
     assert args.max_iter == 200
+
+
+@pytest.mark.parametrize("command", ["denoise", "nmf"])
+def test_required_flags_only_give_the_library_defaults(command):
+    args = parse_args([command, "--input", "y.mtx", "--lambda", "2.5"])
+    assert _config_from_args(args, 7) == SolverConfig(lam=2.5, d_init=7)
 
 
 def test_parse_missing_input_is_usage_error():

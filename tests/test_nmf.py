@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from lowrankmf import (
     ConstraintViolationError,
     FactorPair,
+    InvalidParameterError,
     NmfOptions,
     ProblemKind,
     SolverConfig,
@@ -43,15 +45,16 @@ def spd(d, seed):
 def test_active_set_all_interior():
     factor = np.ones((3, 2))
     grad = np.ones((3, 2))
-    sets = active_set_rows(factor, grad, 1e-6)
-    assert all(len(s) == 0 for s in sets)
+    active = active_set_rows(factor, grad, 1e-6)
+    assert active.dtype == bool and active.shape == (3, 2)
+    assert not active.any()
 
 
 def test_active_set_boundary_with_ascent():
     factor = np.array([[0.0, 1.0]])
     grad = np.array([[1.0, 1.0]])
-    sets = active_set_rows(factor, grad, 1e-6)
-    assert list(sets[0]) == [0]
+    active = active_set_rows(factor, grad, 1e-6)
+    assert active.tolist() == [[True, False]]
 
 
 def test_active_set_matches_definition_scan():
@@ -60,15 +63,14 @@ def test_active_set_matches_definition_scan():
     factor[rng.random((6, 4)) < 0.4] = 0.0
     grad = rng.standard_normal((6, 4))
     eps = 0.5
-    sets = active_set_rows(factor, grad, eps)
+    active = active_set_rows(factor, grad, eps)
     eps_k = min(eps, float(np.sum((factor - grad) ** 2)))
+    assert active.shape == (6, 4)
     for i in range(6):
         expect = [
-            j
-            for j in range(4)
-            if 0.0 <= factor[i, j] <= eps_k and grad[i, j] > 0.0
+            0.0 <= factor[i, j] <= eps_k and grad[i, j] > 0.0 for j in range(4)
         ]
-        assert list(sets[i]) == expect
+        assert active[i].tolist() == expect
 
 
 # -------------------------------------------------- partial diagonalization
@@ -76,17 +78,19 @@ def test_active_set_matches_definition_scan():
 
 def test_partial_diag_empty_set():
     h = spd(3, 1)
-    assert np.array_equal(partial_diag_block(h, []), h)
+    assert np.array_equal(partial_diag_block(h, np.zeros(3, dtype=bool)), h)
 
 
 def test_partial_diag_all_indices():
     h = spd(3, 2)
-    assert np.array_equal(partial_diag_block(h, [0, 1, 2]), np.diag(np.diag(h)))
+    assert np.array_equal(
+        partial_diag_block(h, np.ones(3, dtype=bool)), np.diag(np.diag(h))
+    )
 
 
 def test_partial_diag_single_index():
     h = spd(3, 3)
-    out = partial_diag_block(h, [1])
+    out = partial_diag_block(h, np.array([False, True, False]))
     for p in range(3):
         for q in range(3):
             if p == q:
@@ -99,6 +103,28 @@ def test_partial_diag_single_index():
     assert np.linalg.eigvalsh(out)[0] > 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda h: partial_diag_block(h, [0, 1, 2]),
+        lambda h: partial_diag_block(h, np.array([0, 1, 2])),
+        lambda h: partial_diag_block(h, np.ones(2, dtype=bool)),
+        lambda h: projected_newton_step(
+            np.ones((4, 3)), np.ones((4, 3)), h, [np.array([], dtype=int)] * 4, 1.0
+        ),
+        lambda h: projected_newton_step(
+            np.ones((4, 3)), np.ones((4, 3)), h, np.zeros((4, 2), dtype=bool), 1.0
+        ),
+    ],
+)
+def test_non_mask_active_sets_are_rejected(call):
+    # read as booleans, [0, 1, 2] would mark coordinates 1 and 2 and a list
+    # of empty index arrays would become a (4, 0) mask; masks of the wrong
+    # shape are refused too
+    with pytest.raises(InvalidParameterError, match="boolean array"):
+        call(spd(3, 2))
+
+
 # --------------------------------------------------- projected Newton step
 
 
@@ -107,7 +133,7 @@ def test_projected_step_unconstrained_newton():
     rng = np.random.default_rng(5)
     factor = np.abs(rng.standard_normal((3, 2))) + 5.0
     grad = 0.1 * rng.standard_normal((3, 2))
-    active = [np.array([], dtype=int)] * 3
+    active = np.zeros((3, 2), dtype=bool)
     got = projected_newton_step(factor, grad, h, active, 1.0)
     want = factor - np.linalg.solve(h, grad.T).T
     assert np.max(np.abs(got - want)) < 1e-12
@@ -117,7 +143,7 @@ def test_projected_step_clips_to_zero():
     h = np.eye(1)
     factor = np.array([[0.5]])
     grad = np.array([[10.0]])  # step would go far negative
-    got = projected_newton_step(factor, grad, h, [np.array([], dtype=int)], 1.0)
+    got = projected_newton_step(factor, grad, h, np.zeros((1, 1), dtype=bool), 1.0)
     assert got[0, 0] == 0.0
 
 
@@ -126,18 +152,27 @@ def test_projected_step_matches_rowwise_oracle():
     h = spd(3, 7)
     factor = np.abs(rng.standard_normal((4, 3)))
     grad = rng.standard_normal((4, 3))
-    active = [
-        np.array([], dtype=int),
-        np.array([0]),
-        np.array([1, 2]),
-        np.array([0, 1, 2]),
-    ]
+    active = np.array(
+        [
+            [False, False, False],
+            [True, False, False],
+            [False, True, True],
+            [True, True, True],
+        ]
+    )
+    # rows 4-5 share row 1's non-empty pattern, rows 6-7 the empty one
+    factor = np.vstack([factor, np.abs(rng.standard_normal((4, 3)))])
+    grad = np.vstack([grad, rng.standard_normal((4, 3))])
+    active = np.vstack([active, active[[1, 1, 0, 0]]])
     alpha = 0.3
     got = projected_newton_step(factor, grad, h, active, alpha)
-    for i in range(4):
+    for i in range(8):
         block = partial_diag_block(h, active[i])
         row = factor[i] - alpha * np.linalg.solve(block, grad[i])
         assert np.max(np.abs(got[i] - np.maximum(row, 0.0))) < 1e-10
+        # a shared factorization must give exactly the per-row solve
+        p = cho_solve(cho_factor(block, lower=True), grad[i])
+        assert np.array_equal(got[i], np.maximum(factor[i] - alpha * p, 0.0))
 
 
 # ------------------------------------------------------------ Armijo rule
@@ -198,9 +233,8 @@ def test_armijo_accepted_step_reverifies():
         f1 = objective(
             ProblemKind.NMF, y, None, FactorPair(res.factor, fp.v), cfg.lam, cfg.eta
         )
-        active_mask = np.zeros(fp.u.shape, dtype=bool)
-        for i, idx in enumerate(res.active):
-            active_mask[i, idx] = True
+        active_mask = res.active
+        assert active_mask.dtype == bool and active_mask.shape == fp.u.shape
         inactive = float(
             np.sum(res.grad[~active_mask] * res.direction[~active_mask])
         )

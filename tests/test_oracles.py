@@ -180,7 +180,7 @@ def test_delta_a_dim_mismatch():
 def test_delta_b_fixed_point_zero():
     fp = random_pair(4, 3, 2, 110)
     grads = (np.zeros((4, 2)), np.zeros((3, 2)))
-    sets = ([np.array([], dtype=int)] * 4, [np.array([], dtype=int)] * 3)
+    sets = (np.zeros((4, 2), dtype=bool), np.zeros((3, 2), dtype=bool))
     assert proximity_delta_b(fp, fp, grads, sets, 1.0, 1e-6) == 0.0
 
 
@@ -188,7 +188,7 @@ def test_delta_b_reduction_no_active_no_reg():
     prev = random_pair(4, 3, 2, 111)
     nxt = random_pair(4, 3, 2, 112)
     grads = (np.zeros((4, 2)), np.zeros((3, 2)))
-    sets = ([np.array([], dtype=int)] * 4, [np.array([], dtype=int)] * 3)
+    sets = (np.zeros((4, 2), dtype=bool), np.zeros((3, 2), dtype=bool))
     got = proximity_delta_b(prev, nxt, grads, sets, 0.0, 1e-6)
     du = prev.u - nxt.u
     dv = prev.v - nxt.v
@@ -197,6 +197,22 @@ def test_delta_b_reduction_no_active_no_reg():
         + float(np.sum((dv @ (nxt.u.T @ nxt.u)) * dv))
     )
     assert abs(got - want) < 1e-12
+
+
+def test_nmf_oracles_reject_index_list_active_sets():
+    fp = random_pair(4, 3, 2, 113)
+    y = np.abs(fp.product())
+    grads = (np.zeros((4, 2)), np.zeros((3, 2)))
+    lists = ([np.array([], dtype=int)] * 4, [np.array([0])] * 3)
+    with pytest.raises(InvalidParameterError, match="boolean array"):
+        proximity_delta_b(fp, fp, grads, lists, 1.0, 1e-6)
+    with pytest.raises(InvalidParameterError, match="boolean array"):
+        nmf_alpha_bound(y, "u", fp, 1.0, 1e-3, lists[0])
+    with pytest.raises(InvalidParameterError, match="boolean array"):
+        nmf_surrogate_value(y, "v", fp, 1.0, 1e-3, fp.v, lists[1], 1.0)
+    # a mask of the other factor's shape is refused too
+    with pytest.raises(InvalidParameterError, match="boolean array"):
+        nmf_alpha_bound(y, "u", fp, 1.0, 1e-3, np.zeros((3, 2), dtype=bool))
 
 
 def nmf_capped_iteration(y, fp, lam, eta, eps):
