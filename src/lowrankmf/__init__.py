@@ -22,6 +22,7 @@ from .core import (
     FactorPair,
     InvalidParameterError,
     ObservedMask,
+    Problem,
     ProblemKind,
     apply_mask,
     column_pair_norms,
@@ -44,6 +45,7 @@ __all__ = [
     "IterationTrace",
     "NmfOptions",
     "ObservedMask",
+    "Problem",
     "ProblemKind",
     "PruneEvent",
     "SolverConfig",

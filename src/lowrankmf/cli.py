@@ -157,10 +157,7 @@ def _load_instance(args, kind: ProblemKind):
     if args.input is not None:
         if args.format == "movielens":
             ml = dio.read_movielens(args.input)
-            y = ml.y if isinstance(ml.y, np.ndarray) else None
-            if y is None:
-                raise dio.ParseError("dataset too large to densify", args.input)
-            return y, ml.mask, None
+            return ml.y, ml.mask, None
         if kind is ProblemKind.COMPLETE and args.format == "mm":
             y, mask = dio.read_coordinate(args.input)
             return y, mask, None

@@ -11,6 +11,7 @@ import numpy as np
 from .core import (
     FactorPair,
     InvalidParameterError,
+    Problem,
     ProblemKind,
     column_pair_norms,
     objective,
@@ -178,14 +179,12 @@ class IterationTrace:
         }
 
 
-def prune_columns(
-    fp: FactorPair, w: np.ndarray, threshold: float
-) -> tuple[FactorPair, np.ndarray, list[int]]:
+def prune_columns(fp: FactorPair, threshold: float) -> tuple[FactorPair, list[int]]:
     """Drop columns whose joint norm falls below ``threshold`` times the largest.
 
-    Returns the pruned pair, the pruned weight diagonal and the list of
-    surviving column indices (order preserved).  An all-zero pair yields a
-    d = 0 pair, the caller's degenerate terminal state.
+    Returns the pruned pair and the list of surviving column indices
+    (order preserved).  An all-zero pair yields a d = 0 pair, the caller's
+    degenerate terminal state.
     """
     if threshold <= 0:
         raise InvalidParameterError("threshold must be positive")
@@ -197,9 +196,8 @@ def prune_columns(
         kept_mask = norms >= threshold * top
     kept = [int(i) for i in np.nonzero(kept_mask)[0]]
     if len(kept) == fp.d:
-        return fp, w, kept
-    pruned = FactorPair(fp.u[:, kept_mask], fp.v[:, kept_mask])
-    return pruned, np.asarray(w)[kept_mask], kept
+        return fp, kept
+    return FactorPair(fp.u[:, kept_mask], fp.v[:, kept_mask]), kept
 
 
 def _product_gramians(prev: FactorPair, next_: FactorPair):
@@ -271,27 +269,19 @@ def should_stop(trace: IterationTrace, cfg: SolverConfig) -> bool:
     return stop_status(trace, cfg) is not None
 
 
-def init_factors(
-    y: np.ndarray,
-    d: int,
-    rng: np.random.Generator,
-    nonneg: bool = False,
-    frob: float | None = None,
-) -> FactorPair:
+def init_factors(problem: Problem, d: int, rng: np.random.Generator) -> FactorPair:
     """Scale-matched Gaussian initialization of both factors.
 
-    Entries are standard Gaussians scaled by (||Y||_F / sqrt(m n d))^(1/2);
-    for NMF starts the magnitudes are kept and signs dropped.  ``frob``
-    overrides the Frobenius norm used for the scale (masked problems must
-    measure it on the observed entries only).
+    Entries are standard Gaussians scaled by (||Y||_F / sqrt(m n d))^(1/2),
+    the norm taken over the entries the problem observes; for NMF starts
+    the magnitudes are kept and signs dropped.
     """
-    m, n = y.shape
-    if frob is None:
-        frob = float(np.linalg.norm(y))
+    m, n = problem.y.shape
+    frob = float(np.linalg.norm(problem.y_obs))
     scale = float(np.sqrt(frob / np.sqrt(m * n * d))) if frob > 0 else 0.0
     u = rng.standard_normal((m, d)) * scale
     v = rng.standard_normal((n, d)) * scale
-    if nonneg:
+    if problem.kind is ProblemKind.NMF:
         u, v = np.abs(u), np.abs(v)
     return FactorPair(u, v)
 
@@ -313,9 +303,7 @@ def finish_iteration(
     prev: FactorPair,
     next_: FactorPair,
     delta: float,
-    kind: ProblemKind,
-    y: np.ndarray,
-    mask,
+    problem: Problem,
     t0: float,
 ) -> FactorPair:
     """Shared post-update bookkeeping: prune, record, return current pair."""
@@ -327,17 +315,15 @@ def finish_iteration(
         min_eig, max_col = 0.0, 0.0
 
     norms = column_pair_norms(next_)
-    w_next = 1.0 / np.sqrt(norms * norms + cfg.eta * cfg.eta)
     if norms.size and norms.max() < cfg.eta:
         # Every column sits below the smoothing scale: the factorization
         # carries no signal the regularizer can distinguish from zero, so
         # the relative rule (scale invariant by design) would never fire.
-        pruned = FactorPair(next_.u[:, :0], next_.v[:, :0])
-        kept = []
+        pruned, kept = FactorPair(next_.u[:, :0], next_.v[:, :0]), []
     else:
-        pruned, _, kept = prune_columns(next_, w_next, cfg.prune_tol)
+        pruned, kept = prune_columns(next_, cfg.prune_tol)
     if len(kept) < next_.d:
-        removed = [i for i in range(next_.d) if i not in set(kept)]
+        removed = sorted(set(range(next_.d)).difference(kept))
         trace.prunes.append(
             PruneEvent(
                 iteration=k,
@@ -345,7 +331,7 @@ def finish_iteration(
                 pair_norms_at_removal=[float(norms[i]) for i in removed],
             )
         )
-    obj = objective(kind, y, mask, pruned, cfg.lam, cfg.eta)
+    obj = problem.objective(pruned, cfg.lam, cfg.eta)
     trace.records.append(
         IterationRecord(
             k=k,
@@ -363,25 +349,25 @@ def finish_iteration(
 
 
 def alternate(
-    kind: ProblemKind,
-    y: np.ndarray,
-    mask,
-    fp: FactorPair,
-    cfg: SolverConfig,
-    step,
-    certificate,
+    problem: Problem, cfg: SolverConfig, step, certificate
 ) -> tuple[FactorPair, IterationTrace]:
     """The alternating reweighted iteration shared by every solver.
 
-    Each iteration refreshes the weight diagonal at (U_k, V_k) and takes
-    the U step, refreshes it at (U_{k+1}, V_k) and takes the V step, then
+    Validates ``cfg`` and starts from :func:`init_factors`.  Each
+    iteration refreshes the weight diagonal at (U_k, V_k) and takes the U
+    step, refreshes it at (U_{k+1}, V_k) and takes the V step, then
     prunes, records and tests the stopping rule.  ``step(side, fp, w)``
     returns the new factor and what the step certifies about its own
     decrease; ``certificate(prev, next_, (cert_u, cert_v))`` turns that
     into the iteration's guaranteed objective drop ``delta``.
     """
+    cfg.validate()
+    fp = init_factors(problem, cfg.d_init, np.random.default_rng(cfg.seed))
     trace = IterationTrace(config=cfg)
-    trace.initial_objective = objective(kind, y, mask, fp, cfg.lam, cfg.eta)
+    # The public objective also checks the start point against the problem.
+    trace.initial_objective = objective(
+        problem.kind, problem.y, problem.mask, fp, cfg.lam, cfg.eta
+    )
     for k in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
         u_new, cert_u = step("u", fp, weight_diag(fp, cfg.eta))
@@ -389,7 +375,7 @@ def alternate(
         v_new, cert_v = step("v", mid, weight_diag(mid, cfg.eta))
         next_fp = FactorPair(u_new, v_new)
         delta = certificate(fp, next_fp, (cert_u, cert_v))
-        fp = finish_iteration(trace, cfg, k, fp, next_fp, delta, kind, y, mask, t0)
+        fp = finish_iteration(trace, cfg, k, fp, next_fp, delta, problem, t0)
         status = stop_status(trace, cfg)
         if status is not None:
             trace.status = status

@@ -11,14 +11,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
-from .common import IterationTrace, SolverConfig, alternate, init_factors
+from .common import IterationTrace, SolverConfig, alternate
 from .core import (
     FactorPair,
     InvalidParameterError,
     ObservedMask,
+    Problem,
     ProblemKind,
-    _MaskedResidual,
-    as_matrix,
+    surrogate_block,
 )
 from .oracles import proximity_delta_a
 
@@ -36,9 +36,7 @@ def _mc_step(
         cur, other, grad_fit = fp.u, fp.v, res @ fp.v
     else:
         cur, other, grad_fit = fp.v, fp.u, res.T @ fp.u
-    w = np.asarray(w, dtype=float)
-    a = other.T @ other + lam * np.diag(w)
-    c = cho_factor(a, lower=True)
+    c = cho_factor(surrogate_block(other, w, lam), lower=True)
     grad = np.asarray(grad_fit) + lam * cur * w
     return cur - cho_solve(c, grad.T).T
 
@@ -62,11 +60,8 @@ def update_factor_mc(
         raise InvalidParameterError("lam must be positive")
     if side not in ("u", "v"):
         raise InvalidParameterError(f"side must be 'u' or 'v', got {side!r}")
-    y = as_matrix(y, "y")
-    if (mask.rows, mask.cols) != y.shape:
-        raise InvalidParameterError("mask shape does not match data")
-    res = _MaskedResidual(y, mask).csr(fp)
-    return _mc_step(side, res, fp, w, lam)
+    problem = Problem(ProblemKind.COMPLETE, y, mask)
+    return _mc_step(side, problem.residual_csr(problem.check(fp)), fp, w, lam)
 
 
 def solve_mc(
@@ -74,15 +69,9 @@ def solve_mc(
 ) -> tuple[FactorPair, IterationTrace]:
     """Alternating masked updates with weight refresh, pruning and the
     relative-change stopping rule."""
-    cfg.validate()
-    y = as_matrix(y, "y")
-    if (mask.rows, mask.cols) != y.shape:
-        raise InvalidParameterError("mask shape does not match data")
-    residual = _MaskedResidual(y, mask)
-    frob = float(np.linalg.norm(residual.y_obs))
-    fp = init_factors(y, cfg.d_init, np.random.default_rng(cfg.seed), frob=frob)
+    problem = Problem(ProblemKind.COMPLETE, y, mask)
     return alternate(
-        ProblemKind.COMPLETE, y, mask, fp, cfg,
-        lambda side, fp, w: (_mc_step(side, residual.csr(fp), fp, w, cfg.lam), None),
+        problem, cfg,
+        lambda side, fp, w: (_mc_step(side, problem.residual_csr(fp), fp, w, cfg.lam), None),
         lambda prev, next_, _: proximity_delta_a(prev, next_, cfg.lam, cfg.eta),
     )

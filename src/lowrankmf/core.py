@@ -4,7 +4,8 @@ The data model is deliberately thin: matrices are plain float64 numpy
 arrays validated at the boundary, a :class:`FactorPair` couples the two
 factors ``U`` (m x d) and ``V`` (n x d), and an :class:`ObservedMask`
 holds the index set of observed entries together with its sampling
-operator.  Everything in this module is a pure function of its inputs.
+operator.  A :class:`Problem` checks one solve's data once and evaluates
+its objective and gradients.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import scipy.sparse as sp
 
 __all__ = [
     "ProblemKind",
+    "Problem",
     "FactorPair",
     "ObservedMask",
     "InvalidParameterError",
@@ -27,6 +29,7 @@ __all__ = [
     "weight_diag",
     "smoothed_regularizer",
     "apply_mask",
+    "surrogate_block",
     "objective",
     "gradient",
     "nre",
@@ -183,44 +186,83 @@ def apply_mask(m, mask: ObservedMask) -> np.ndarray:
     return out
 
 
-def _check_problem_inputs(kind: ProblemKind, y: np.ndarray, mask, fp: FactorPair):
-    if fp.shape != y.shape:
-        raise DimensionMismatchError(
-            f"factor product shape {fp.shape} does not match data {y.shape}"
-        )
-    if kind is ProblemKind.COMPLETE:
-        if mask is None:
-            raise InvalidParameterError("completion requires an observed mask")
-        if (mask.rows, mask.cols) != y.shape:
-            raise DimensionMismatchError("mask shape does not match data")
-    if kind is ProblemKind.NMF:
-        if np.any(y < 0):
-            raise ConstraintViolationError("NMF data must be elementwise nonnegative")
-        if np.any(fp.u < 0) or np.any(fp.v < 0):
-            raise ConstraintViolationError("NMF factors must be elementwise nonnegative")
+def surrogate_block(other: np.ndarray, w, lam: float) -> np.ndarray:
+    """The shared d x d curvature block G^T G + lam diag(w) of one factor
+    step, G the other factor."""
+    return other.T @ other + lam * np.diag(np.asarray(w, dtype=float))
 
 
-class _MaskedResidual:
-    """Residual U V^T - Y at the observed entries, as values or as CSR.
+class Problem:
+    """One solve's data, checked once, and the data-fit term it defines.
 
-    The mask's row-major order is CSR order, so the row pointers are
-    computed once and each evaluation is one gather of the predictions.
+    The constructor checks what every evaluation relies on: a finite 2-D
+    ``y``; for completion, a mask of ``y``'s shape; for NMF, ``y >= 0``.
+    ``y_obs`` holds the entries of Y the data term reads: all of ``y``,
+    or for completion its values at the mask in the mask's row-major
+    order, which is also CSR order, so the row pointers are computed once.
     """
 
-    def __init__(self, y: np.ndarray, mask: ObservedMask):
-        self.mask = mask
-        self.y_obs = y[mask.row_idx, mask.col_idx]
-        self.indptr = np.searchsorted(mask.row_idx, np.arange(mask.rows + 1))
+    def __init__(self, kind: ProblemKind, y, mask: ObservedMask | None = None):
+        y = as_matrix(y, "y")
+        self.kind, self.y, self.mask, self.y_obs = kind, y, mask, y
+        self.sparse = False
+        if kind is ProblemKind.COMPLETE:
+            if mask is None:
+                raise InvalidParameterError("completion requires an observed mask")
+            if (mask.rows, mask.cols) != y.shape:
+                raise InvalidParameterError("mask shape does not match data")
+            self.y_obs = y[mask.row_idx, mask.col_idx]
+            self.indptr = np.searchsorted(mask.row_idx, np.arange(mask.rows + 1))
+            self.sparse = mask.density < SPARSE_DENSITY_CUTOFF
+        if kind is ProblemKind.NMF and np.any(y < 0):
+            raise ConstraintViolationError("NMF data must be elementwise nonnegative")
 
-    def values(self, fp: FactorPair) -> np.ndarray:
+    def check(self, fp: FactorPair) -> FactorPair:
+        """Return ``fp`` if it is a point of this problem, else raise."""
+        if fp.shape != self.y.shape:
+            raise DimensionMismatchError(
+                f"factor product shape {fp.shape} does not match data {self.y.shape}"
+            )
+        if self.kind is ProblemKind.NMF and (np.any(fp.u < 0) or np.any(fp.v < 0)):
+            raise ConstraintViolationError("NMF factors must be elementwise nonnegative")
+        return fp
+
+    def residual(self, fp: FactorPair) -> np.ndarray:
+        """Completion residual U V^T - Y at the observed entries."""
         m = self.mask
         return np.einsum("ij,ij->i", fp.u[m.row_idx], fp.v[m.col_idx]) - self.y_obs
 
-    def csr(self, fp: FactorPair) -> sp.csr_matrix:
+    def residual_csr(self, fp: FactorPair) -> sp.csr_matrix:
+        """:meth:`residual` as an m x n CSR matrix."""
         m = self.mask
         return sp.csr_matrix(
-            (self.values(fp), m.col_idx, self.indptr), shape=(m.rows, m.cols)
+            (self.residual(fp), m.col_idx, self.indptr), shape=(m.rows, m.cols)
         )
+
+    def objective(self, fp: FactorPair, lam: float, eta: float) -> float:
+        """:func:`objective` at a point :meth:`check` accepts."""
+        if self.sparse:
+            r = self.residual(fp)
+            fit = 0.5 * float(r @ r)
+        else:
+            res = fp.product() - self.y
+            if self.kind is ProblemKind.COMPLETE:
+                res = apply_mask(res, self.mask)
+            fit = 0.5 * float(np.sum(res * res))
+        return fit + lam * smoothed_regularizer(fp, eta)
+
+    def gradient(self, side: str, fp: FactorPair, lam: float, w: np.ndarray) -> np.ndarray:
+        """:func:`gradient` at a point :meth:`check` accepts, with the
+        weight diagonal ``w`` of ``fp``."""
+        if self.kind is not ProblemKind.COMPLETE:
+            res = fp.product() - self.y
+        elif self.sparse:
+            res = self.residual_csr(fp)
+        else:
+            res = apply_mask(fp.product() - self.y, self.mask)
+        rv = res @ fp.v if side == "u" else res.T @ fp.u
+        factor = fp.u if side == "u" else fp.v
+        return np.asarray(rv) + lam * factor * w
 
 
 def objective(
@@ -236,17 +278,8 @@ def objective(
     The residual is Y - U V^T for denoising/NMF and its restriction to
     the observed entries for completion.
     """
-    y = as_matrix(y, "y")
-    _check_problem_inputs(kind, y, mask, fp)
-    if kind is ProblemKind.COMPLETE and mask.density < SPARSE_DENSITY_CUTOFF:
-        r = _MaskedResidual(y, mask).values(fp)
-        fit = 0.5 * float(r @ r)
-    else:
-        res = fp.product() - y
-        if kind is ProblemKind.COMPLETE:
-            res = apply_mask(res, mask)
-        fit = 0.5 * float(np.sum(res * res))
-    return fit + lam * smoothed_regularizer(fp, eta)
+    problem = Problem(kind, y, mask)
+    return problem.objective(problem.check(fp), lam, eta)
 
 
 def gradient(
@@ -264,20 +297,11 @@ def gradient(
     the U side (R the possibly masked residual U V^T - Y) and the
     transposed analogue for the V side.
     """
-    y = as_matrix(y, "y")
-    _check_problem_inputs(kind, y, mask, fp)
+    problem = Problem(kind, y, mask)
+    problem.check(fp)
     if side not in ("u", "v"):
         raise InvalidParameterError(f"side must be 'u' or 'v', got {side!r}")
-    w = weight_diag(fp, eta)
-    if kind is not ProblemKind.COMPLETE:
-        res = fp.product() - y
-    elif mask.density < SPARSE_DENSITY_CUTOFF:
-        res = _MaskedResidual(y, mask).csr(fp)
-    else:
-        res = apply_mask(fp.product() - y, mask)
-    rv = res @ fp.v if side == "u" else res.T @ fp.u
-    factor = fp.u if side == "u" else fp.v
-    return np.asarray(rv) + lam * factor * w
+    return problem.gradient(side, fp, lam, weight_diag(fp, eta))
 
 
 def nre(x0, fp: FactorPair) -> float:
@@ -291,10 +315,8 @@ def nre(x0, fp: FactorPair) -> float:
 
 def nmae(y, mask: ObservedMask, fp: FactorPair) -> float:
     """Mean absolute error over observed entries, scaled by the rating range 4."""
-    y = as_matrix(y, "y")
-    if mask.card < 1:
-        raise InvalidParameterError("mask must contain at least one entry")
-    r = _MaskedResidual(y, mask).values(fp)
+    problem = Problem(ProblemKind.COMPLETE, y, mask)
+    r = problem.residual(problem.check(fp))
     return float(np.sum(np.abs(r))) / (4.0 * mask.card)
 
 

@@ -29,7 +29,7 @@ __all__ = [
 MM_HEADER_COORD = "%%MatrixMarket matrix coordinate real general"
 MM_HEADER_ARRAY = "%%MatrixMarket matrix array real general"
 
-# Above this entry count completion data stays as triples, never densified.
+# Above this cell count a ratings grid is refused instead of densified.
 DENSIFY_LIMIT = 10_000_000
 
 
@@ -82,10 +82,10 @@ def sample_mask(m: int, n: int, card: int, seed: int) -> ObservedMask:
 
 @dataclass(frozen=True)
 class MovielensData:
-    """Parsed ratings: dense matrix (or triples for very large grids),
-    observed mask, and the count of duplicate (user, item) lines."""
+    """Parsed ratings: dense matrix, observed mask, and the count of
+    duplicate (user, item) lines."""
 
-    y: np.ndarray | list
+    y: np.ndarray
     mask: ObservedMask
     duplicates: int
 
@@ -94,7 +94,8 @@ def read_movielens(path) -> MovielensData:
     """Parse tab-separated ``user  item  rating  timestamp`` lines.
 
     1-indexed ids map to 0-indexed rows/cols; on duplicate (user, item)
-    pairs the last rating wins.  Timestamps are discarded.
+    pairs the last rating wins.  Timestamps are discarded.  A grid of more
+    than ``DENSIFY_LIMIT`` cells is a :class:`ParseError`.
     """
     entries: dict[tuple[int, int], float] = {}
     duplicates = 0
@@ -127,14 +128,16 @@ def read_movielens(path) -> MovielensData:
         raise ParseError("no rating entries found", path)
     rows = max(k[0] for k in entries) + 1
     cols = max(k[1] for k in entries) + 1
-    pairs = sorted(entries)
-    mask = ObservedMask.from_pairs(rows, cols, pairs)
-    if rows * cols <= DENSIFY_LIMIT:
-        y = np.zeros((rows, cols))
-        for (i, j), val in entries.items():
-            y[i, j] = val
-    else:
-        y = [(i, j, entries[(i, j)]) for (i, j) in pairs]
+    if rows * cols > DENSIFY_LIMIT:
+        raise ParseError(
+            f"{rows} x {cols} ratings grid exceeds {DENSIFY_LIMIT} cells; "
+            "too large to densify",
+            path,
+        )
+    mask = ObservedMask.from_pairs(rows, cols, sorted(entries))
+    y = np.zeros((rows, cols))
+    for (i, j), val in entries.items():
+        y[i, j] = val
     return MovielensData(y=y, mask=mask, duplicates=duplicates)
 
 

@@ -11,8 +11,15 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .common import IterationTrace, SolverConfig, alternate, init_factors
-from .core import FactorPair, InvalidParameterError, ProblemKind, as_matrix
+from .common import IterationTrace, SolverConfig, alternate
+from .core import (
+    FactorPair,
+    InvalidParameterError,
+    Problem,
+    ProblemKind,
+    as_matrix,
+    surrogate_block,
+)
 from .oracles import proximity_delta_a
 
 # Unused here: bench/ traces and checks these bindings of the shared functions.
@@ -41,8 +48,7 @@ def update_factor_denoise(
         other, b = fp.u, y.T @ fp.u
     else:
         raise InvalidParameterError(f"side must be 'u' or 'v', got {side!r}")
-    a = other.T @ other + lam * np.diag(np.asarray(w, dtype=float))
-    c = cho_factor(a, lower=True)
+    c = cho_factor(surrogate_block(other, w, lam), lower=True)
     return cho_solve(c, b.T).T
 
 
@@ -53,11 +59,9 @@ def solve_denoise(y, cfg: SolverConfig) -> tuple[FactorPair, IterationTrace]:
     refreshes them at (U_{k+1}, V_k).  The per-iteration objective is
     non-increasing and columns whose joint norm collapses are pruned.
     """
-    cfg.validate()
-    y = as_matrix(y, "y")
-    fp = init_factors(y, cfg.d_init, np.random.default_rng(cfg.seed))
+    problem = Problem(ProblemKind.DENOISE, y)
     return alternate(
-        ProblemKind.DENOISE, y, None, fp, cfg,
-        lambda side, fp, w: (update_factor_denoise(side, y, fp, w, cfg.lam), None),
+        problem, cfg,
+        lambda side, fp, w: (update_factor_denoise(side, problem.y, fp, w, cfg.lam), None),
         lambda prev, next_, _: proximity_delta_a(prev, next_, cfg.lam, cfg.eta),
     )

@@ -13,19 +13,18 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .common import IterationTrace, SolverConfig, alternate, init_factors
+from .common import IterationTrace, SolverConfig, alternate
 from .core import (
-    ConstraintViolationError,
     FactorPair,
     InvalidParameterError,
+    Problem,
     ProblemKind,
-    as_matrix,
-    gradient,
-    objective,
+    surrogate_block,
 )
 
-# Unused here: bench/ checks this binding of the shared function.
+# Unused here: bench/ traces and checks these bindings of the shared functions.
 from .common import finish_iteration  # noqa: F401
+from .core import objective  # noqa: F401
 
 __all__ = [
     "ArmijoResult",
@@ -124,19 +123,21 @@ def armijo_search(
     side: str, y, fp: FactorPair, w: np.ndarray, lam: float, cfg: SolverConfig
 ) -> ArmijoResult:
     """Backtrack alpha = beta^m on the projection arc until the
-    sufficient-decrease inequality holds, or the cap is exhausted."""
-    y = as_matrix(y, "y")
-    if np.any(fp.u < 0) or np.any(fp.v < 0):
-        raise ConstraintViolationError("factors must be elementwise nonnegative")
+    sufficient-decrease inequality holds, or the cap is exhausted.
+
+    ``w`` is the weight diagonal of ``fp``; the gradient and the curvature
+    block both use it.
+    """
+    problem = Problem(ProblemKind.NMF, y)
+    problem.check(fp)
     factor = fp.u if side == "u" else fp.v
     other = fp.v if side == "u" else fp.u
-    grad = gradient(ProblemKind.NMF, side, y, None, fp, lam, cfg.eta)
-    w = np.asarray(w, dtype=float)
-    h_tilde = other.T @ other + lam * np.diag(w)
+    grad = problem.gradient(side, fp, lam, w)
+    h_tilde = surrogate_block(other, w, lam)
     active = active_set_rows(factor, grad, cfg.nmf.eps_active)
     direction = _newton_directions(grad, h_tilde, active)
 
-    f0 = objective(ProblemKind.NMF, y, None, fp, lam, cfg.eta)
+    f0 = problem.objective(fp, lam, cfg.eta)
     beta = cfg.nmf.beta_u if side == "u" else cfg.nmf.beta_v
     sigma = cfg.nmf.sigma
     cap = cfg.nmf.max_backtracks
@@ -145,11 +146,8 @@ def armijo_search(
     for m in range(cap + 1):
         alpha = beta**m
         cand = np.maximum(factor - alpha * direction, 0.0)
-        if side == "u":
-            f_new = objective(ProblemKind.NMF, y, None, FactorPair(cand, fp.v), lam, cfg.eta)
-        else:
-            f_new = objective(ProblemKind.NMF, y, None, FactorPair(fp.u, cand), lam, cfg.eta)
-        decrease = f0 - f_new
+        trial = FactorPair(cand, fp.v) if side == "u" else FactorPair(fp.u, cand)
+        decrease = f0 - problem.objective(trial, lam, cfg.eta)
         moved = float(np.sum(grad[active] * (factor - cand)[active]))
         rhs = sigma * (alpha * inactive + moved)
         if decrease >= rhs:
@@ -168,14 +166,10 @@ def solve_nmf(y, cfg: SolverConfig) -> tuple[FactorPair, IterationTrace]:
     an iteration in which both searches do so leaves the iterate unchanged
     and stops the solve with status ``stalled``.
     """
-    cfg.validate()
-    y = as_matrix(y, "y")
-    if np.any(y < 0):
-        raise ConstraintViolationError("NMF data must be elementwise nonnegative")
-    fp = init_factors(y, cfg.d_init, np.random.default_rng(cfg.seed), nonneg=True)
+    problem = Problem(ProblemKind.NMF, y)
 
     def step(side, fp, w):
-        res = armijo_search(side, y, fp, w, cfg.lam, cfg)
+        res = armijo_search(side, problem.y, fp, w, cfg.lam, cfg)
         return res.factor, res.rhs
 
     # Certified per-iteration decrease: the accepted sufficient-decrease
@@ -185,7 +179,7 @@ def solve_nmf(y, cfg: SolverConfig) -> tuple[FactorPair, IterationTrace]:
     # only bounds the drop when the step length obeys the curvature-ratio
     # cap, which a unit initial step deliberately ignores.
     return alternate(
-        ProblemKind.NMF, y, None, fp, cfg,
+        problem, cfg,
         step,
         lambda prev, next_, rhs: rhs[0] + rhs[1],
     )

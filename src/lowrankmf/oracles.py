@@ -22,6 +22,7 @@ from .core import (
     ProblemKind,
     gradient,
     objective,
+    surrogate_block,
     weight_diag,
 )
 from .nmf import check_active_mask, partial_diag_block
@@ -119,8 +120,7 @@ def surrogate_hessian(
 ) -> np.ndarray:
     """The solvers' shared positive-definite d x d block Gram + lam*D."""
     other = fp.v if side == "u" else fp.u
-    w = weight_diag(fp, eta)
-    return other.T @ other + lam * np.diag(w)
+    return surrogate_block(other, weight_diag(fp, eta), lam)
 
 
 def psd_gap(

@@ -163,6 +163,14 @@ def test_malformed_input_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_movielens_grid_too_large_to_densify_exits_one(tmp_path, capsys):
+    p = tmp_path / "u.data"
+    p.write_text("4000\t3000\t5\t0\n1\t1\t3\t0\n")
+    code = main(["complete", "--input", str(p), "--format", "movielens", "--lambda", "1.0"])
+    assert code == 1
+    assert "too large to densify" in capsys.readouterr().err
+
+
 def test_complete_synthetic_with_mask(tmp_path, capsys):
     trace_path = tmp_path / "t.json"
     code = main(

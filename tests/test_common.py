@@ -7,6 +7,7 @@ from lowrankmf import (
     FactorPair,
     InvalidParameterError,
     NmfOptions,
+    Problem,
     ProblemKind,
     SolverConfig,
     objective,
@@ -73,11 +74,9 @@ def test_config_validation_rejects(kwargs):
 
 def test_prune_keeps_large_columns():
     fp = pair_with_norms([1.0, 1e-12, 2.0])
-    w = np.ones(3)
-    pruned, w2, kept = prune_columns(fp, w, 1e-6)
+    pruned, kept = prune_columns(fp, 1e-6)
     assert kept == [0, 2]
     assert pruned.d == 2
-    assert w2.shape == (2,)
     # survivors unchanged
     assert np.array_equal(pruned.u, fp.u[:, [0, 2]])
     assert np.array_equal(pruned.v, fp.v[:, [0, 2]])
@@ -85,14 +84,14 @@ def test_prune_keeps_large_columns():
 
 def test_prune_noop():
     fp = pair_with_norms([1.0, 0.5, 2.0])
-    pruned, _, kept = prune_columns(fp, np.ones(3), 1e-6)
+    pruned, kept = prune_columns(fp, 1e-6)
     assert kept == [0, 1, 2]
     assert pruned is fp
 
 
 def test_prune_all_zero_degenerate():
     fp = FactorPair(np.zeros((3, 2)), np.zeros((4, 2)))
-    pruned, w, kept = prune_columns(fp, np.ones(2), 1e-6)
+    pruned, kept = prune_columns(fp, 1e-6)
     assert kept == []
     assert pruned.d == 0
 
@@ -100,7 +99,7 @@ def test_prune_all_zero_degenerate():
 def test_prune_threshold_positive():
     fp = pair_with_norms([1.0])
     with pytest.raises(InvalidParameterError):
-        prune_columns(fp, np.ones(1), 0.0)
+        prune_columns(fp, 0.0)
 
 
 def test_prune_objective_perturbation_bounded():
@@ -113,7 +112,7 @@ def test_prune_objective_perturbation_bounded():
     eta = 1e-6
     fp = pair_with_norms([200.0, 1e-5], seed=6)
     before = objective(ProblemKind.DENOISE, y, None, fp, 1.0, eta)
-    pruned, _, kept = prune_columns(fp, np.ones(2), 1e-6)
+    pruned, kept = prune_columns(fp, 1e-6)
     assert kept == [0]
     after = objective(ProblemKind.DENOISE, y, None, pruned, 1.0, eta)
     removed_norm = 1e-5
@@ -215,8 +214,9 @@ def test_should_stop_needs_an_iteration():
 def test_init_factors_scale_and_determinism():
     rng = np.random.default_rng(0)
     y = rng.standard_normal((20, 15))
-    a = init_factors(y, 4, np.random.default_rng(7))
-    b = init_factors(y, 4, np.random.default_rng(7))
+    problem = Problem(ProblemKind.DENOISE, y)
+    a = init_factors(problem, 4, np.random.default_rng(7))
+    b = init_factors(problem, 4, np.random.default_rng(7))
     assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
     scale = np.sqrt(np.linalg.norm(y) / np.sqrt(20 * 15 * 4))
     assert abs(np.std(a.u) - scale) < 0.3 * scale
@@ -224,7 +224,7 @@ def test_init_factors_scale_and_determinism():
 
 def test_init_factors_nonneg():
     y = np.abs(np.random.default_rng(1).standard_normal((10, 8)))
-    fp = init_factors(y, 3, np.random.default_rng(2), nonneg=True)
+    fp = init_factors(Problem(ProblemKind.NMF, y), 3, np.random.default_rng(2))
     assert np.all(fp.u >= 0) and np.all(fp.v >= 0)
 
 

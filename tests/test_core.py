@@ -10,7 +10,9 @@ from lowrankmf import (
     InvalidParameterError,
     ObservedMask,
     ProblemKind,
+    SolverConfig,
     apply_mask,
+    armijo_search,
     column_pair_norms,
     freedom_ratio,
     gradient,
@@ -18,6 +20,11 @@ from lowrankmf import (
     nre,
     objective,
     smoothed_regularizer,
+    solve_denoise,
+    solve_mc,
+    solve_nmf,
+    update_factor_denoise,
+    update_factor_mc,
     weight_diag,
 )
 
@@ -370,6 +377,14 @@ def test_nmae_matches_scalar_loop():
     assert abs(nmae(y, mask, fp) - acc / (4 * 9)) < 1e-13
 
 
+def test_nmae_rejects_mask_or_factors_of_another_shape():
+    fp = random_pair(4, 4, 2, 20)
+    with pytest.raises(InvalidParameterError):
+        nmae(np.ones((5, 4)), ObservedMask.full(4, 4), fp)
+    with pytest.raises(DimensionMismatchError):
+        nmae(np.ones((4, 4)), ObservedMask.full(4, 4), random_pair(5, 4, 2, 21))
+
+
 def test_freedom_ratio_values():
     assert abs(freedom_ratio(20, 1000, 99000) - 0.4) < 1e-12
     assert abs(freedom_ratio(10, 10, 100) - 1.0) < 1e-15
@@ -381,3 +396,71 @@ def test_freedom_ratio_errors():
         freedom_ratio(1, 10, 0)
     with pytest.raises(InvalidParameterError):
         freedom_ratio(11, 10, 5)
+
+
+# ---------------------------------------------------------- boundary checks
+
+BOUNDARY_CFG = SolverConfig(lam=1.0, d_init=2, max_iter=3)
+
+
+def _entry_points(kind):
+    """Every public call that takes one problem's data, for ``kind``."""
+    cfg, lam, eta = BOUNDARY_CFG, BOUNDARY_CFG.lam, BOUNDARY_CFG.eta
+    calls = {
+        "objective": lambda y, mask, fp: objective(kind, y, mask, fp, lam, eta),
+        "gradient": lambda y, mask, fp: gradient(kind, "u", y, mask, fp, lam, eta),
+    }
+    if kind is ProblemKind.DENOISE:
+        calls["solve_denoise"] = lambda y, mask, fp: solve_denoise(y, cfg)
+        calls["update_factor_denoise"] = lambda y, mask, fp: update_factor_denoise(
+            "u", y, fp, weight_diag(fp, eta), lam
+        )
+    elif kind is ProblemKind.COMPLETE:
+        calls["solve_mc"] = lambda y, mask, fp: solve_mc(y, mask, cfg)
+        calls["update_factor_mc"] = lambda y, mask, fp: update_factor_mc(
+            "u", y, mask, fp, weight_diag(fp, eta), lam
+        )
+        calls["nmae"] = lambda y, mask, fp: nmae(y, mask, fp)
+    else:
+        calls["solve_nmf"] = lambda y, mask, fp: solve_nmf(y, cfg)
+        calls["armijo_search"] = lambda y, mask, fp: armijo_search(
+            "u", y, fp, weight_diag(fp, eta), lam, cfg
+        )
+    return calls
+
+
+# Each defect: the problem kinds it applies to and the error it must raise.
+DEFECTS = {
+    "non_finite_y": (tuple(ProblemKind), InvalidParameterError),
+    "mask_shape": ((ProblemKind.COMPLETE,), InvalidParameterError),
+    "negative_y": ((ProblemKind.NMF,), ConstraintViolationError),
+    "negative_factors": ((ProblemKind.NMF,), ConstraintViolationError),
+}
+BOUNDARY_CASES = [
+    pytest.param(kind, name, defect, id=f"{name}-{kind.value}-{defect}")
+    for defect, (kinds, _) in DEFECTS.items()
+    for kind in kinds
+    for name in _entry_points(kind)
+    # The solvers draw their own factors.
+    if not (defect == "negative_factors" and name.startswith("solve_"))
+]
+
+
+@pytest.mark.parametrize("kind, name, defect", BOUNDARY_CASES)
+def test_entry_points_reject_bad_data(kind, name, defect):
+    rng = np.random.default_rng(30)
+    y = np.abs(rng.standard_normal((6, 5)))
+    mask = ObservedMask(6, 5, np.arange(6), np.arange(6) % 5)
+    fp = FactorPair(np.abs(rng.standard_normal((6, 2))), np.abs(rng.standard_normal((5, 2))))
+    call = _entry_points(kind)[name]
+    call(y, mask, fp)  # the well-formed call goes through
+    if defect == "non_finite_y":
+        y[2, 3] = np.inf
+    elif defect == "mask_shape":
+        mask = ObservedMask(7, 5, np.arange(7), np.arange(7) % 5)
+    elif defect == "negative_y":
+        y[2, 3] = -1.0
+    else:
+        fp = FactorPair(-fp.u, fp.v)
+    with pytest.raises(DEFECTS[defect][1]):
+        call(y, mask, fp)

@@ -137,6 +137,14 @@ def test_read_movielens_bad_rows(tmp_path):
             read_movielens(p)
 
 
+def test_read_movielens_refuses_a_grid_too_large_to_densify(tmp_path):
+    # Two ratings span a 4000 x 3000 grid: 12 M cells, over DENSIFY_LIMIT.
+    p = tmp_path / "u.data"
+    p.write_text("4000\t3000\t5\t0\n1\t1\t3\t0\n")
+    with pytest.raises(ParseError, match="too large to densify"):
+        read_movielens(p)
+
+
 # ---------------------------------------------------------------- matrix IO
 
 
