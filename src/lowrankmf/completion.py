@@ -1,15 +1,16 @@
 """Alternating reweighted solver for the masked (matrix completion) objective.
 
-The residual is only ever evaluated at the observed entries; each factor
-update is one quasi-Newton step with the shared d x d curvature block,
-so an iteration costs O(card(Omega) d + (m + n) d^2 + d^3).
+Each factor update is one quasi-Newton step with the shared d x d
+curvature block.  Below ``SPARSE_DENSITY_CUTOFF`` observed density the
+residual is only ever evaluated at the observed entries, and once per
+half-step, so an iteration costs O(card(Omega) d + (m + n) d^2 + d^3),
+the ``delta`` certificate included; denser masks take the dense masked
+product, O(m n d).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
 
 from .common import IterationTrace, SolverConfig, alternate
 from .core import (
@@ -30,15 +31,11 @@ __all__ = ["update_factor_mc", "solve_mc"]
 
 
 def _mc_step(
-    side: str, res: sp.csr_matrix, fp: FactorPair, w: np.ndarray, lam: float
+    problem: Problem, side: str, fp: FactorPair, w: np.ndarray, lam: float
 ) -> np.ndarray:
-    if side == "u":
-        cur, other, grad_fit = fp.u, fp.v, res @ fp.v
-    else:
-        cur, other, grad_fit = fp.v, fp.u, res.T @ fp.u
-    c = cho_factor(surrogate_block(other, w, lam), lower=True)
-    grad = np.asarray(grad_fit) + lam * cur * w
-    return cur - cho_solve(c, grad.T).T
+    cur, other = (fp.u, fp.v) if side == "u" else (fp.v, fp.u)
+    grad = problem.gradient(side, fp, lam, w)
+    return cur - np.linalg.solve(surrogate_block(other, w, lam), grad.T).T
 
 
 def update_factor_mc(
@@ -61,7 +58,7 @@ def update_factor_mc(
     if side not in ("u", "v"):
         raise InvalidParameterError(f"side must be 'u' or 'v', got {side!r}")
     problem = Problem(ProblemKind.COMPLETE, y, mask)
-    return _mc_step(side, problem.residual_csr(problem.check(fp)), fp, w, lam)
+    return _mc_step(problem, side, problem.check(fp), w, lam)
 
 
 def solve_mc(
@@ -72,6 +69,6 @@ def solve_mc(
     problem = Problem(ProblemKind.COMPLETE, y, mask)
     return alternate(
         problem, cfg,
-        lambda side, fp, w: (_mc_step(side, problem.residual_csr(fp), fp, w, cfg.lam), None),
+        lambda side, fp, w: (_mc_step(problem, side, fp, w, cfg.lam), None),
         lambda prev, next_, _: proximity_delta_a(prev, next_, cfg.lam, cfg.eta),
     )

@@ -200,12 +200,19 @@ class Problem:
     ``y_obs`` holds the entries of Y the data term reads: all of ``y``,
     or for completion its values at the mask in the mask's row-major
     order, which is also CSR order, so the row pointers are computed once.
+
+    The observed residual of the last point evaluated is kept in one slot,
+    keyed by that :class:`FactorPair` object (held, so its identity cannot
+    be reused): the objective at the end of one iteration and the U step
+    of the next read it at the same pruned point.  A new pair, even one
+    with equal values, is evaluated afresh.
     """
 
     def __init__(self, kind: ProblemKind, y, mask: ObservedMask | None = None):
         y = as_matrix(y, "y")
         self.kind, self.y, self.mask, self.y_obs = kind, y, mask, y
         self.sparse = False
+        self._last: tuple[FactorPair, np.ndarray] | None = None
         if kind is ProblemKind.COMPLETE:
             if mask is None:
                 raise InvalidParameterError("completion requires an observed mask")
@@ -228,9 +235,16 @@ class Problem:
         return fp
 
     def residual(self, fp: FactorPair) -> np.ndarray:
-        """Completion residual U V^T - Y at the observed entries."""
+        """Completion residual U V^T - Y at the observed entries (read-only)."""
+        if self._last is None or self._last[0] is not fp:
+            self._last = (fp, self._observed_residual(fp))
+        return self._last[1]
+
+    def _observed_residual(self, fp: FactorPair) -> np.ndarray:
         m = self.mask
-        return np.einsum("ij,ij->i", fp.u[m.row_idx], fp.v[m.col_idx]) - self.y_obs
+        r = np.einsum("ij,ij->i", fp.u[m.row_idx], fp.v[m.col_idx]) - self.y_obs
+        r.flags.writeable = False
+        return r
 
     def residual_csr(self, fp: FactorPair) -> sp.csr_matrix:
         """:meth:`residual` as an m x n CSR matrix."""

@@ -9,7 +9,6 @@ diagnostics.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .common import IterationTrace, SolverConfig, alternate
 from .core import (
@@ -35,7 +34,7 @@ def update_factor_denoise(
     """Closed-form minimizer of the quadratic surrogate for one factor.
 
     U side: Y V (V^T V + lam D)^{-1}; V side: Y^T U (U^T U + lam D)^{-1},
-    solved through a Cholesky factorization of the d x d SPD system.
+    one d x d SPD solve.
     """
     if fp.d < 1:
         raise InvalidParameterError("factor pair has no columns")
@@ -48,8 +47,7 @@ def update_factor_denoise(
         other, b = fp.u, y.T @ fp.u
     else:
         raise InvalidParameterError(f"side must be 'u' or 'v', got {side!r}")
-    c = cho_factor(surrogate_block(other, w, lam), lower=True)
-    return cho_solve(c, b.T).T
+    return np.linalg.solve(surrogate_block(other, w, lam), b.T).T
 
 
 def solve_denoise(y, cfg: SolverConfig) -> tuple[FactorPair, IterationTrace]:

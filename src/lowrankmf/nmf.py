@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .common import IterationTrace, SolverConfig, alternate
 from .core import (
@@ -35,6 +34,10 @@ __all__ = [
     "armijo_search",
     "solve_nmf",
 ]
+
+# Block entries of one batched Newton solve: 8 MB of float64 blocks.
+STACK_ENTRIES = 1 << 20
+
 
 @dataclass
 class ArmijoResult:
@@ -76,34 +79,35 @@ def check_active_mask(active, shape) -> np.ndarray:
     return active
 
 
-def _partial_diag(h_tilde: np.ndarray, active_row: np.ndarray) -> np.ndarray:
-    out = np.array(h_tilde, dtype=float, copy=True)
-    out[active_row, :] = 0.0
-    out[:, active_row] = 0.0
-    np.fill_diagonal(out, np.diag(h_tilde))
-    return out
-
-
 def partial_diag_block(h_tilde: np.ndarray, active_row: np.ndarray) -> np.ndarray:
     """Zero the off-diagonal entries of an SPD block in the rows and
     columns that the boolean ``active_row`` marks."""
     h_tilde = np.asarray(h_tilde, dtype=float)
-    return _partial_diag(h_tilde, check_active_mask(active_row, h_tilde.shape[:1]))
+    return _partial_diag_blocks(h_tilde, check_active_mask(active_row, h_tilde.shape[:1]))
+
+
+def _partial_diag_blocks(h_tilde: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """:func:`partial_diag_block` of each row of ``active`` (any leading
+    shape), stacked."""
+    eye = np.eye(h_tilde.shape[0], dtype=bool)
+    keep = ~(active[..., :, None] | active[..., None, :]) | eye
+    return np.where(keep, h_tilde, 0.0)
 
 
 def _newton_directions(
     grad: np.ndarray, h_tilde: np.ndarray, active: np.ndarray
 ) -> np.ndarray:
-    """Row-wise solves (H_tilde^{I_i})^{-1} grad_i, with one Cholesky
-    factorization per distinct active pattern."""
-    keys = np.packbits(active, axis=1)
-    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
-    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    """Row-wise solves (H_tilde^{I_i})^{-1} grad_i, as batched solves over
+    (rows, d, d) stacks of partially diagonalized blocks.  A stack holds
+    at most about STACK_ENTRIES block entries, so its memory stays bounded
+    when rows * d^2 outgrows the data (each row is solved on its own, so
+    the split does not change the result)."""
     p = np.empty_like(grad)
-    for g, i in enumerate(first):
-        rows = group == g
-        c = cho_factor(_partial_diag(h_tilde, active[i]), lower=True)
-        p[rows] = cho_solve(c, grad[rows].T).T
+    chunk = max(1, STACK_ENTRIES // h_tilde.size)
+    for i in range(0, grad.shape[0], chunk):
+        rows = slice(i, i + chunk)
+        blocks = _partial_diag_blocks(h_tilde, active[rows])
+        p[rows] = np.linalg.solve(blocks, grad[rows, :, None])[..., 0]
     return p
 
 

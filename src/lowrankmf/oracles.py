@@ -206,7 +206,11 @@ def _weighted_col_sq(diff: np.ndarray, w: np.ndarray) -> float:
 def proximity_delta_a(
     prev: FactorPair, next_: FactorPair, lam: float, eta: float
 ) -> float:
-    """Descent lower bound for the unconstrained alternating solvers."""
+    """Descent lower bound for the unconstrained alternating solvers.
+
+    Its data terms ||V dU^T||_F^2 = tr(dU^T dU V^T V) and the V-side
+    analogue are taken from d x d Gram matrices, never from n x m products.
+    """
     if prev.shape != next_.shape or prev.d != next_.d:
         raise InvalidParameterError("factor pairs must have matching dimensions")
     du = prev.u - next_.u
@@ -214,7 +218,8 @@ def proximity_delta_a(
     w_prev = weight_diag(prev, eta)
     w_mid = weight_diag(FactorPair(next_.u, prev.v), eta)
     val = 0.5 * (
-        float(np.sum((prev.v @ du.T) ** 2)) + float(np.sum((next_.u @ dv.T) ** 2))
+        float(np.sum((du.T @ du) * (prev.v.T @ prev.v)))
+        + float(np.sum((dv.T @ dv) * (next_.u.T @ next_.u)))
     )
     val += 0.5 * lam * (_weighted_col_sq(du, w_prev) + _weighted_col_sq(dv, w_mid))
     return val

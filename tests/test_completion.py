@@ -7,6 +7,7 @@ from lowrankmf import (
     FactorPair,
     InvalidParameterError,
     ObservedMask,
+    Problem,
     ProblemKind,
     SolverConfig,
     gradient,
@@ -167,3 +168,27 @@ def test_sparse_and_dense_density_paths_agree():
         grad = res @ fp.v + fp.u * w
         want = fp.u - np.linalg.solve(a, grad.T).T
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_full_mask_step_is_the_dense_closed_form(monkeypatch):
+    # a full mask sits above the sparse cutoff: the step takes the dense
+    # (U V^T - Y) V, not the observed-entry gather, and must equal the
+    # closed form of the masked update
+    def no_gather(self, fp):
+        raise AssertionError("full mask went through the observed-entry gather")
+
+    monkeypatch.setattr(Problem, "residual_csr", no_gather)
+    rng = np.random.default_rng(30)
+    y = rng.standard_normal((30, 24))
+    fp = FactorPair(rng.standard_normal((30, 4)), rng.standard_normal((24, 4)))
+    w = weight_diag(fp, 1e-6)
+    mask = ObservedMask.full(30, 24)
+    res = fp.product() - y
+    for side, cur, other, grad_fit in (
+        ("u", fp.u, fp.v, res @ fp.v),
+        ("v", fp.v, fp.u, res.T @ fp.u),
+    ):
+        a = other.T @ other + 0.7 * np.diag(w)
+        want = cur - np.linalg.solve(a, (grad_fit + 0.7 * cur * w).T).T
+        got = update_factor_mc(side, y, mask, fp, w, 0.7)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -9,6 +9,7 @@ from lowrankmf import (
     FactorPair,
     InvalidParameterError,
     ObservedMask,
+    Problem,
     ProblemKind,
     SolverConfig,
     apply_mask,
@@ -27,6 +28,8 @@ from lowrankmf import (
     update_factor_mc,
     weight_diag,
 )
+from lowrankmf.common import prune_columns
+from lowrankmf.data import add_noise_snr, gen_lowrank, sample_mask
 
 
 def random_pair(m, n, d, seed):
@@ -328,6 +331,67 @@ def test_gradient_nmf_matches_finite_differences():
             fd = fd_gradient(ProblemKind.NMF, side, y, None, fp, 0.5, 1e-3)
             rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-5
+
+
+# ------------------------------------------------------ observed residual
+
+
+def counting_residual(monkeypatch):
+    """Count observed-residual evaluations per Problem instance."""
+    counts = {}
+    evaluate = Problem._observed_residual
+
+    def counted(self, fp):
+        counts[id(self)] = counts.get(id(self), 0) + 1
+        return evaluate(self, fp)
+
+    monkeypatch.setattr(Problem, "_observed_residual", counted)
+    return counts
+
+
+def test_completion_solve_evaluates_two_residuals_per_iteration(monkeypatch):
+    counts = counting_residual(monkeypatch)
+    x0 = gen_lowrank(40, 40, 3, "gaussian", 11)
+    y = add_noise_snr(x0, 20.0, 12)
+    mask = sample_mask(40, 40, 300, 13)  # below the sparse cutoff
+    _, trace = solve_mc(y, mask, SolverConfig(lam=10.0, d_init=10))
+    assert trace.iterations > 5
+    # the public objective that checks the start point evaluates it on its
+    # own Problem; the solve's Problem evaluates the start point once and
+    # then the V step and the objective of every iteration, because each
+    # U step reads the residual the last objective computed
+    assert sorted(counts.values()) == [1, 2 * trace.iterations + 1]
+
+
+def test_residual_memo_never_returns_a_stale_residual(monkeypatch):
+    counts = counting_residual(monkeypatch)
+    rng = np.random.default_rng(40)
+    y = rng.standard_normal((8, 7))
+    mask = ObservedMask.from_pairs(8, 7, [(0, 0), (2, 3), (5, 6), (7, 1)])
+    problem = Problem(ProblemKind.COMPLETE, y, mask)
+    fp = FactorPair(rng.standard_normal((8, 3)), rng.standard_normal((7, 3)))
+    fp = FactorPair(fp.u * [1, 1, 0], fp.v * [1, 1, 0])  # column 2 is prunable
+
+    def agrees(got, pair):
+        want = (pair.product() - y)[mask.row_idx, mask.col_idx]
+        return np.allclose(got, want, rtol=0, atol=1e-12)
+
+    r = problem.residual(fp)
+    assert problem.residual(fp) is r and agrees(r, fp) and counts[id(problem)] == 1
+    with pytest.raises(ValueError):
+        r[0] = 0.0  # read-only, so no caller can corrupt the kept residual
+    # equal values in a new pair: evaluated afresh
+    twin = FactorPair(fp.u.copy(), fp.v.copy())
+    assert agrees(problem.residual(twin), twin) and counts[id(problem)] == 2
+    # the pruned pair is a new object with one column fewer
+    pruned, kept = prune_columns(twin, 1e-6)
+    assert kept == [0, 1]
+    assert agrees(problem.residual(pruned), pruned) and counts[id(problem)] == 3
+    # a moved point after the pruned one, then the pruned one again
+    moved = FactorPair(pruned.u + 1.0, pruned.v)
+    assert agrees(problem.residual(moved), moved)
+    assert agrees(problem.residual(pruned), pruned)
+    assert counts[id(problem)] == 5
 
 
 # ---------------------------------------------------------------- metrics

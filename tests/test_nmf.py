@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
 
 from lowrankmf import (
     ConstraintViolationError,
@@ -18,6 +17,7 @@ from lowrankmf import (
     solve_nmf,
     weight_diag,
 )
+from lowrankmf import nmf
 from lowrankmf.data import add_noise_snr, gen_lowrank
 from lowrankmf.nmf import (
     active_set_rows,
@@ -170,9 +170,21 @@ def test_projected_step_matches_rowwise_oracle():
         block = partial_diag_block(h, active[i])
         row = factor[i] - alpha * np.linalg.solve(block, grad[i])
         assert np.max(np.abs(got[i] - np.maximum(row, 0.0))) < 1e-10
-        # a shared factorization must give exactly the per-row solve
-        p = cho_solve(cho_factor(block, lower=True), grad[i])
+        # the batched solve must give exactly the per-row solve
+        p = np.linalg.solve(block, grad[i])
         assert np.array_equal(got[i], np.maximum(factor[i] - alpha * p, 0.0))
+
+
+def test_newton_step_does_not_depend_on_the_stack_split(monkeypatch):
+    rng = np.random.default_rng(8)
+    h = spd(4, 9)
+    factor = np.abs(rng.standard_normal((11, 4)))
+    grad = rng.standard_normal((11, 4))
+    active = rng.random((11, 4)) < 0.3
+    whole = projected_newton_step(factor, grad, h, active, 0.5)
+    for entries in (1, 16, 50):  # 1, 1 and 3 rows per stack
+        monkeypatch.setattr(nmf, "STACK_ENTRIES", entries)
+        assert np.array_equal(projected_newton_step(factor, grad, h, active, 0.5), whole)
 
 
 # ------------------------------------------------------------ Armijo rule

@@ -12,6 +12,7 @@ from lowrankmf import (
     gradient,
     objective,
     solve_denoise,
+    weight_diag,
 )
 from lowrankmf.common import IterationRecord, IterationTrace
 from lowrankmf.data import add_noise_snr, gen_lowrank, sample_mask
@@ -167,6 +168,27 @@ def test_delta_a_bounded_by_objective_drop():
     objs = [trace.initial_objective] + [r.objective for r in trace.records]
     for i, r in enumerate(trace.records):
         assert objs[i] - objs[i + 1] >= r.delta - 1e-9
+
+
+def dense_delta_a(prev, nxt, lam, eta):
+    """delta_A from its definition, through the n x m products."""
+    du, dv = prev.u - nxt.u, prev.v - nxt.v
+    w_prev = weight_diag(prev, eta)
+    w_mid = weight_diag(FactorPair(nxt.u, prev.v), eta)
+    fit = np.sum((prev.v @ du.T) ** 2) + np.sum((nxt.u @ dv.T) ** 2)
+    reg = np.sum(w_prev * np.sum(du**2, axis=0)) + np.sum(w_mid * np.sum(dv**2, axis=0))
+    return 0.5 * fit + 0.5 * lam * reg
+
+
+@pytest.mark.parametrize("m,n,d", [(9, 6, 1), (6, 11, 1), (9, 6, 4), (6, 11, 5), (7, 4, 4)])
+def test_delta_a_gram_trace_matches_dense_products(m, n, d):
+    for trial in range(5):
+        prev = random_pair(m, n, d, 300 + trial)
+        nxt = random_pair(m, n, d, 400 + trial)
+        lam = 0.5 + trial
+        want = dense_delta_a(prev, nxt, lam, 1e-6)
+        got = proximity_delta_a(prev, nxt, lam, 1e-6)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_delta_a_dim_mismatch():

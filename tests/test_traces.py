@@ -5,7 +5,9 @@
 NMF).  Refactors of the solvers must reproduce them: iteration counts,
 ranks, prune events and status exactly, every traced float to 1e-12
 relative.  Regenerate the fixture, only for an intended change of the
-numbers, with ``PYTHONPATH=src python tests/test_traces.py``.
+numbers, with ``PYTHONPATH=src python tests/test_traces.py``; before it
+overwrites the fixture it prints any discrete mismatch against the old one
+and the largest relative drift of each float field.
 """
 
 import json
@@ -99,8 +101,63 @@ def test_trace_matches_fixture(name):
         assert all(_close(a, b) for a, b in zip(g["norms"], w["norms"]))
 
 
+DRIFT_FIELDS = ("initial_objective", *FLOAT_FIELDS, "prune_norms")
+
+
+def fixture_drift(old: dict, new: dict) -> tuple[list[str], dict[str, float]]:
+    """Discrete mismatches (status, ``k``/``d``, prune events) between two
+    fixtures, and the largest relative difference of each float field."""
+    mismatches, drift = [], dict.fromkeys(DRIFT_FIELDS, 0.0)
+
+    def note(field, a, b):
+        rel = abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+        drift[field] = max(drift[field], rel)
+
+    for name in sorted(set(old) | set(new)):
+        if name not in old or name not in new:
+            mismatches.append(f"{name}: case only in one fixture")
+            continue
+        o, n = old[name], new[name]
+        if o["status"] != n["status"]:
+            mismatches.append(f"{name}: status {o['status']} -> {n['status']}")
+        kd = [[(r["k"], r["d"]) for r in t["records"]] for t in (o, n)]
+        if kd[0] != kd[1]:
+            mismatches.append(f"{name}: (k, d) sequence differs")
+        events = [[(p["k"], p["removed"]) for p in t["prunes"]] for t in (o, n)]
+        if events[0] != events[1]:
+            mismatches.append(f"{name}: prune events {events[0]} -> {events[1]}")
+        note("initial_objective", o["initial_objective"], n["initial_objective"])
+        for a, b in zip(o["records"], n["records"]):
+            for f in FLOAT_FIELDS:
+                note(f, a[f], b[f])
+        for a, b in zip(o["prunes"], n["prunes"]):
+            for x, y in zip(a["norms"], b["norms"]):
+                note("prune_norms", x, y)
+    return mismatches, drift
+
+
+def test_fixture_drift_reports_mismatches_and_largest_relative_drift():
+    old = json.loads(FIXTURE.read_text())
+    assert fixture_drift(old, old) == ([], {f: 0.0 for f in DRIFT_FIELDS})
+    new = json.loads(FIXTURE.read_text())
+    new["nmf"]["records"][1]["objective"] *= 1 + 1e-9
+    new["denoise"]["status"] = "max_iter"
+    new["denoise"]["records"][-1]["d"] += 1
+    mismatches, drift = fixture_drift(old, new)
+    assert mismatches == [
+        "denoise: status converged -> max_iter", "denoise: (k, d) sequence differs"
+    ]
+    assert 0.9e-9 < drift["objective"] < 1.1e-9 and drift["delta"] == 0.0
+
+
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     out = {name: trace_dict(run()[1]) for name, run in sorted(CASES.items())}
+    if FIXTURE.exists():
+        mismatches, drift = fixture_drift(json.loads(FIXTURE.read_text()), out)
+        for line in mismatches or ["no discrete mismatch (k, d, prunes, status)"]:
+            print(line)
+        for f, rel in drift.items():
+            print(f"max relative drift {f}: {rel:.3g}")
     FIXTURE.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE}")
