@@ -200,34 +200,32 @@ def prune_columns(fp: FactorPair, threshold: float) -> tuple[FactorPair, list[in
     return FactorPair(fp.u[:, kept_mask], fp.v[:, kept_mask]), kept
 
 
-def _product_gramians(prev: FactorPair, next_: FactorPair):
-    tp = float(np.sum((prev.u.T @ prev.u) * (prev.v.T @ prev.v)))
-    tn = float(np.sum((next_.u.T @ next_.u) * (next_.v.T @ next_.v)))
-    tc = float(np.sum((prev.u.T @ next_.u) * (prev.v.T @ next_.v)))
-    return tp, tn, tc
+def _product_change_sq(prev: FactorPair, next_: FactorPair) -> tuple[float, float]:
+    """||dU V'^T + U dV^T||_F^2 = ||U' V'^T - U V^T||_F^2, exactly 0 for an unmoved
+    pair, and ||U V^T||_F^2, from d x d Grams (a narrower pair is zero-padded)."""
+    d = max(prev.d, next_.d)
+    u, v, un, vn = (
+        a if a.shape[1] == d else np.pad(a, ((0, 0), (0, d - a.shape[1])))
+        for a in (prev.u, prev.v, next_.u, next_.v)
+    )
+    du, dv = un - u, vn - v
+    gram_u = u.T @ u
+    change = (
+        np.vdot(du.T @ du, vn.T @ vn)
+        + 2.0 * np.vdot(du.T @ u, vn.T @ dv)
+        + np.vdot(gram_u, dv.T @ dv)
+    )
+    return max(float(change), 0.0), float(np.vdot(gram_u, v.T @ v))
 
 
 def relative_change(prev: FactorPair, next_: FactorPair) -> float:
-    """||U_k V_k^T - U_{k+1} V_{k+1}^T||_F / ||U_k V_k^T||_F.
-
-    Uses Gram-matrix trace identities when the outer dimensions dominate,
-    avoiding the m x n products.
-    """
-    m, n = prev.shape
-    if next_.shape != (m, n):
+    """||U_k V_k^T - U_{k+1} V_{k+1}^T||_F / ||U_k V_k^T||_F in O((m + n) d^2)."""
+    if next_.shape != prev.shape:
         raise InvalidParameterError("factor pairs describe different matrix shapes")
-    dmax = max(prev.d, next_.d, 1)
-    if min(m, n) > 4 * dmax:
-        tp, tn, tc = _product_gramians(prev, next_)
-        if tp <= 0.0:
-            raise InvalidParameterError("previous factor product is zero")
-        diff_sq = max(tp - 2.0 * tc + tn, 0.0)
-        return float(np.sqrt(diff_sq) / np.sqrt(tp))
-    xp = prev.product()
-    denom = float(np.linalg.norm(xp))
-    if denom == 0.0:
+    change, base = _product_change_sq(prev, next_)
+    if base <= 0.0:
         raise InvalidParameterError("previous factor product is zero")
-    return float(np.linalg.norm(xp - next_.product())) / denom
+    return float(np.sqrt(change / base))
 
 
 def safe_relative_change(prev: FactorPair, next_: FactorPair) -> float:
@@ -235,8 +233,7 @@ def safe_relative_change(prev: FactorPair, next_: FactorPair) -> float:
     try:
         return relative_change(prev, next_)
     except InvalidParameterError:
-        tp, tn, _ = _product_gramians(prev, next_)
-        return 0.0 if tn == 0.0 else float("inf")
+        return 0.0 if _product_change_sq(prev, next_)[0] == 0.0 else float("inf")
 
 
 def stop_status(trace: IterationTrace, cfg: SolverConfig) -> str | None:

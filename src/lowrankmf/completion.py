@@ -1,11 +1,10 @@
 """Alternating reweighted solver for the masked (matrix completion) objective.
 
 Each factor update is one quasi-Newton step with the shared d x d
-curvature block.  Below ``SPARSE_DENSITY_CUTOFF`` observed density the
-residual is only ever evaluated at the observed entries, and once per
-half-step, so an iteration costs O(card(Omega) d + (m + n) d^2 + d^3),
-the ``delta`` certificate included; denser masks take the dense masked
-product, O(m n d).
+curvature block.  An iteration costs O(m n d) BLAS-3 flops for the
+observed residual (row blocks of U V^T), O(card(Omega) d) for its CSR
+products and O((m + n) d^2 + d^3) for the rest, the ``delta``
+certificate included; memory is O(card(Omega) + one block).
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ arrays validated at the boundary, a :class:`FactorPair` couples the two
 factors ``U`` (m x d) and ``V`` (n x d), and an :class:`ObservedMask`
 holds the index set of observed entries together with its sampling
 operator.  A :class:`Problem` checks one solve's data once and evaluates
-its objective and gradients.
+its objective and gradients; for completion its one data term is the
+residual at the observed entries.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "ProblemKind",
@@ -37,9 +37,8 @@ __all__ = [
     "freedom_ratio",
 ]
 
-# Below this observed-entry density the masked residual is traversed
-# sparsely instead of materializing an m x n array.
-SPARSE_DENSITY_CUTOFF = 0.25
+# Entries of one temporary block of a blocked evaluation: 8 MB of float64.
+STACK_ENTRIES = 1 << 20
 
 
 class InvalidParameterError(ValueError):
@@ -199,19 +198,21 @@ class Problem:
     ``y``; for completion, a mask of ``y``'s shape; for NMF, ``y >= 0``.
     ``y_obs`` holds the entries of Y the data term reads: all of ``y``,
     or for completion its values at the mask in the mask's row-major
-    order, which is also CSR order, so the row pointers are computed once.
+    order, which is also CSR order, so the row pointers and the flat
+    offsets are computed once.
 
-    The observed residual of the last point evaluated is kept in one slot,
-    keyed by that :class:`FactorPair` object (held, so its identity cannot
-    be reused): the objective at the end of one iteration and the U step
-    of the next read it at the same pruned point.  A new pair, even one
-    with equal values, is evaluated afresh.
+    The one completion data term is the residual at the observed entries,
+    read from row blocks of U V^T of at most ``STACK_ENTRIES`` entries.
+    The residual of the last point evaluated is kept in one slot, keyed
+    by that :class:`FactorPair` object (held, so its identity cannot be
+    reused): the objective at the end of one iteration and the U step of
+    the next read it at the same pruned point.  A new pair, even one with
+    equal values, is evaluated afresh.
     """
 
     def __init__(self, kind: ProblemKind, y, mask: ObservedMask | None = None):
         y = as_matrix(y, "y")
         self.kind, self.y, self.mask, self.y_obs = kind, y, mask, y
-        self.sparse = False
         self._last: tuple[FactorPair, np.ndarray] | None = None
         if kind is ProblemKind.COMPLETE:
             if mask is None:
@@ -220,7 +221,7 @@ class Problem:
                 raise InvalidParameterError("mask shape does not match data")
             self.y_obs = y[mask.row_idx, mask.col_idx]
             self.indptr = np.searchsorted(mask.row_idx, np.arange(mask.rows + 1))
-            self.sparse = mask.density < SPARSE_DENSITY_CUTOFF
+            self.flat = mask.row_idx * mask.cols + mask.col_idx
         if kind is ProblemKind.NMF and np.any(y < 0):
             raise ConstraintViolationError("NMF data must be elementwise nonnegative")
 
@@ -241,13 +242,22 @@ class Problem:
         return self._last[1]
 
     def _observed_residual(self, fp: FactorPair) -> np.ndarray:
-        m = self.mask
-        r = np.einsum("ij,ij->i", fp.u[m.row_idx], fp.v[m.col_idx]) - self.y_obs
+        m, n = self.y.shape
+        r, step = np.empty(self.mask.card), max(1, STACK_ENTRIES // n)
+        for i in range(0, m, step):
+            s, e = self.indptr[i], self.indptr[min(i + step, m)]
+            block = (fp.u[i : i + step] @ fp.v.T).ravel()
+            # the offsets are in range by construction: "wrap" skips the check
+            np.take(block, self.flat[s:e] - i * n, out=r[s:e], mode="wrap")
+        r -= self.y_obs
         r.flags.writeable = False
         return r
 
-    def residual_csr(self, fp: FactorPair) -> sp.csr_matrix:
-        """:meth:`residual` as an m x n CSR matrix."""
+    def residual_csr(self, fp: FactorPair):
+        """:meth:`residual` as an m x n ``scipy.sparse.csr_matrix``."""
+        # imported here, so that importing the package does not load it
+        import scipy.sparse as sp
+
         m = self.mask
         return sp.csr_matrix(
             (self.residual(fp), m.col_idx, self.indptr), shape=(m.rows, m.cols)
@@ -255,13 +265,11 @@ class Problem:
 
     def objective(self, fp: FactorPair, lam: float, eta: float) -> float:
         """:func:`objective` at a point :meth:`check` accepts."""
-        if self.sparse:
+        if self.kind is ProblemKind.COMPLETE:
             r = self.residual(fp)
             fit = 0.5 * float(r @ r)
         else:
             res = fp.product() - self.y
-            if self.kind is ProblemKind.COMPLETE:
-                res = apply_mask(res, self.mask)
             fit = 0.5 * float(np.sum(res * res))
         return fit + lam * smoothed_regularizer(fp, eta)
 
@@ -270,10 +278,8 @@ class Problem:
         weight diagonal ``w`` of ``fp``."""
         if self.kind is not ProblemKind.COMPLETE:
             res = fp.product() - self.y
-        elif self.sparse:
-            res = self.residual_csr(fp)
         else:
-            res = apply_mask(fp.product() - self.y, self.mask)
+            res = self.residual_csr(fp)
         rv = res @ fp.v if side == "u" else res.T @ fp.u
         factor = fp.u if side == "u" else fp.v
         return np.asarray(rv) + lam * factor * w

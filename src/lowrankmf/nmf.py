@@ -14,6 +14,7 @@ import numpy as np
 
 from .common import IterationTrace, SolverConfig, alternate
 from .core import (
+    STACK_ENTRIES,
     FactorPair,
     InvalidParameterError,
     Problem,
@@ -34,9 +35,6 @@ __all__ = [
     "armijo_search",
     "solve_nmf",
 ]
-
-# Block entries of one batched Newton solve: 8 MB of float64 blocks.
-STACK_ENTRIES = 1 << 20
 
 
 @dataclass

@@ -15,14 +15,18 @@ from lowrankmf import (
     relative_change,
     should_stop,
     smoothed_regularizer,
+    solve_denoise,
 )
+from lowrankmf import common
 from lowrankmf.common import (
+    STATUS_CONVERGED,
     IterationRecord,
     IterationTrace,
     PruneEvent,
     init_factors,
     stop_status,
 )
+from lowrankmf.data import add_noise_snr, gen_lowrank
 
 
 def pair_with_norms(norms, m=4, n=3, seed=0):
@@ -139,20 +143,61 @@ def test_relative_change_doubling_rank_one():
 
 
 def test_relative_change_trace_path_matches_dense():
-    # min(m, n) > 4 d engages the Gram-trace path; compare against the
-    # explicit product on the same pairs
+    # the Gram form must match the explicit product, also when d exceeds
+    # the outer dimensions and when the next pair has a column fewer
     rng = np.random.default_rng(3)
-    for trial in range(10):
-        u1 = rng.standard_normal((25, 3))
-        v1 = rng.standard_normal((30, 3))
-        u2 = u1 + 0.1 * rng.standard_normal((25, 3))
-        v2 = v1 + 0.1 * rng.standard_normal((30, 3))
+    for m, n, d, d_next in [(25, 30, 3, 3)] * 10 + [(4, 3, 5, 5), (6, 9, 4, 3)]:
+        u1 = rng.standard_normal((m, d))
+        v1 = rng.standard_normal((n, d))
+        u2 = u1[:, :d_next] + 0.1 * rng.standard_normal((m, d_next))
+        v2 = v1[:, :d_next] + 0.1 * rng.standard_normal((n, d_next))
         prev, next_ = FactorPair(u1, v1), FactorPair(u2, v2)
         got = relative_change(prev, next_)
         dense = np.linalg.norm(prev.product() - next_.product()) / np.linalg.norm(
             prev.product()
         )
         assert abs(got - dense) < 1e-10
+
+
+def test_relative_change_resolves_tiny_changes():
+    # the change is taken in factored form, so it has no precision floor
+    # near 1e-8 (the difference of Gram traces returned 0.0 for both)
+    rng = np.random.default_rng(5)
+    u, v = rng.standard_normal((300, 10)), rng.standard_normal((300, 10))
+    prev = FactorPair(u, v)
+    du, dv = rng.standard_normal((300, 10)), rng.standard_normal((300, 10))
+    unit = np.linalg.norm(du @ v.T + u @ dv.T) / np.linalg.norm(prev.product())
+    for target in (1e-10, 1e-12):
+        eps = target / unit
+        next_ = FactorPair(u + eps * du, v + eps * dv)
+        # the same factored difference, formed as m x n products
+        want = np.linalg.norm(eps * du @ next_.v.T + u @ (eps * dv).T) / np.linalg.norm(
+            prev.product()
+        )
+        assert abs(relative_change(prev, next_) - want) <= 1e-6 * want
+
+
+def test_tiny_tol_converges_only_on_a_change_below_it(monkeypatch):
+    # with the Gram-trace difference this solve reported converged at
+    # k = 568 with rel_change 0.0 while its last step changed the product
+    # by 3.4e-8 relative, above tol
+    pairs = []
+    shared = common.safe_relative_change
+
+    def recorded(prev, next_):
+        pairs.append((prev, next_))
+        return shared(prev, next_)
+
+    monkeypatch.setattr(common, "safe_relative_change", recorded)
+    x0 = gen_lowrank(100, 100, 3, "gaussian", 1)
+    y = add_noise_snr(x0, 20.0, 2)
+    cfg = SolverConfig(lam=10.0, d_init=10, tol=1e-8, max_iter=1000)
+    _, trace = solve_denoise(y, cfg)
+    prev, next_ = pairs[-1]
+    change = (next_.u - prev.u) @ next_.v.T + prev.u @ (next_.v - prev.v).T
+    dense = np.linalg.norm(change) / np.linalg.norm(prev.product())
+    assert trace.status != STATUS_CONVERGED or dense < cfg.tol
+    assert abs(trace.records[-1].rel_change - dense) <= 1e-6 * dense
 
 
 def test_relative_change_zero_previous_product():

@@ -7,7 +7,6 @@ from lowrankmf import (
     FactorPair,
     InvalidParameterError,
     ObservedMask,
-    Problem,
     ProblemKind,
     SolverConfig,
     gradient,
@@ -150,8 +149,8 @@ def test_mask_shape_mismatch():
 
 
 def test_sparse_and_dense_density_paths_agree():
-    # density above/below the cutoff goes through different residual
-    # representations; one update must not depend on it
+    # sparse and dense masks share the one observed-entry residual; the
+    # update must equal the dense masked formula at either density
     rng = np.random.default_rng(20)
     y = rng.standard_normal((10, 10))
     fp = FactorPair(rng.standard_normal((10, 3)), rng.standard_normal((10, 3)))
@@ -170,14 +169,9 @@ def test_sparse_and_dense_density_paths_agree():
         assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_full_mask_step_is_the_dense_closed_form(monkeypatch):
-    # a full mask sits above the sparse cutoff: the step takes the dense
-    # (U V^T - Y) V, not the observed-entry gather, and must equal the
-    # closed form of the masked update
-    def no_gather(self, fp):
-        raise AssertionError("full mask went through the observed-entry gather")
-
-    monkeypatch.setattr(Problem, "residual_csr", no_gather)
+def test_full_mask_step_is_the_dense_closed_form():
+    # at a full mask the observed-entry residual is all of U V^T - Y: the
+    # step must equal the closed form of the masked update
     rng = np.random.default_rng(30)
     y = rng.standard_normal((30, 24))
     fp = FactorPair(rng.standard_normal((30, 4)), rng.standard_normal((24, 4)))

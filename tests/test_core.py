@@ -1,8 +1,17 @@
 """Tests for the domain types, objectives, gradients and metrics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lowrankmf
+from lowrankmf import core
 from lowrankmf import (
     ConstraintViolationError,
     DimensionMismatchError,
@@ -233,7 +242,7 @@ def test_objective_full_mask_equals_denoise():
 
 
 def test_objective_sparse_and_dense_mask_paths_agree():
-    # density below and above the sparse cutoff must give identical values
+    # a sparse and a dense mask must both give the dense masked value
     rng = np.random.default_rng(5)
     y = rng.standard_normal((10, 12))
     fp = random_pair(10, 12, 2, 6)
@@ -353,7 +362,7 @@ def test_completion_solve_evaluates_two_residuals_per_iteration(monkeypatch):
     counts = counting_residual(monkeypatch)
     x0 = gen_lowrank(40, 40, 3, "gaussian", 11)
     y = add_noise_snr(x0, 20.0, 12)
-    mask = sample_mask(40, 40, 300, 13)  # below the sparse cutoff
+    mask = sample_mask(40, 40, 300, 13)
     _, trace = solve_mc(y, mask, SolverConfig(lam=10.0, d_init=10))
     assert trace.iterations > 5
     # the public objective that checks the start point evaluates it on its
@@ -392,6 +401,67 @@ def test_residual_memo_never_returns_a_stale_residual(monkeypatch):
     assert agrees(problem.residual(moved), moved)
     assert agrees(problem.residual(pruned), pruned)
     assert counts[id(problem)] == 5
+
+
+@st.composite
+def masked_problems(draw):
+    m, n, d = draw(st.integers(1, 30)), draw(st.integers(1, 30)), draw(st.integers(1, 5))
+    card = draw(st.integers(1, m * n))  # a single entry up to the full mask
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ri, ci = np.divmod(rng.choice(m * n, size=card, replace=False), n)
+    fp = FactorPair(rng.standard_normal((m, d)), rng.standard_normal((n, d)))
+    return rng.standard_normal((m, n)), ObservedMask(m, n, ri, ci), fp
+
+
+@settings(max_examples=60, deadline=None)
+@given(masked_problems(), st.integers(1, 1000))
+def test_blocked_residual_matches_the_dense_masked_formulas(case, block_entries):
+    # budgets below n give one row per block; products of blocks differ
+    # from the full product only at round-off, so compare to a tolerance
+    y, mask, fp = case
+    obs = mask.to_dense_bool()
+    res = np.where(obs, fp.product() - y, 0.0)
+    w, lam, eta = weight_diag(fp, 1e-3), 0.7, 1e-3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "STACK_ENTRIES", block_entries)
+        problem = Problem(ProblemKind.COMPLETE, y, mask)
+        r = problem.residual(fp)
+        f = problem.objective(fp, lam, eta)
+        grads = {side: problem.gradient(side, fp, lam, w) for side in "uv"}
+    scale = np.abs(fp.u) @ np.abs(fp.v).T + np.abs(y)
+    want = (fp.product() - y)[mask.row_idx, mask.col_idx]
+    assert np.all(np.abs(r - want) <= 1e-12 * scale[mask.row_idx, mask.col_idx])
+    reg = lam * smoothed_regularizer(fp, eta)
+    assert abs(f - (0.5 * np.sum(res * res) + reg)) <= 1e-12 * (
+        0.5 * np.sum(scale[obs] ** 2) + reg
+    )
+    seen = np.where(obs, scale, 0.0)
+    for side, cur, other, fit, size in (
+        ("u", fp.u, fp.v, res, seen),
+        ("v", fp.v, fp.u, res.T, seen.T),
+    ):
+        bound = size @ np.abs(other) + lam * np.abs(cur) * w
+        assert np.all(np.abs(grads[side] - (fit @ other + lam * cur * w)) <= 1e-12 * bound)
+
+
+def test_import_loads_no_scipy_sparse():
+    # scipy.sparse is imported by the first completion gradient, not by
+    # the package
+    script = (
+        "import sys, numpy as np, lowrankmf\n"
+        "assert 'scipy.sparse' not in sys.modules, 'imported with the package'\n"
+        "from lowrankmf.data import sample_mask\n"
+        "y = np.random.default_rng(0).standard_normal((12, 10))\n"
+        "fp, trace = lowrankmf.solve_mc(y, sample_mask(12, 10, 60, 1),\n"
+        "                               lowrankmf.SolverConfig(lam=1.0, d_init=3))\n"
+        "assert trace.iterations > 0 and np.all(np.isfinite(fp.u))\n"
+    )
+    src = str(Path(lowrankmf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------- metrics
