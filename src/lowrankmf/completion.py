@@ -1,7 +1,8 @@
 """Alternating reweighted solver for the masked (matrix completion) objective.
 
 Each factor update is one quasi-Newton step with the shared d x d
-curvature block.  An iteration costs O(m n d) BLAS-3 flops for the
+curvature block, and takes the solve's :class:`Problem`, which checked
+Y and the mask.  An iteration costs O(m n d) BLAS-3 flops for the
 observed residual (row blocks of U V^T), O(card(Omega) d) for its CSR
 products and O((m + n) d^2 + d^3) for the rest, the ``delta``
 certificate included; memory is O(card(Omega) + one block).
@@ -12,14 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .common import IterationTrace, SolverConfig, alternate
-from .core import (
-    FactorPair,
-    InvalidParameterError,
-    ObservedMask,
-    Problem,
-    ProblemKind,
-    surrogate_block,
-)
+from .core import FactorPair, ObservedMask, Problem, ProblemKind, surrogate_block
 from .oracles import proximity_delta_a
 
 # Unused here: bench/ traces and checks these bindings of the shared functions.
@@ -29,35 +23,19 @@ from .core import objective  # noqa: F401
 __all__ = ["update_factor_mc", "solve_mc"]
 
 
-def _mc_step(
+def update_factor_mc(
     problem: Problem, side: str, fp: FactorPair, w: np.ndarray, lam: float
 ) -> np.ndarray:
-    cur, other = (fp.u, fp.v) if side == "u" else (fp.v, fp.u)
-    grad = problem.gradient(side, fp, lam, w)
-    return cur - np.linalg.solve(surrogate_block(other, w, lam), grad.T).T
-
-
-def update_factor_mc(
-    side: str,
-    y,
-    mask: ObservedMask,
-    fp: FactorPair,
-    w: np.ndarray,
-    lam: float,
-) -> np.ndarray:
-    """One quasi-Newton factor update for the masked objective.
+    """One quasi-Newton factor update for a completion ``problem``, whose
+    Y and mask were checked when it was built.
 
     U side: U - (P_Omega(U V^T - Y) V + lam U D)(V^T V + lam D)^{-1};
     the V side is the transposed analogue.
     """
-    if fp.d < 1:
-        raise InvalidParameterError("factor pair has no columns")
-    if lam <= 0:
-        raise InvalidParameterError("lam must be positive")
-    if side not in ("u", "v"):
-        raise InvalidParameterError(f"side must be 'u' or 'v', got {side!r}")
-    problem = Problem(ProblemKind.COMPLETE, y, mask)
-    return _mc_step(problem, side, problem.check(fp), w, lam)
+    problem.check_step(ProblemKind.COMPLETE, side, fp, lam)
+    cur, other = (fp.u, fp.v) if side == "u" else (fp.v, fp.u)
+    grad = problem.gradient(side, fp, lam, w)
+    return cur - np.linalg.solve(surrogate_block(other, w, lam), grad.T).T
 
 
 def solve_mc(
@@ -68,6 +46,6 @@ def solve_mc(
     problem = Problem(ProblemKind.COMPLETE, y, mask)
     return alternate(
         problem, cfg,
-        lambda side, fp, w: (_mc_step(problem, side, fp, w, cfg.lam), None),
+        lambda side, fp, w: (update_factor_mc(problem, side, fp, w, cfg.lam), None),
         lambda prev, next_, _: proximity_delta_a(prev, next_, cfg.lam, cfg.eta),
     )

@@ -235,6 +235,23 @@ class Problem:
             raise ConstraintViolationError("NMF factors must be elementwise nonnegative")
         return fp
 
+    def check_step(
+        self, kind: ProblemKind, side: str, fp: FactorPair, lam: float
+    ) -> FactorPair:
+        """Return ``fp`` if a factor step of a ``kind`` problem may start
+        from it, updating ``side`` with weight ``lam``, else raise."""
+        if self.kind is not kind:
+            raise InvalidParameterError(
+                f"a {kind.value} step needs a {kind.value} problem, got {self.kind.value}"
+            )
+        if side not in ("u", "v"):
+            raise InvalidParameterError(f"side must be 'u' or 'v', got {side!r}")
+        if fp.d < 1:
+            raise InvalidParameterError("factor pair has no columns")
+        if lam <= 0:
+            raise InvalidParameterError("lam must be positive")
+        return self.check(fp)
+
     def residual(self, fp: FactorPair) -> np.ndarray:
         """Completion residual U V^T - Y at the observed entries (read-only)."""
         if self._last is None or self._last[0] is not fp:

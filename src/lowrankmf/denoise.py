@@ -3,7 +3,7 @@
 Each outer iteration refreshes the weight diagonal, solves the two
 strictly convex quadratic surrogates in closed form (a d x d SPD system
 per factor), prunes annihilated columns and records the descent
-diagnostics.
+diagnostics.  The step takes the solve's :class:`Problem`, which checked Y.
 """
 
 from __future__ import annotations
@@ -11,14 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .common import IterationTrace, SolverConfig, alternate
-from .core import (
-    FactorPair,
-    InvalidParameterError,
-    Problem,
-    ProblemKind,
-    as_matrix,
-    surrogate_block,
-)
+from .core import FactorPair, Problem, ProblemKind, surrogate_block
 from .oracles import proximity_delta_a
 
 # Unused here: bench/ traces and checks these bindings of the shared functions.
@@ -29,24 +22,19 @@ __all__ = ["update_factor_denoise", "solve_denoise"]
 
 
 def update_factor_denoise(
-    side: str, y, fp: FactorPair, w: np.ndarray, lam: float
+    problem: Problem, side: str, fp: FactorPair, w: np.ndarray, lam: float
 ) -> np.ndarray:
-    """Closed-form minimizer of the quadratic surrogate for one factor.
+    """Closed-form minimizer of the quadratic surrogate for one factor of a
+    denoising ``problem``, whose Y was checked when it was built.
 
     U side: Y V (V^T V + lam D)^{-1}; V side: Y^T U (U^T U + lam D)^{-1},
     one d x d SPD solve.
     """
-    if fp.d < 1:
-        raise InvalidParameterError("factor pair has no columns")
-    if lam <= 0:
-        raise InvalidParameterError("lam must be positive")
-    y = as_matrix(y, "y")
+    problem.check_step(ProblemKind.DENOISE, side, fp, lam)
     if side == "u":
-        other, b = fp.v, y @ fp.v
-    elif side == "v":
-        other, b = fp.u, y.T @ fp.u
+        other, b = fp.v, problem.y @ fp.v
     else:
-        raise InvalidParameterError(f"side must be 'u' or 'v', got {side!r}")
+        other, b = fp.u, problem.y.T @ fp.u
     return np.linalg.solve(surrogate_block(other, w, lam), b.T).T
 
 
@@ -60,6 +48,6 @@ def solve_denoise(y, cfg: SolverConfig) -> tuple[FactorPair, IterationTrace]:
     problem = Problem(ProblemKind.DENOISE, y)
     return alternate(
         problem, cfg,
-        lambda side, fp, w: (update_factor_denoise(side, problem.y, fp, w, cfg.lam), None),
+        lambda side, fp, w: (update_factor_denoise(problem, side, fp, w, cfg.lam), None),
         lambda prev, next_, _: proximity_delta_a(prev, next_, cfg.lam, cfg.eta),
     )

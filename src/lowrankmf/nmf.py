@@ -3,7 +3,8 @@
 Rows of each factor get their own curvature block: the shared d x d SPD
 matrix partially diagonalized on that row's active constraint set.  The
 step size comes from a backtracking Armijo rule evaluated on the
-projection arc, so every iterate stays elementwise nonnegative.
+projection arc, so every iterate stays elementwise nonnegative.  The
+search takes the solve's :class:`Problem`, which checked Y >= 0.
 """
 
 from __future__ import annotations
@@ -122,24 +123,24 @@ def projected_newton_step(
 
 
 def armijo_search(
-    side: str, y, fp: FactorPair, w: np.ndarray, lam: float, cfg: SolverConfig
+    problem: Problem, side: str, fp: FactorPair, w: np.ndarray, cfg: SolverConfig
 ) -> ArmijoResult:
-    """Backtrack alpha = beta^m on the projection arc until the
-    sufficient-decrease inequality holds, or the cap is exhausted.
+    """Backtrack alpha = beta^m on the projection arc of an NMF ``problem``,
+    whose Y was checked when it was built, until the sufficient-decrease
+    inequality holds, or the cap is exhausted.
 
     ``w`` is the weight diagonal of ``fp``; the gradient and the curvature
-    block both use it.
+    block both use it, with weight ``cfg.lam``.
     """
-    problem = Problem(ProblemKind.NMF, y)
-    problem.check(fp)
+    problem.check_step(ProblemKind.NMF, side, fp, cfg.lam)
     factor = fp.u if side == "u" else fp.v
     other = fp.v if side == "u" else fp.u
-    grad = problem.gradient(side, fp, lam, w)
-    h_tilde = surrogate_block(other, w, lam)
+    grad = problem.gradient(side, fp, cfg.lam, w)
+    h_tilde = surrogate_block(other, w, cfg.lam)
     active = active_set_rows(factor, grad, cfg.nmf.eps_active)
     direction = _newton_directions(grad, h_tilde, active)
 
-    f0 = problem.objective(fp, lam, cfg.eta)
+    f0 = problem.objective(fp, cfg.lam, cfg.eta)
     beta = cfg.nmf.beta_u if side == "u" else cfg.nmf.beta_v
     sigma = cfg.nmf.sigma
     cap = cfg.nmf.max_backtracks
@@ -149,7 +150,7 @@ def armijo_search(
         alpha = beta**m
         cand = np.maximum(factor - alpha * direction, 0.0)
         trial = FactorPair(cand, fp.v) if side == "u" else FactorPair(fp.u, cand)
-        decrease = f0 - problem.objective(trial, lam, cfg.eta)
+        decrease = f0 - problem.objective(trial, cfg.lam, cfg.eta)
         moved = float(np.sum(grad[active] * (factor - cand)[active]))
         rhs = sigma * (alpha * inactive + moved)
         if decrease >= rhs:
@@ -171,7 +172,7 @@ def solve_nmf(y, cfg: SolverConfig) -> tuple[FactorPair, IterationTrace]:
     problem = Problem(ProblemKind.NMF, y)
 
     def step(side, fp, w):
-        res = armijo_search(side, problem.y, fp, w, cfg.lam, cfg)
+        res = armijo_search(problem, side, fp, w, cfg)
         return res.factor, res.rhs
 
     # Certified per-iteration decrease: the accepted sufficient-decrease

@@ -14,6 +14,7 @@ import pytest
 from lowrankmf import (
     FactorPair,
     ObservedMask,
+    Problem,
     ProblemKind,
     SolverConfig,
     armijo_search,
@@ -315,10 +316,10 @@ def test_criterion_9_surrogate_minimizer_equivalence():
         w = weight_diag(fp, 1e-6)
         mask = sample_mask(6, 5, 15, 9100 + trial)
         for side in ("u", "v"):
-            got = update_factor_denoise(side, y, fp, w, 0.8)
+            got = update_factor_denoise(Problem(ProblemKind.DENOISE, y), side, fp, w, 0.8)
             want = dense_surrogate_minimizer(side, y, None, fp, 0.8)
             worst = max(worst, float(np.max(np.abs(got - want))))
-            got = update_factor_mc(side, y, mask, fp, w, 0.8)
+            got = update_factor_mc(Problem(ProblemKind.COMPLETE, y, mask), side, fp, w, 0.8)
             want = dense_surrogate_minimizer(side, y, mask, fp, 0.8)
             worst = max(worst, float(np.max(np.abs(got - want))))
     ok = worst <= 1e-8
@@ -338,7 +339,7 @@ def test_criterion_10_nmf_feasibility_and_armijo():
             np.abs(rng.standard_normal((6, 3))), np.abs(rng.standard_normal((5, 3)))
         )
         cfg = SolverConfig(lam=0.5, d_init=3)
-        res = armijo_search("u", y, fp, weight_diag(fp, cfg.eta), cfg.lam, cfg)
+        res = armijo_search(Problem(ProblemKind.NMF, y), "u", fp, weight_diag(fp, cfg.eta), cfg)
         if not res.accepted:
             continue
         n_steps += 1

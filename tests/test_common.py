@@ -64,13 +64,20 @@ def test_config_defaults():
         {"lam": 1.0, "d_init": 5, "tol": -1e-4},
         {"lam": 1.0, "d_init": 5, "max_iter": 0},
         {"lam": 1.0, "d_init": 5, "prune_tol": 0.0},
-        {"lam": 1.0, "d_init": 5, "nmf": NmfOptions(beta_u=1.5)},
-        {"lam": 1.0, "d_init": 5, "nmf": NmfOptions(sigma=0.0)},
+        {"lam": 1.0, "d_init": 5, "nmf": {"beta_u": 1.5}},
+        {"lam": 1.0, "d_init": 5, "nmf": {"sigma": 0.0}},
+        {"lam": 1.0, "d_init": 5, "nmf": {"beta_v": 0.0}},
+        {"lam": 1.0, "d_init": 5, "nmf": {"eps_active": 0.0}},
+        {"lam": 1.0, "d_init": 5, "nmf": {"max_backtracks": -1}},
+        {"lam": 1.0, "d_init": 5, "seed": -1},
     ],
 )
 def test_config_validation_rejects(kwargs):
+    # building the config raises, so no invalid config reaches a solver
     with pytest.raises(InvalidParameterError):
-        SolverConfig(**kwargs).validate()
+        if "nmf" in kwargs:
+            kwargs = {**kwargs, "nmf": NmfOptions(**kwargs["nmf"])}
+        SolverConfig(**kwargs)
 
 
 # ------------------------------------------------------------- pruning
@@ -184,9 +191,9 @@ def test_tiny_tol_converges_only_on_a_change_below_it(monkeypatch):
     pairs = []
     shared = common.safe_relative_change
 
-    def recorded(prev, next_):
+    def recorded(prev, next_, *rest):
         pairs.append((prev, next_))
-        return shared(prev, next_)
+        return shared(prev, next_, *rest)
 
     monkeypatch.setattr(common, "safe_relative_change", recorded)
     x0 = gen_lowrank(100, 100, 3, "gaussian", 1)

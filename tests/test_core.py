@@ -535,6 +535,29 @@ def test_freedom_ratio_errors():
 # ---------------------------------------------------------- boundary checks
 
 BOUNDARY_CFG = SolverConfig(lam=1.0, d_init=2, max_iter=3)
+STEPS = {
+    ProblemKind.DENOISE: update_factor_denoise,
+    ProblemKind.COMPLETE: update_factor_mc,
+    ProblemKind.NMF: armijo_search,
+}
+SOLVES = {
+    ProblemKind.DENOISE: solve_denoise,
+    ProblemKind.COMPLETE: solve_mc,
+    ProblemKind.NMF: solve_nmf,
+}
+
+
+def _step(kind, problem, fp):
+    """The U step of ``kind`` on ``problem`` from ``fp``."""
+    cfg, w = BOUNDARY_CFG, weight_diag(fp, BOUNDARY_CFG.eta)
+    # armijo_search weighs with cfg.lam, the other steps take lam itself
+    return STEPS[kind](problem, "u", fp, w, cfg if kind is ProblemKind.NMF else cfg.lam)
+
+
+def _solve(kind, y, mask, cfg):
+    if kind is ProblemKind.COMPLETE:
+        return solve_mc(y, mask, cfg)
+    return SOLVES[kind](y, cfg)
 
 
 def _entry_points(kind):
@@ -543,23 +566,11 @@ def _entry_points(kind):
     calls = {
         "objective": lambda y, mask, fp: objective(kind, y, mask, fp, lam, eta),
         "gradient": lambda y, mask, fp: gradient(kind, "u", y, mask, fp, lam, eta),
+        SOLVES[kind].__name__: lambda y, mask, fp: _solve(kind, y, mask, cfg),
+        STEPS[kind].__name__: lambda y, mask, fp: _step(kind, Problem(kind, y, mask), fp),
     }
-    if kind is ProblemKind.DENOISE:
-        calls["solve_denoise"] = lambda y, mask, fp: solve_denoise(y, cfg)
-        calls["update_factor_denoise"] = lambda y, mask, fp: update_factor_denoise(
-            "u", y, fp, weight_diag(fp, eta), lam
-        )
-    elif kind is ProblemKind.COMPLETE:
-        calls["solve_mc"] = lambda y, mask, fp: solve_mc(y, mask, cfg)
-        calls["update_factor_mc"] = lambda y, mask, fp: update_factor_mc(
-            "u", y, mask, fp, weight_diag(fp, eta), lam
-        )
+    if kind is ProblemKind.COMPLETE:
         calls["nmae"] = lambda y, mask, fp: nmae(y, mask, fp)
-    else:
-        calls["solve_nmf"] = lambda y, mask, fp: solve_nmf(y, cfg)
-        calls["armijo_search"] = lambda y, mask, fp: armijo_search(
-            "u", y, fp, weight_diag(fp, eta), lam, cfg
-        )
     return calls
 
 
@@ -569,6 +580,7 @@ DEFECTS = {
     "mask_shape": ((ProblemKind.COMPLETE,), InvalidParameterError),
     "negative_y": ((ProblemKind.NMF,), ConstraintViolationError),
     "negative_factors": ((ProblemKind.NMF,), ConstraintViolationError),
+    "factor_shape": (tuple(ProblemKind), DimensionMismatchError),
 }
 BOUNDARY_CASES = [
     pytest.param(kind, name, defect, id=f"{name}-{kind.value}-{defect}")
@@ -576,7 +588,7 @@ BOUNDARY_CASES = [
     for kind in kinds
     for name in _entry_points(kind)
     # The solvers draw their own factors.
-    if not (defect == "negative_factors" and name.startswith("solve_"))
+    if not (defect in ("negative_factors", "factor_shape") and name.startswith("solve_"))
 ]
 
 
@@ -594,7 +606,53 @@ def test_entry_points_reject_bad_data(kind, name, defect):
         mask = ObservedMask(7, 5, np.arange(7), np.arange(7) % 5)
     elif defect == "negative_y":
         y[2, 3] = -1.0
-    else:
+    elif defect == "negative_factors":
         fp = FactorPair(-fp.u, fp.v)
+    else:
+        fp = FactorPair(fp.u, np.vstack([fp.v, fp.v[:1]]))
     with pytest.raises(DEFECTS[defect][1]):
         call(y, mask, fp)
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind), ids=lambda kind: kind.value)
+def test_solve_checks_y_once(kind, monkeypatch):
+    # the solve's Problem checks Y; its factor steps must not scan it again,
+    # so the count of Y checks does not grow with the iterations
+    checked = []
+    original = core.as_matrix
+
+    def counted(a, name="matrix"):
+        checked.append(name)
+        return original(a, name)
+
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("lowrankmf") and getattr(mod, "as_matrix", None) is original:
+            monkeypatch.setattr(mod, "as_matrix", counted)
+    x0 = gen_lowrank(20, 15, 2, "uniform01", 32)
+    y = np.maximum(add_noise_snr(x0, 20.0, 33), 0.0)
+    mask = sample_mask(20, 15, 150, 34)
+    counts = []
+    for max_iter in (2, 5):
+        checked.clear()
+        cfg = SolverConfig(lam=0.1, d_init=4, tol=1e-12, max_iter=max_iter)
+        _, trace = _solve(kind, y, mask, cfg)
+        assert trace.iterations == max_iter
+        counts.append(checked.count("y"))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize(
+    "step_kind, problem_kind",
+    [(a, b) for a in ProblemKind for b in ProblemKind if a is not b],
+    ids=lambda kind: kind.value,
+)
+def test_factor_steps_reject_a_problem_of_another_kind(step_kind, problem_kind):
+    # a completion problem given to the denoise step would silently fit
+    # the zeros outside its mask
+    rng = np.random.default_rng(31)
+    y = np.abs(rng.standard_normal((6, 5)))
+    mask = ObservedMask(6, 5, np.arange(6), np.arange(6) % 5)
+    fp = FactorPair(np.abs(rng.standard_normal((6, 2))), np.abs(rng.standard_normal((5, 2))))
+    _step(step_kind, Problem(step_kind, y, mask), fp)  # its own kind goes through
+    with pytest.raises(InvalidParameterError, match="problem"):
+        _step(step_kind, Problem(problem_kind, y, mask), fp)

@@ -5,6 +5,7 @@ import pytest
 
 from lowrankmf import (
     FactorPair,
+    Problem,
     ProblemKind,
     SolverConfig,
     gradient,
@@ -46,7 +47,7 @@ def test_update_recovers_noiseless_factor():
     y = u0 @ v0.T
     fp = FactorPair(rng.standard_normal((6, 2)), v0)
     w = weight_diag(fp, 1e-6)
-    got = update_factor_denoise("u", y, fp, w, 1e-12)
+    got = update_factor_denoise(Problem(ProblemKind.DENOISE, y), "u", fp, w, 1e-12)
     assert np.max(np.abs(got - u0)) < 1e-6
 
 
@@ -55,7 +56,7 @@ def test_update_scalar_hand_value():
     # D = 1/sqrt(2), U <- 2 / (1 + 1/sqrt(2))
     fp = FactorPair(np.array([[1.0]]), np.array([[1.0]]))
     w = np.array([1.0 / np.sqrt(2.0)])
-    got = update_factor_denoise("u", np.array([[2.0]]), fp, w, 1.0)
+    got = update_factor_denoise(Problem(ProblemKind.DENOISE, [[2.0]]), "u", fp, w, 1.0)
     assert abs(got[0, 0] - 2.0 / (1.0 + 1.0 / np.sqrt(2.0))) < 1e-12
     assert abs(got[0, 0] - 1.17157) < 1e-5
 
@@ -70,7 +71,7 @@ def test_update_matches_dense_surrogate_minimizer():
         )
         for side in ("u", "v"):
             w = weight_diag(fp, 1e-6)
-            got = update_factor_denoise(side, y, fp, w, 0.8)
+            got = update_factor_denoise(Problem(ProblemKind.DENOISE, y), side, fp, w, 0.8)
             want = dense_surrogate_minimizer(side, y, None, fp, w, 0.8)
             assert np.max(np.abs(got - want)) < 1e-8
 
@@ -81,7 +82,7 @@ def test_update_minimizes_surrogate():
     y = rng.standard_normal((6, 5))
     fp = FactorPair(rng.standard_normal((6, 3)), rng.standard_normal((5, 3)))
     w = weight_diag(fp, 1e-6)
-    u_new = update_factor_denoise("u", y, fp, w, 1.0)
+    u_new = update_factor_denoise(Problem(ProblemKind.DENOISE, y), "u", fp, w, 1.0)
     best = surrogate_value(ProblemKind.DENOISE, "u", y, None, fp, 1.0, 1e-6, u_new)
     for _ in range(50):
         cand = u_new + 0.1 * rng.standard_normal(u_new.shape)
@@ -154,9 +155,10 @@ def test_delta_matches_standalone_computation():
     fp = FactorPair(rng.standard_normal((8, 3)), rng.standard_normal((7, 3)))
     lam, eta = 1.0, 1e-6
     w = weight_diag(fp, eta)
-    u_new = update_factor_denoise("u", y, fp, w, lam)
+    problem = Problem(ProblemKind.DENOISE, y)
+    u_new = update_factor_denoise(problem, "u", fp, w, lam)
     mid = FactorPair(u_new, fp.v)
-    v_new = update_factor_denoise("v", y, mid, weight_diag(mid, eta), lam)
+    v_new = update_factor_denoise(problem, "v", mid, weight_diag(mid, eta), lam)
     nxt = FactorPair(u_new, v_new)
     delta = proximity_delta_a(fp, nxt, lam, eta)
     f0 = objective(ProblemKind.DENOISE, y, None, fp, lam, eta)

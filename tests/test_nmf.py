@@ -8,6 +8,7 @@ from lowrankmf import (
     FactorPair,
     InvalidParameterError,
     NmfOptions,
+    Problem,
     ProblemKind,
     SolverConfig,
     armijo_search,
@@ -198,7 +199,7 @@ def test_armijo_scalar_quadratic_accepts_full_step():
     fp = FactorPair(np.array([[1.0]]), np.array([[1.0]]))
     cfg = SolverConfig(lam=0.1, d_init=1, eta=1e-6)
     w = weight_diag(fp, cfg.eta)
-    res = armijo_search("u", y, fp, w, cfg.lam, cfg)
+    res = armijo_search(Problem(ProblemKind.NMF, y), "u", fp, w, cfg)
     assert res.accepted
     assert res.m_k == 0
     assert res.alpha == 1.0
@@ -212,7 +213,7 @@ def test_armijo_sigma_zero_limit():
         lam=0.5, d_init=2, nmf=NmfOptions(sigma=1e-300)
     )
     w = weight_diag(fp, cfg.eta)
-    res = armijo_search("u", y, fp, w, cfg.lam, cfg)
+    res = armijo_search(Problem(ProblemKind.NMF, y), "u", fp, w, cfg)
     assert res.accepted and res.m_k == 0
 
 
@@ -224,7 +225,7 @@ def test_armijo_cap_semantics():
     fp = nonneg_pair(4, 3, 2, 11)
     cfg = SolverConfig(lam=1.0, d_init=2, nmf=NmfOptions(sigma=1e6, max_backtracks=3))
     w = weight_diag(fp, cfg.eta)
-    res = armijo_search("u", y, fp, w, cfg.lam, cfg)
+    res = armijo_search(Problem(ProblemKind.NMF, y), "u", fp, w, cfg)
     assert not res.accepted
     assert res.m_k == 3
     assert np.array_equal(res.factor, fp.u)
@@ -239,7 +240,7 @@ def test_armijo_accepted_step_reverifies():
         fp = nonneg_pair(6, 5, 3, 200 + trial)
         cfg = SolverConfig(lam=0.5, d_init=3)
         w = weight_diag(fp, cfg.eta)
-        res = armijo_search("u", y, fp, w, cfg.lam, cfg)
+        res = armijo_search(Problem(ProblemKind.NMF, y), "u", fp, w, cfg)
         assert res.accepted
         f0 = objective(ProblemKind.NMF, y, None, fp, cfg.lam, cfg.eta)
         f1 = objective(
@@ -264,7 +265,7 @@ def test_armijo_rejects_negative_factors():
     fp = FactorPair(rng.standard_normal((3, 1)), np.abs(rng.standard_normal((3, 1))))
     cfg = SolverConfig(lam=1.0, d_init=1)
     with pytest.raises(ConstraintViolationError):
-        armijo_search("u", y, fp, weight_diag(fp, cfg.eta), cfg.lam, cfg)
+        armijo_search(Problem(ProblemKind.NMF, y), "u", fp, weight_diag(fp, cfg.eta), cfg)
 
 
 # ---------------------------------------------------------------- solver
