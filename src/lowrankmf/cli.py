@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -39,8 +40,8 @@ def _positive_float(text: str) -> float:
         val = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if val <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not 0 < val < math.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return val
 
 
@@ -262,12 +263,12 @@ def _run_verify(args) -> int:
 
 def _run_bench(args) -> int:
     try:
-        grid = [float(t) for t in args.lambda_grid.split(",") if t.strip()]
-    except ValueError:
-        print("bench: unparseable --lambda-grid", file=sys.stderr)
+        grid = [_positive_float(t) for t in args.lambda_grid.split(",") if t.strip()]
+    except argparse.ArgumentTypeError as exc:
+        print(f"bench: --lambda-grid value {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not grid or any(g <= 0 for g in grid):
-        print("bench: lambda grid values must be positive", file=sys.stderr)
+    if not grid:
+        print("bench: empty --lambda-grid", file=sys.stderr)
         return EXIT_USAGE
     kind = ProblemKind(args.problem)
     y, mask, x0 = _load_instance(args, kind)

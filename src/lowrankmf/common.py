@@ -3,6 +3,8 @@ pruning, stopping and tracing."""
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -41,6 +43,18 @@ STATUS_DEGENERATE = "degenerate"
 STATUS_STALLED = "stalled"
 
 
+def _check_fields(obj, positive: tuple, ints: dict):
+    """Raise unless each field of ``obj`` named in ``positive`` is positive and
+    finite, and each one named in ``ints`` is an integer no less than its bound."""
+    for name in positive:
+        if not 0.0 < getattr(obj, name) < math.inf:
+            raise InvalidParameterError(f"{name} must be positive and finite")
+    for name, low in ints.items():
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Integral) or value < low:
+            raise InvalidParameterError(f"{name} must be an integer of at least {low}")
+
+
 @dataclass(frozen=True)
 class NmfOptions:
     """Parameters of the projected Newton NMF solver, checked when built."""
@@ -57,12 +71,7 @@ class NmfOptions:
     def validate(self):
         if not (0.0 < self.beta_u < 1.0 and 0.0 < self.beta_v < 1.0):
             raise InvalidParameterError("beta_u and beta_v must lie in (0, 1)")
-        if self.sigma <= 0:
-            raise InvalidParameterError("sigma must be positive")
-        if self.eps_active <= 0:
-            raise InvalidParameterError("eps_active must be positive")
-        if self.max_backtracks < 0:
-            raise InvalidParameterError("max_backtracks must be nonnegative")
+        _check_fields(self, ("sigma", "eps_active"), {"max_backtracks": 0})
 
 
 @dataclass(frozen=True)
@@ -82,20 +91,11 @@ class SolverConfig:
         self.validate()
 
     def validate(self):
-        if self.lam <= 0:
-            raise InvalidParameterError("lam must be positive")
-        if self.eta <= 0:
-            raise InvalidParameterError("eta must be positive")
-        if self.d_init < 1:
-            raise InvalidParameterError("d_init must be at least 1")
-        if self.tol <= 0:
-            raise InvalidParameterError("tol must be positive")
-        if self.max_iter < 1:
-            raise InvalidParameterError("max_iter must be at least 1")
-        if self.prune_tol <= 0:
-            raise InvalidParameterError("prune_tol must be positive")
-        if self.seed < 0:
-            raise InvalidParameterError("seed must be a nonnegative integer")
+        _check_fields(
+            self,
+            ("lam", "eta", "tol", "prune_tol"),
+            {"d_init": 1, "max_iter": 1, "seed": 0},
+        )
         self.nmf.validate()
 
 
@@ -112,6 +112,7 @@ class IterationRecord:
     objective: float
     d: int
     rel_change: float
+    # The objective drop the iteration's U and V steps certify, summed.
     delta: float
     ms: float
     # Extra diagnostics consumed by the convergence-rate checks; these do
@@ -362,7 +363,7 @@ def finish_iteration(
 
 
 def alternate(
-    problem: Problem, cfg: SolverConfig, step, certificate
+    problem: Problem, cfg: SolverConfig, step
 ) -> tuple[FactorPair, IterationTrace]:
     """The alternating reweighted iteration shared by every solver.
 
@@ -370,9 +371,8 @@ def alternate(
     weight diagonal at (U_k, V_k) and takes the U step, refreshes it at
     (U_{k+1}, V_k) and takes the V step, then prunes, records and tests
     the stopping rule.  ``step(side, fp, w)`` returns the new factor and
-    what the step certifies about its own decrease;
-    ``certificate(prev, next_, (cert_u, cert_v))`` turns that into the
-    iteration's guaranteed objective drop ``delta``.
+    the objective drop that half-step certifies; the iteration's
+    guaranteed drop ``delta`` is the sum of the two.
     """
     fp = init_factors(problem, cfg.d_init, np.random.default_rng(cfg.seed))
     trace = IterationTrace(config=cfg)
@@ -386,8 +386,7 @@ def alternate(
         mid = FactorPair(u_new, fp.v)
         v_new, cert_v = step("v", mid, weight_diag(mid, cfg.eta))
         next_fp = FactorPair(u_new, v_new)
-        delta = certificate(fp, next_fp, (cert_u, cert_v))
-        fp = finish_iteration(trace, cfg, k, fp, next_fp, delta, problem, t0)
+        fp = finish_iteration(trace, cfg, k, fp, next_fp, cert_u + cert_v, problem, t0)
         status = stop_status(trace, cfg)
         if status is not None:
             trace.status = status

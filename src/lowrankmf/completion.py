@@ -4,8 +4,8 @@ Each factor update is one quasi-Newton step with the shared d x d
 curvature block, and takes the solve's :class:`Problem`, which checked
 Y and the mask.  An iteration costs O(m n d) BLAS-3 flops for the
 observed residual (row blocks of U V^T), O(card(Omega) d) for its CSR
-products and O((m + n) d^2 + d^3) for the rest, the ``delta``
-certificate included; memory is O(card(Omega) + one block).
+products and O((m + n) d^2 + d^3) for the rest, each step's certified
+drop included; memory is O(card(Omega) + one block).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 
 from .common import IterationTrace, SolverConfig, alternate
 from .core import FactorPair, ObservedMask, Problem, ProblemKind, surrogate_block
-from .oracles import proximity_delta_a
 
 # Unused here: bench/ traces and checks these bindings of the shared functions.
 from .common import finish_iteration  # noqa: F401
@@ -25,17 +24,22 @@ __all__ = ["update_factor_mc", "solve_mc"]
 
 def update_factor_mc(
     problem: Problem, side: str, fp: FactorPair, w: np.ndarray, lam: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """One quasi-Newton factor update for a completion ``problem``, whose
-    Y and mask were checked when it was built.
+    Y and mask were checked when it was built, and the objective drop it
+    certifies.
 
-    U side: U - (P_Omega(U V^T - Y) V + lam U D)(V^T V + lam D)^{-1};
-    the V side is the transposed analogue.
+    U side: U - (P_Omega(U V^T - Y) V + lam U D) H^{-1}, H = V^T V + lam D,
+    and the drop 0.5 <dU^T dU, H>, dU = U' - U; the V side is the transposed
+    analogue.
     """
     problem.check_step(ProblemKind.COMPLETE, side, fp, lam)
     cur, other = (fp.u, fp.v) if side == "u" else (fp.v, fp.u)
     grad = problem.gradient(side, fp, lam, w)
-    return cur - np.linalg.solve(surrogate_block(other, w, lam), grad.T).T
+    h = surrogate_block(other, w, lam)
+    new = cur - np.linalg.solve(h, grad.T).T
+    step = new - cur
+    return new, 0.5 * float(np.vdot(step.T @ step, h))
 
 
 def solve_mc(
@@ -46,6 +50,5 @@ def solve_mc(
     problem = Problem(ProblemKind.COMPLETE, y, mask)
     return alternate(
         problem, cfg,
-        lambda side, fp, w: (update_factor_mc(problem, side, fp, w, cfg.lam), None),
-        lambda prev, next_, _: proximity_delta_a(prev, next_, cfg.lam, cfg.eta),
+        lambda side, fp, w: update_factor_mc(problem, side, fp, w, cfg.lam),
     )

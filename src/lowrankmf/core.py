@@ -248,7 +248,7 @@ class Problem:
             raise InvalidParameterError(f"side must be 'u' or 'v', got {side!r}")
         if fp.d < 1:
             raise InvalidParameterError("factor pair has no columns")
-        if lam <= 0:
+        if not lam > 0:
             raise InvalidParameterError("lam must be positive")
         return self.check(fp)
 

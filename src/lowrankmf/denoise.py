@@ -3,7 +3,8 @@
 Each outer iteration refreshes the weight diagonal, solves the two
 strictly convex quadratic surrogates in closed form (a d x d SPD system
 per factor), prunes annihilated columns and records the descent
-diagnostics.  The step takes the solve's :class:`Problem`, which checked Y.
+diagnostics.  The step takes the solve's :class:`Problem`, which checked Y,
+and returns the objective drop it certifies.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import numpy as np
 
 from .common import IterationTrace, SolverConfig, alternate
 from .core import FactorPair, Problem, ProblemKind, surrogate_block
-from .oracles import proximity_delta_a
 
 # Unused here: bench/ traces and checks these bindings of the shared functions.
 from .common import finish_iteration  # noqa: F401
@@ -23,19 +23,23 @@ __all__ = ["update_factor_denoise", "solve_denoise"]
 
 def update_factor_denoise(
     problem: Problem, side: str, fp: FactorPair, w: np.ndarray, lam: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Closed-form minimizer of the quadratic surrogate for one factor of a
-    denoising ``problem``, whose Y was checked when it was built.
+    denoising ``problem``, whose Y was checked when it was built, and the
+    objective drop it certifies.
 
-    U side: Y V (V^T V + lam D)^{-1}; V side: Y^T U (U^T U + lam D)^{-1},
-    one d x d SPD solve.
+    U side: Y V H^{-1}, one d x d SPD solve with H = V^T V + lam D, and the
+    drop 0.5 <dU^T dU, H>, dU = U' - U; the V side is the transposed analogue.
     """
     problem.check_step(ProblemKind.DENOISE, side, fp, lam)
     if side == "u":
-        other, b = fp.v, problem.y @ fp.v
+        cur, other, b = fp.u, fp.v, problem.y @ fp.v
     else:
-        other, b = fp.u, problem.y.T @ fp.u
-    return np.linalg.solve(surrogate_block(other, w, lam), b.T).T
+        cur, other, b = fp.v, fp.u, problem.y.T @ fp.u
+    h = surrogate_block(other, w, lam)
+    new = np.linalg.solve(h, b.T).T
+    step = new - cur
+    return new, 0.5 * float(np.vdot(step.T @ step, h))
 
 
 def solve_denoise(y, cfg: SolverConfig) -> tuple[FactorPair, IterationTrace]:
@@ -48,6 +52,5 @@ def solve_denoise(y, cfg: SolverConfig) -> tuple[FactorPair, IterationTrace]:
     problem = Problem(ProblemKind.DENOISE, y)
     return alternate(
         problem, cfg,
-        lambda side, fp, w: (update_factor_denoise(problem, side, fp, w, cfg.lam), None),
-        lambda prev, next_, _: proximity_delta_a(prev, next_, cfg.lam, cfg.eta),
+        lambda side, fp, w: update_factor_denoise(problem, side, fp, w, cfg.lam),
     )

@@ -44,8 +44,11 @@ class ArmijoResult:
     alpha: float
     accepted: bool
     decrease: float
-    # Sufficient-decrease threshold certified at acceptance; a guaranteed
-    # lower bound on the objective drop of this half-step.
+    # The half-step's certified drop: the sufficient-decrease threshold at
+    # acceptance, 0 for a rejected search.  It lower-bounds the objective drop
+    # and vanishes exactly at fixed points, as the sublinear rate checks need;
+    # the quadratic-form proximity measure only bounds the drop when the step
+    # length obeys the curvature-ratio cap, which a unit first step ignores.
     rhs: float
     factor: np.ndarray = field(repr=False)
     active: np.ndarray = field(repr=False)
@@ -175,14 +178,4 @@ def solve_nmf(y, cfg: SolverConfig) -> tuple[FactorPair, IterationTrace]:
         res = armijo_search(problem, side, fp, w, cfg)
         return res.factor, res.rhs
 
-    # Certified per-iteration decrease: the accepted sufficient-decrease
-    # thresholds (0 for a rejected search).  These lower-bound the objective
-    # drop by construction and vanish exactly at fixed points, which is what
-    # the sublinear rate checks need.  The quadratic-form proximity measure
-    # only bounds the drop when the step length obeys the curvature-ratio
-    # cap, which a unit initial step deliberately ignores.
-    return alternate(
-        problem, cfg,
-        step,
-        lambda prev, next_, rhs: rhs[0] + rhs[1],
-    )
+    return alternate(problem, cfg, step)

@@ -316,10 +316,10 @@ def test_criterion_9_surrogate_minimizer_equivalence():
         w = weight_diag(fp, 1e-6)
         mask = sample_mask(6, 5, 15, 9100 + trial)
         for side in ("u", "v"):
-            got = update_factor_denoise(Problem(ProblemKind.DENOISE, y), side, fp, w, 0.8)
+            got, _ = update_factor_denoise(Problem(ProblemKind.DENOISE, y), side, fp, w, 0.8)
             want = dense_surrogate_minimizer(side, y, None, fp, 0.8)
             worst = max(worst, float(np.max(np.abs(got - want))))
-            got = update_factor_mc(Problem(ProblemKind.COMPLETE, y, mask), side, fp, w, 0.8)
+            got, _ = update_factor_mc(Problem(ProblemKind.COMPLETE, y, mask), side, fp, w, 0.8)
             want = dense_surrogate_minimizer(side, y, mask, fp, 0.8)
             worst = max(worst, float(np.max(np.abs(got - want))))
     ok = worst <= 1e-8

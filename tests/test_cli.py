@@ -57,6 +57,14 @@ def test_parse_negative_lambda_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--tol=nan", "--lambda=nan", "--eta=inf"])
+def test_parse_non_finite_float_is_usage_error(flag):
+    argv = ["denoise", "--rows", "10", "--cols", "8", "--rank", "2", "--lambda", "1", flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_parse_synth_needs_dimensions():
     with pytest.raises(SystemExit) as exc:
         parse_args(["synth", "--output", "y.mtx", "--rows", "5"])
@@ -319,3 +327,8 @@ def test_bench_bad_grid(capsys):
         ]
     )
     assert code == 2
+
+
+def test_bench_non_finite_grid_value_is_usage_error():
+    argv = ["bench", "--rows", "5", "--cols", "5", "--rank", "1", "--lambda-grid", "1,nan"]
+    assert main(argv) == 2

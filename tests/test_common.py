@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowrankmf import (
     FactorPair,
@@ -16,6 +18,8 @@ from lowrankmf import (
     should_stop,
     smoothed_regularizer,
     solve_denoise,
+    solve_mc,
+    solve_nmf,
 )
 from lowrankmf import common
 from lowrankmf.common import (
@@ -26,7 +30,7 @@ from lowrankmf.common import (
     init_factors,
     stop_status,
 )
-from lowrankmf.data import add_noise_snr, gen_lowrank
+from lowrankmf.data import add_noise_snr, gen_lowrank, sample_mask
 
 
 def pair_with_norms(norms, m=4, n=3, seed=0):
@@ -70,6 +74,20 @@ def test_config_defaults():
         {"lam": 1.0, "d_init": 5, "nmf": {"eps_active": 0.0}},
         {"lam": 1.0, "d_init": 5, "nmf": {"max_backtracks": -1}},
         {"lam": 1.0, "d_init": 5, "seed": -1},
+        # NaN fails every comparison, so each float bound must be written to
+        # reject it; an infinite value is out of range as well
+        {"lam": float("nan"), "d_init": 5},
+        {"lam": float("inf"), "d_init": 5},
+        {"lam": 1.0, "d_init": 5, "eta": float("nan")},
+        {"lam": 1.0, "d_init": 5, "tol": float("nan")},
+        {"lam": 1.0, "d_init": 5, "tol": float("inf")},
+        {"lam": 1.0, "d_init": 5, "prune_tol": float("nan")},
+        {"lam": 1.0, "d_init": 2.5},
+        {"lam": 1.0, "d_init": 5, "max_iter": 2.5},
+        {"lam": 1.0, "d_init": 5, "seed": 1.5},
+        {"lam": 1.0, "d_init": 5, "nmf": {"sigma": float("nan")}},
+        {"lam": 1.0, "d_init": 5, "nmf": {"eps_active": float("nan")}},
+        {"lam": 1.0, "d_init": 5, "nmf": {"max_backtracks": 2.5}},
     ],
 )
 def test_config_validation_rejects(kwargs):
@@ -302,3 +320,48 @@ def test_trace_json_schema():
     it = doc["iterations"][0]
     assert set(it) == {"k", "objective", "d", "rel_change", "delta", "ms"}
     assert doc["metrics"] == {"nre": 0.05, "nmae": None}
+
+
+# ------------------------------------------------- guarantees of every run
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(list(ProblemKind)),
+    m=st.integers(2, 12),
+    n=st.integers(2, 12),
+    d_init=st.integers(1, 6),
+    log_lam=st.floats(-3.0, 3.0),
+    density=st.floats(0.05, 1.0),
+    max_iter=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_solve_descends_by_its_certificate_and_stops_as_reported(
+    kind, m, n, d_init, log_lam, density, max_iter, seed
+):
+    # monotone descent, a nonnegative delta that the drop covers, and a
+    # stop at the first iteration stop_status names, up to round-off
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((m, n))
+    cfg = SolverConfig(lam=10.0**log_lam, d_init=d_init, max_iter=max_iter, seed=seed)
+    if kind is ProblemKind.COMPLETE:
+        card = max(1, round(density * m * n))
+        _, trace = solve_mc(y, sample_mask(m, n, card, seed), cfg)
+    elif kind is ProblemKind.NMF:
+        _, trace = solve_nmf(np.abs(y), cfg)
+    else:
+        _, trace = solve_denoise(y, cfg)
+    prev = trace.initial_objective
+    for i, r in enumerate(trace.records):
+        slack = 1e-10 * max(1.0, abs(prev))
+        assert r.objective <= prev + slack
+        assert r.delta >= 0.0
+        assert prev - r.objective >= r.delta - slack
+        prefix = IterationTrace(
+            config=cfg,
+            records=trace.records[: i + 1],
+            prunes=[p for p in trace.prunes if p.iteration <= r.k],
+        )
+        last = i + 1 == trace.iterations
+        assert stop_status(prefix, cfg) == (trace.status if last else None)
+        prev = r.objective

@@ -42,8 +42,8 @@ def test_full_mask_equals_denoise_update():
     mask = ObservedMask.full(6, 5)
     for side in ("u", "v"):
         w = weight_diag(fp, 1e-6)
-        a = update_factor_mc(Problem(ProblemKind.COMPLETE, y, mask), side, fp, w, 1.3)
-        b = update_factor_denoise(Problem(ProblemKind.DENOISE, y), side, fp, w, 1.3)
+        a, _ = update_factor_mc(Problem(ProblemKind.COMPLETE, y, mask), side, fp, w, 1.3)
+        b, _ = update_factor_denoise(Problem(ProblemKind.DENOISE, y), side, fp, w, 1.3)
         assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -55,7 +55,7 @@ def test_unobserved_row_pure_shrinkage():
     mask = ObservedMask(2, 1, np.array([0]), np.array([0]))  # row 1 unobserved
     fp = FactorPair(np.array([[0.3], [1.0]]), np.array([[1.0]]))
     w = np.array([1.0 / np.sqrt(2.0)])
-    got = update_factor_mc(Problem(ProblemKind.COMPLETE, y, mask), "u", fp, w, 1.0)
+    got, _ = update_factor_mc(Problem(ProblemKind.COMPLETE, y, mask), "u", fp, w, 1.0)
     expect = 1.0 / (1.0 + 1.0 / np.sqrt(2.0))
     assert abs(got[1, 0] - 1.0 * expect) < 1e-12
     assert abs(expect - 0.58579) < 1e-5
@@ -72,7 +72,7 @@ def test_update_matches_dense_masked_surrogate():
         mask = ObservedMask(6, 5, ri, ci)
         for side in ("u", "v"):
             w = weight_diag(fp, 1e-6)
-            got = update_factor_mc(Problem(ProblemKind.COMPLETE, y, mask), side, fp, w, 0.9)
+            got, _ = update_factor_mc(Problem(ProblemKind.COMPLETE, y, mask), side, fp, w, 0.9)
             want = masked_surrogate_minimizer(side, y, mask, fp, w, 0.9)
             assert np.max(np.abs(got - want)) < 1e-8
 
@@ -159,7 +159,7 @@ def test_sparse_and_dense_density_paths_agree():
     sparse_mask = sample_mask(10, 10, 20, 21)  # 20% observed
     dense_mask = sample_mask(10, 10, 80, 22)  # 80% observed
     for mask in (sparse_mask, dense_mask):
-        got = update_factor_mc(Problem(ProblemKind.COMPLETE, y, mask), "u", fp, w, 1.0)
+        got, _ = update_factor_mc(Problem(ProblemKind.COMPLETE, y, mask), "u", fp, w, 1.0)
         # reference through a dense masked residual
         res = np.zeros((10, 10))
         obs = mask.to_dense_bool()
@@ -185,5 +185,5 @@ def test_full_mask_step_is_the_dense_closed_form():
     ):
         a = other.T @ other + 0.7 * np.diag(w)
         want = cur - np.linalg.solve(a, (grad_fit + 0.7 * cur * w).T).T
-        got = update_factor_mc(Problem(ProblemKind.COMPLETE, y, mask), side, fp, w, 0.7)
+        got, _ = update_factor_mc(Problem(ProblemKind.COMPLETE, y, mask), side, fp, w, 0.7)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -13,9 +13,10 @@ from lowrankmf import (
     objective,
     solve_denoise,
     update_factor_denoise,
+    update_factor_mc,
     weight_diag,
 )
-from lowrankmf.data import add_noise_snr, gen_lowrank
+from lowrankmf.data import add_noise_snr, gen_lowrank, sample_mask
 from lowrankmf.oracles import proximity_delta_a, surrogate_value
 
 
@@ -47,7 +48,7 @@ def test_update_recovers_noiseless_factor():
     y = u0 @ v0.T
     fp = FactorPair(rng.standard_normal((6, 2)), v0)
     w = weight_diag(fp, 1e-6)
-    got = update_factor_denoise(Problem(ProblemKind.DENOISE, y), "u", fp, w, 1e-12)
+    got, _ = update_factor_denoise(Problem(ProblemKind.DENOISE, y), "u", fp, w, 1e-12)
     assert np.max(np.abs(got - u0)) < 1e-6
 
 
@@ -56,7 +57,7 @@ def test_update_scalar_hand_value():
     # D = 1/sqrt(2), U <- 2 / (1 + 1/sqrt(2))
     fp = FactorPair(np.array([[1.0]]), np.array([[1.0]]))
     w = np.array([1.0 / np.sqrt(2.0)])
-    got = update_factor_denoise(Problem(ProblemKind.DENOISE, [[2.0]]), "u", fp, w, 1.0)
+    got, _ = update_factor_denoise(Problem(ProblemKind.DENOISE, [[2.0]]), "u", fp, w, 1.0)
     assert abs(got[0, 0] - 2.0 / (1.0 + 1.0 / np.sqrt(2.0))) < 1e-12
     assert abs(got[0, 0] - 1.17157) < 1e-5
 
@@ -71,7 +72,7 @@ def test_update_matches_dense_surrogate_minimizer():
         )
         for side in ("u", "v"):
             w = weight_diag(fp, 1e-6)
-            got = update_factor_denoise(Problem(ProblemKind.DENOISE, y), side, fp, w, 0.8)
+            got, _ = update_factor_denoise(Problem(ProblemKind.DENOISE, y), side, fp, w, 0.8)
             want = dense_surrogate_minimizer(side, y, None, fp, w, 0.8)
             assert np.max(np.abs(got - want)) < 1e-8
 
@@ -82,7 +83,7 @@ def test_update_minimizes_surrogate():
     y = rng.standard_normal((6, 5))
     fp = FactorPair(rng.standard_normal((6, 3)), rng.standard_normal((5, 3)))
     w = weight_diag(fp, 1e-6)
-    u_new = update_factor_denoise(Problem(ProblemKind.DENOISE, y), "u", fp, w, 1.0)
+    u_new, _ = update_factor_denoise(Problem(ProblemKind.DENOISE, y), "u", fp, w, 1.0)
     best = surrogate_value(ProblemKind.DENOISE, "u", y, None, fp, 1.0, 1e-6, u_new)
     for _ in range(50):
         cand = u_new + 0.1 * rng.standard_normal(u_new.shape)
@@ -148,23 +149,29 @@ def test_lemma3_gap_each_iteration():
 
 
 def test_delta_matches_standalone_computation():
-    # the delta recorded in the trace equals the proximity measure of the
-    # consecutive pre-prune pairs; check one manual iteration
+    # the drops one U step and one V step certify sum to the proximity
+    # measure of the pairs before and after, and lower-bound the objective
+    # drop, for denoising and for completion on a random mask
     rng = np.random.default_rng(14)
     y = rng.standard_normal((8, 7))
-    fp = FactorPair(rng.standard_normal((8, 3)), rng.standard_normal((7, 3)))
     lam, eta = 1.0, 1e-6
-    w = weight_diag(fp, eta)
-    problem = Problem(ProblemKind.DENOISE, y)
-    u_new = update_factor_denoise(problem, "u", fp, w, lam)
-    mid = FactorPair(u_new, fp.v)
-    v_new = update_factor_denoise(problem, "v", mid, weight_diag(mid, eta), lam)
-    nxt = FactorPair(u_new, v_new)
-    delta = proximity_delta_a(fp, nxt, lam, eta)
-    f0 = objective(ProblemKind.DENOISE, y, None, fp, lam, eta)
-    f1 = objective(ProblemKind.DENOISE, y, None, nxt, lam, eta)
-    assert f0 - f1 >= delta - 1e-9
-    assert delta >= 0.0
+    for step, mask in (
+        (update_factor_denoise, None),
+        (update_factor_mc, sample_mask(8, 7, 30, 15)),
+    ):
+        kind = ProblemKind.DENOISE if mask is None else ProblemKind.COMPLETE
+        problem = Problem(kind, y, mask)
+        fp = FactorPair(rng.standard_normal((8, 3)), rng.standard_normal((7, 3)))
+        u_new, cert_u = step(problem, "u", fp, weight_diag(fp, eta), lam)
+        mid = FactorPair(u_new, fp.v)
+        v_new, cert_v = step(problem, "v", mid, weight_diag(mid, eta), lam)
+        nxt = FactorPair(u_new, v_new)
+        want = proximity_delta_a(fp, nxt, lam, eta)
+        assert cert_u + cert_v == pytest.approx(want, rel=1e-12, abs=0.0)
+        f0 = objective(kind, y, mask, fp, lam, eta)
+        f1 = objective(kind, y, mask, nxt, lam, eta)
+        assert f0 - f1 >= cert_u + cert_v - 1e-9
+        assert cert_u >= 0.0 and cert_v >= 0.0
 
 
 def test_solve_deterministic():
