@@ -372,7 +372,8 @@ def alternate(
     (U_{k+1}, V_k) and takes the V step, then prunes, records and tests
     the stopping rule.  ``step(side, fp, w)`` returns the new factor and
     the objective drop that half-step certifies; the iteration's
-    guaranteed drop ``delta`` is the sum of the two.
+    guaranteed drop ``delta`` is the sum of the two.  A curvature block
+    singular to working precision raises :class:`InvalidParameterError`.
     """
     fp = init_factors(problem, cfg.d_init, np.random.default_rng(cfg.seed))
     trace = IterationTrace(config=cfg)
@@ -382,9 +383,17 @@ def alternate(
     )
     for k in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
-        u_new, cert_u = step("u", fp, weight_diag(fp, cfg.eta))
-        mid = FactorPair(u_new, fp.v)
-        v_new, cert_v = step("v", mid, weight_diag(mid, cfg.eta))
+        side = "U"
+        try:
+            u_new, cert_u = step("u", fp, weight_diag(fp, cfg.eta))
+            mid = FactorPair(u_new, fp.v)
+            side = "V"
+            v_new, cert_v = step("v", mid, weight_diag(mid, cfg.eta))
+        except np.linalg.LinAlgError as exc:
+            raise InvalidParameterError(
+                f"iteration {k}, {side} half-step: the curvature block is singular "
+                f"to working precision at lam={cfg.lam!r}; use a larger lam"
+            ) from exc
         next_fp = FactorPair(u_new, v_new)
         fp = finish_iteration(trace, cfg, k, fp, next_fp, cert_u + cert_v, problem, t0)
         status = stop_status(trace, cfg)

@@ -290,16 +290,20 @@ class Problem:
             fit = 0.5 * float(np.sum(res * res))
         return fit + lam * smoothed_regularizer(fp, eta)
 
-    def gradient(self, side: str, fp: FactorPair, lam: float, w: np.ndarray) -> np.ndarray:
-        """:func:`gradient` at a point :meth:`check` accepts, with the
-        weight diagonal ``w`` of ``fp``."""
+    def data_gradient(self, side: str, fp: FactorPair) -> np.ndarray:
+        """The data-fit part of :meth:`gradient`: R V for the U side and
+        R^T U for the V side, R the possibly masked residual U V^T - Y."""
         if self.kind is not ProblemKind.COMPLETE:
             res = fp.product() - self.y
         else:
             res = self.residual_csr(fp)
-        rv = res @ fp.v if side == "u" else res.T @ fp.u
+        return np.asarray(res @ fp.v if side == "u" else res.T @ fp.u)
+
+    def gradient(self, side: str, fp: FactorPair, lam: float, w: np.ndarray) -> np.ndarray:
+        """:func:`gradient` at a point :meth:`check` accepts, with the
+        weight diagonal ``w`` of ``fp``."""
         factor = fp.u if side == "u" else fp.v
-        return np.asarray(rv) + lam * factor * w
+        return self.data_gradient(side, fp) + lam * factor * w
 
 
 def objective(

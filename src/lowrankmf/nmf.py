@@ -3,8 +3,12 @@
 Rows of each factor get their own curvature block: the shared d x d SPD
 matrix partially diagonalized on that row's active constraint set.  The
 step size comes from a backtracking Armijo rule evaluated on the
-projection arc, so every iterate stays elementwise nonnegative.  The
-search takes the solve's :class:`Problem`, which checked Y >= 0.
+projection arc, so every iterate stays elementwise nonnegative.  Each
+trial's decrease f0 - f(trial) is computed in factored form, from the
+gradient and the Gram the search already holds, in O(m d^2) and without
+an m x n temporary.  Rows with no active coordinate share the block
+itself and take one multi-right-hand-side solve.  The search takes the
+solve's :class:`Problem`, which checked Y >= 0.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .core import (
     InvalidParameterError,
     Problem,
     ProblemKind,
-    surrogate_block,
 )
 
 # Unused here: bench/ traces and checks these bindings of the shared functions.
@@ -43,6 +46,7 @@ class ArmijoResult:
     m_k: int
     alpha: float
     accepted: bool
+    # f0 - f(trial) of the last trial, computed in factored form.
     decrease: float
     # The half-step's certified drop: the sufficient-decrease threshold at
     # acceptance, 0 for a rejected search.  It lower-bounds the objective drop
@@ -99,18 +103,43 @@ def _partial_diag_blocks(h_tilde: np.ndarray, active: np.ndarray) -> np.ndarray:
 def _newton_directions(
     grad: np.ndarray, h_tilde: np.ndarray, active: np.ndarray
 ) -> np.ndarray:
-    """Row-wise solves (H_tilde^{I_i})^{-1} grad_i, as batched solves over
-    (rows, d, d) stacks of partially diagonalized blocks.  A stack holds
-    at most about STACK_ENTRIES block entries, so its memory stays bounded
-    when rows * d^2 outgrows the data (each row is solved on its own, so
-    the split does not change the result)."""
+    """Row-wise solves (H_tilde^{I_i})^{-1} grad_i.  Rows with an empty
+    active pattern share H_tilde itself and take one multi-right-hand-side
+    solve; the other rows take batched solves over (rows, d, d) stacks of
+    partially diagonalized blocks.  A stack holds at most about
+    STACK_ENTRIES block entries, so its memory stays bounded when
+    rows * d^2 outgrows the data (each row is solved on its own, so the
+    split does not change the result)."""
     p = np.empty_like(grad)
+    pinned = active.any(axis=1)
+    if not pinned.all():
+        p[~pinned] = np.linalg.solve(h_tilde, grad[~pinned].T).T
+    rows = np.flatnonzero(pinned)
     chunk = max(1, STACK_ENTRIES // h_tilde.size)
-    for i in range(0, grad.shape[0], chunk):
-        rows = slice(i, i + chunk)
-        blocks = _partial_diag_blocks(h_tilde, active[rows])
-        p[rows] = np.linalg.solve(blocks, grad[rows, :, None])[..., 0]
+    for i in range(0, rows.size, chunk):
+        idx = rows[i : i + chunk]
+        blocks = _partial_diag_blocks(h_tilde, active[idx])
+        p[idx] = np.linalg.solve(blocks, grad[idx, :, None])[..., 0]
     return p
+
+
+def _decrease(factor, sq, step, data_grad, gram, lam: float, eta: float) -> float:
+    """f(factor) - f(factor + step) along one side, exactly, in factored form.
+
+    With R the residual at the current point and ``data_grad`` its R V
+    (U side) or R^T U (V side), the data term changes by
+    <step, data_grad> + 1/2 <step^T step, gram>, ``gram`` the other
+    factor's Gram.  Column i's regularizer term changes by
+    (s_i' - s_i) / (sqrt(s_i' + eta^2) + sqrt(s_i + eta^2)), s_i its
+    squared joint norm (``sq``), with s_i' - s_i = 2 <f_i, step_i> +
+    ||step_i||^2: neither difference cancels.
+    """
+    sts = step.T @ step
+    ds = 2.0 * np.sum(factor * step, axis=0) + np.diag(sts)
+    eta_sq = eta * eta
+    reg = np.sum(ds / (np.sqrt(sq + ds + eta_sq) + np.sqrt(sq + eta_sq)))
+    fit = np.vdot(step, data_grad) + 0.5 * np.vdot(sts, gram)
+    return -float(fit + lam * reg)
 
 
 def projected_newton_step(
@@ -133,17 +162,21 @@ def armijo_search(
     inequality holds, or the cap is exhausted.
 
     ``w`` is the weight diagonal of ``fp``; the gradient and the curvature
-    block both use it, with weight ``cfg.lam``.
+    block both use it, with weight ``cfg.lam``.  Each trial's decrease
+    comes from :func:`_decrease`, so the search evaluates no objective.
     """
     problem.check_step(ProblemKind.NMF, side, fp, cfg.lam)
     factor = fp.u if side == "u" else fp.v
     other = fp.v if side == "u" else fp.u
-    grad = problem.gradient(side, fp, cfg.lam, w)
-    h_tilde = surrogate_block(other, w, cfg.lam)
+    data_grad = problem.data_gradient(side, fp)
+    grad = data_grad + cfg.lam * factor * w
+    gram = other.T @ other
+    # the surrogate block G^T G + lam diag(w), with its Gram kept
+    h_tilde = gram + cfg.lam * np.diag(w)
     active = active_set_rows(factor, grad, cfg.nmf.eps_active)
     direction = _newton_directions(grad, h_tilde, active)
 
-    f0 = problem.objective(fp, cfg.lam, cfg.eta)
+    sq = np.sum(factor * factor, axis=0) + np.sum(other * other, axis=0)
     beta = cfg.nmf.beta_u if side == "u" else cfg.nmf.beta_v
     sigma = cfg.nmf.sigma
     cap = cfg.nmf.max_backtracks
@@ -152,9 +185,9 @@ def armijo_search(
     for m in range(cap + 1):
         alpha = beta**m
         cand = np.maximum(factor - alpha * direction, 0.0)
-        trial = FactorPair(cand, fp.v) if side == "u" else FactorPair(fp.u, cand)
-        decrease = f0 - problem.objective(trial, cfg.lam, cfg.eta)
-        moved = float(np.sum(grad[active] * (factor - cand)[active]))
+        step = cand - factor
+        decrease = _decrease(factor, sq, step, data_grad, gram, cfg.lam, cfg.eta)
+        moved = -float(np.sum(grad[active] * step[active]))
         rhs = sigma * (alpha * inactive + moved)
         if decrease >= rhs:
             return ArmijoResult(

@@ -7,7 +7,7 @@ import pytest
 
 from lowrankmf import SolverConfig
 from lowrankmf.cli import _config_from_args, main, parse_args
-from lowrankmf.data import read_matrix
+from lowrankmf.data import read_matrix, write_matrix
 
 TRACE_KEYS = {"config", "iterations", "prunes", "status", "metrics"}
 ITER_KEYS = {"k", "objective", "d", "rel_change", "delta", "ms"}
@@ -169,6 +169,17 @@ def test_malformed_input_exits_one(tmp_path, capsys):
     p.write_text("not a matrix\n")
     code = main(["denoise", "--input", str(p), "--lambda", "1.0"])
     assert code == 1
+
+
+def test_singular_curvature_block_exits_one(tmp_path, capsys):
+    y = 1e6 * np.random.default_rng(60).standard_normal((2, 2))
+    p = tmp_path / "y.mtx"
+    write_matrix(p, y, "mm")
+    args = ["--input", str(p), "--lambda", "5.960464477539063e-08", "--rank-init", "4"]
+    code = main(["denoise", *args, "--max-iter", "1", "--seed", "60"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: iteration 1, U half-step" in err and "use a larger lam" in err
 
 
 def test_movielens_grid_too_large_to_densify_exits_one(tmp_path, capsys):

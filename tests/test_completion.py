@@ -187,3 +187,11 @@ def test_full_mask_step_is_the_dense_closed_form():
         want = cur - np.linalg.solve(a, (grad_fit + 0.7 * cur * w).T).T
         got, _ = update_factor_mc(Problem(ProblemKind.COMPLETE, y, mask), side, fp, w, 0.7)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_singular_curvature_block_raises_invalid_parameter():
+    rng = np.random.default_rng(60)
+    y = 1e6 * rng.standard_normal((2, 2))
+    cfg = SolverConfig(lam=5.960464477539063e-08, d_init=4, max_iter=1, seed=60)
+    with pytest.raises(InvalidParameterError, match="iteration 1, U half-step.*larger lam"):
+        solve_mc(y, ObservedMask.full(2, 2), cfg)

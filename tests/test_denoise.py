@@ -5,6 +5,7 @@ import pytest
 
 from lowrankmf import (
     FactorPair,
+    InvalidParameterError,
     Problem,
     ProblemKind,
     SolverConfig,
@@ -182,3 +183,11 @@ def test_solve_deterministic():
     fp2, t2 = solve_denoise(y, cfg)
     assert np.array_equal(fp1.u, fp2.u) and np.array_equal(fp1.v, fp2.v)
     assert [r.objective for r in t1.records] == [r.objective for r in t2.records]
+
+
+def test_singular_curvature_block_raises_invalid_parameter():
+    rng = np.random.default_rng(60)
+    y = 1e6 * rng.standard_normal((2, 2))
+    cfg = SolverConfig(lam=5.960464477539063e-08, d_init=4, max_iter=1, seed=60)
+    with pytest.raises(InvalidParameterError, match="iteration 1, U half-step.*larger lam"):
+        solve_denoise(y, cfg)

@@ -188,6 +188,42 @@ def test_newton_step_does_not_depend_on_the_stack_split(monkeypatch):
         assert np.array_equal(projected_newton_step(factor, grad, h, active, 0.5), whole)
 
 
+def test_shared_block_rows_skip_the_stack(monkeypatch):
+    # only rows with a non-empty active pattern get a block of their own
+    rng = np.random.default_rng(30)
+    h = spd(5, 31)
+    grad = rng.standard_normal((40, 5))
+    active = rng.random((40, 5)) < 0.08
+    active[:3] = False
+    active[3, 0] = True
+    built = []
+    real = nmf._partial_diag_blocks
+
+    def record(h_tilde, act):
+        built.append(act.copy())
+        return real(h_tilde, act)
+
+    monkeypatch.setattr(nmf, "_partial_diag_blocks", record)
+    nmf._newton_directions(grad, h, active)
+    pinned = active.any(axis=1)
+    assert 0 < pinned.sum() < 40
+    assert np.array_equal(np.concatenate(built), active[pinned])
+
+
+def test_mixed_patterns_match_rowwise_solves_at_d12():
+    rng = np.random.default_rng(32)
+    d = 12
+    h = spd(d, 33)
+    grad = rng.standard_normal((60, d))
+    active = rng.random((60, d)) < 0.05
+    active[::3] = False
+    assert 0 < active.any(axis=1).sum() < 60
+    p = nmf._newton_directions(grad, h, active)
+    for i in range(60):
+        want = np.linalg.solve(partial_diag_block(h, active[i]), grad[i])
+        assert np.linalg.norm(p[i] - want) <= 1e-12 * np.linalg.norm(want)
+
+
 # ------------------------------------------------------------ Armijo rule
 
 
@@ -259,6 +295,58 @@ def test_armijo_accepted_step_reverifies():
         assert abs(rhs - res.rhs) < 1e-12
 
 
+def _decrease_case(name):
+    """(y, fp) of one random NMF problem for the factored decrease."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    m, n, d = {"d1": (5, 9, 1)}.get(name, (7, 5, 3))
+    y = np.abs(rng.standard_normal((m, n)))
+    u, v = np.abs(rng.standard_normal((m, d))), np.abs(rng.standard_normal((n, d)))
+    if name == "clipped":
+        u[rng.random(u.shape) < 0.3] = 0.0
+    if name == "below_eta":
+        u[:, 1], v[:, 1] = 1e-9, 2e-9
+    if name == "large_y":
+        y, u, v = 1e4 * y, 1e2 * u, 1e2 * v
+    return y, FactorPair(u, v)
+
+
+@pytest.mark.parametrize("side", ["u", "v"])
+@pytest.mark.parametrize("name", ["plain", "d1", "clipped", "below_eta", "large_y"])
+def test_factored_decrease_matches_objective_difference(name, side):
+    y, fp = _decrease_case(name)
+    cfg = SolverConfig(lam=0.5, d_init=fp.d)
+    problem = Problem(ProblemKind.NMF, y)
+    res = armijo_search(problem, side, fp, weight_diag(fp, cfg.eta), cfg)
+    factor = fp.u if side == "u" else fp.v
+    cand = np.maximum(factor - res.alpha * res.direction, 0.0)
+    trial = FactorPair(cand, fp.v) if side == "u" else FactorPair(fp.u, cand)
+    f0 = problem.objective(fp, cfg.lam, cfg.eta)
+    direct = f0 - problem.objective(trial, cfg.lam, cfg.eta)
+    assert abs(res.decrease - direct) <= 1e-10 * max(1.0, abs(f0))
+    if name == "clipped":
+        assert np.any((cand == 0.0) & (factor > 0.0))
+    if name == "below_eta":
+        assert np.sqrt(np.sum(fp.u[:, 1] ** 2) + np.sum(fp.v[:, 1] ** 2)) < cfg.eta
+
+
+def test_armijo_search_evaluates_no_objective(monkeypatch):
+    calls = []
+    real = Problem.objective
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(Problem, "objective", counted)
+    y, fp = _decrease_case("plain")
+    cfg = SolverConfig(lam=0.5, d_init=fp.d, nmf=NmfOptions(sigma=1e6, max_backtracks=3))
+    problem = Problem(ProblemKind.NMF, y)
+    for side in "uv":
+        res = armijo_search(problem, side, fp, weight_diag(fp, cfg.eta), cfg)
+        assert not res.accepted
+    assert calls == []
+
+
 def test_armijo_rejects_negative_factors():
     y = np.abs(np.random.default_rng(0).standard_normal((3, 3)))
     rng = np.random.default_rng(13)
@@ -327,6 +415,14 @@ def test_solve_deterministic():
     b, tb = solve_nmf(y, cfg)
     assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
     assert [r.objective for r in ta.records] == [r.objective for r in tb.records]
+
+
+def test_solve_singular_curvature_block_raises_invalid_parameter():
+    rng = np.random.default_rng(60)
+    y = 1e6 * rng.standard_normal((2, 2))
+    cfg = SolverConfig(lam=5.960464477539063e-08, d_init=4, max_iter=1, seed=60)
+    with pytest.raises(InvalidParameterError, match="iteration 1, U half-step.*larger lam"):
+        solve_nmf(np.abs(y), cfg)
 
 
 def test_solve_reports_stall_when_every_search_is_rejected():
