@@ -45,6 +45,13 @@ def _positive_float(text: str) -> float:
     return val
 
 
+def _snr_float(text: str) -> float:
+    val = float(text)  # argparse reports a ValueError as a usage error too
+    if not val > -math.inf:  # NaN or -inf; +inf, the default, adds no noise
+        raise argparse.ArgumentTypeError("must be a number or +inf")
+    return val
+
+
 def _positive_int(text: str) -> int:
     try:
         val = int(text)
@@ -74,14 +81,14 @@ def _add_synth_flags(p: argparse.ArgumentParser):
     p.add_argument("--rows", type=_positive_int)
     p.add_argument("--cols", type=_positive_int)
     p.add_argument("--rank", type=_positive_int)
-    p.add_argument("--snr-db", type=float, default=float("inf"))
+    p.add_argument("--snr-db", type=_snr_float, default=math.inf)
     p.add_argument("--dist", choices=["gaussian", "uniform01"])
     p.add_argument("--mask-card", type=_positive_int)
 
 
 def _add_nmf_flags(p: argparse.ArgumentParser):
-    p.add_argument("--beta-u", type=float, default=NmfOptions.beta_u)
-    p.add_argument("--beta-v", type=float, default=NmfOptions.beta_v)
+    p.add_argument("--beta-u", type=_positive_float, default=NmfOptions.beta_u)
+    p.add_argument("--beta-v", type=_positive_float, default=NmfOptions.beta_v)
     p.add_argument("--sigma-armijo", type=_positive_float, default=NmfOptions.sigma)
     p.add_argument("--eps-active", type=_positive_float, default=NmfOptions.eps_active)
 

@@ -3,6 +3,7 @@ pruning, stopping and tracing."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 import time
@@ -116,10 +117,14 @@ class IterationRecord:
     delta: float
     ms: float
     # Extra diagnostics consumed by the convergence-rate checks; these do
-    # not appear in the serialized trace schema.
+    # not appear in the serialized trace schema, TRACE_FIELDS.
     displacement_sq: float = 0.0
     gram_min_eig: float = 0.0
     max_col_sq: float = 0.0
+
+
+# The fields of an IterationRecord that a JSON trace serializes.
+TRACE_FIELDS = ("k", "objective", "d", "rel_change", "delta", "ms")
 
 
 @dataclass
@@ -143,35 +148,11 @@ class IterationTrace:
         return np.array([r.delta for r in self.records])
 
     def to_json_dict(self, metrics: dict | None = None) -> dict:
-        cfg = self.config
+        config = dataclasses.asdict(self.config)
+        config["lambda"] = config.pop("lam")
         return {
-            "config": {
-                "lambda": cfg.lam,
-                "eta": cfg.eta,
-                "d_init": cfg.d_init,
-                "tol": cfg.tol,
-                "max_iter": cfg.max_iter,
-                "prune_tol": cfg.prune_tol,
-                "seed": cfg.seed,
-                "nmf": {
-                    "beta_u": cfg.nmf.beta_u,
-                    "beta_v": cfg.nmf.beta_v,
-                    "sigma": cfg.nmf.sigma,
-                    "eps_active": cfg.nmf.eps_active,
-                    "max_backtracks": cfg.nmf.max_backtracks,
-                },
-            },
-            "iterations": [
-                {
-                    "k": r.k,
-                    "objective": r.objective,
-                    "d": r.d,
-                    "rel_change": r.rel_change,
-                    "delta": r.delta,
-                    "ms": r.ms,
-                }
-                for r in self.records
-            ],
+            "config": config,
+            "iterations": [{f: getattr(r, f) for f in TRACE_FIELDS} for r in self.records],
             "prunes": [
                 {
                     "k": p.iteration,
@@ -181,10 +162,7 @@ class IterationTrace:
                 for p in self.prunes
             ],
             "status": self.status,
-            "metrics": {
-                "nre": None if metrics is None else metrics.get("nre"),
-                "nmae": None if metrics is None else metrics.get("nmae"),
-            },
+            "metrics": {key: (metrics or {}).get(key) for key in ("nre", "nmae")},
         }
 
 

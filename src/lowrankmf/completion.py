@@ -1,11 +1,12 @@
 """Alternating reweighted solver for the masked (matrix completion) objective.
 
-Each factor update is one quasi-Newton step with the shared d x d
-curvature block, and takes the solve's :class:`Problem`, which checked
-Y and the mask.  An iteration costs O(m n d) BLAS-3 flops for the
-observed residual (row blocks of U V^T), O(card(Omega) d) for its CSR
-products and O((m + n) d^2 + d^3) for the rest, each step's certified
-drop included; memory is O(card(Omega) + one block).
+Each factor update is the fill-in step :func:`core.block_step`, which
+minimizes the quadratic surrogate with the shared d x d curvature block,
+and takes the solve's :class:`Problem`, which checked Y and the mask.  An
+iteration costs O(m n d) BLAS-3 flops for the observed residual (row
+blocks of U V^T), O(card(Omega) d) for its CSR products and
+O((m + n) d^2 + d^3) for the rest, each step's certified drop included;
+memory is O(card(Omega) + one block).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .common import IterationTrace, SolverConfig, alternate
-from .core import FactorPair, ObservedMask, Problem, ProblemKind, surrogate_block
+from .core import FactorPair, ObservedMask, Problem, ProblemKind, block_step
 
 # Unused here: bench/ traces and checks these bindings of the shared functions.
 from .common import finish_iteration  # noqa: F401
@@ -25,21 +26,14 @@ __all__ = ["update_factor_mc", "solve_mc"]
 def update_factor_mc(
     problem: Problem, side: str, fp: FactorPair, w: np.ndarray, lam: float
 ) -> tuple[np.ndarray, float]:
-    """One quasi-Newton factor update for a completion ``problem``, whose
-    Y and mask were checked when it was built, and the objective drop it
-    certifies.
-
-    U side: U - (P_Omega(U V^T - Y) V + lam U D) H^{-1}, H = V^T V + lam D,
-    and the drop 0.5 <dU^T dU, H>, dU = U' - U; the V side is the transposed
-    analogue.
+    """One surrogate-minimizing factor update for a completion ``problem``,
+    whose Y and mask were checked when it was built, and the objective drop
+    it certifies: :func:`core.block_step`, the softImpute-ALS fill-in step
+    (P_Omega(Y) + P_Omega^perp(U V^T)) V H^{-1} on the U side with
+    H = V^T V + lam D, which equals U - (P_Omega(U V^T - Y) V + lam U D) H^{-1}.
     """
-    problem.check_step(ProblemKind.COMPLETE, side, fp, lam)
-    cur, other = (fp.u, fp.v) if side == "u" else (fp.v, fp.u)
-    grad = problem.gradient(side, fp, lam, w)
-    h = surrogate_block(other, w, lam)
-    new = cur - np.linalg.solve(h, grad.T).T
-    step = new - cur
-    return new, 0.5 * float(np.vdot(step.T @ step, h))
+    fp = problem.check_step(ProblemKind.COMPLETE, fp, lam)
+    return block_step(problem, side, fp, w, lam)
 
 
 def solve_mc(

@@ -29,7 +29,7 @@ __all__ = [
     "weight_diag",
     "smoothed_regularizer",
     "apply_mask",
-    "surrogate_block",
+    "block_step",
     "objective",
     "gradient",
     "nre",
@@ -96,6 +96,14 @@ class FactorPair:
 
     def product(self) -> np.ndarray:
         return self.u @ self.v.T
+
+    def split(self, side: str) -> tuple[np.ndarray, np.ndarray]:
+        """(factor, other) of a step that updates ``side``, ``"u"`` or ``"v"``."""
+        if side == "u":
+            return self.u, self.v
+        if side == "v":
+            return self.v, self.u
+        raise InvalidParameterError(f"side must be 'u' or 'v', got {side!r}")
 
 
 @dataclass(frozen=True)
@@ -185,12 +193,6 @@ def apply_mask(m, mask: ObservedMask) -> np.ndarray:
     return out
 
 
-def surrogate_block(other: np.ndarray, w, lam: float) -> np.ndarray:
-    """The shared d x d curvature block G^T G + lam diag(w) of one factor
-    step, G the other factor."""
-    return other.T @ other + lam * np.diag(np.asarray(w, dtype=float))
-
-
 class Problem:
     """One solve's data, checked once, and the data-fit term it defines.
 
@@ -235,17 +237,13 @@ class Problem:
             raise ConstraintViolationError("NMF factors must be elementwise nonnegative")
         return fp
 
-    def check_step(
-        self, kind: ProblemKind, side: str, fp: FactorPair, lam: float
-    ) -> FactorPair:
-        """Return ``fp`` if a factor step of a ``kind`` problem may start
-        from it, updating ``side`` with weight ``lam``, else raise."""
+    def check_step(self, kind: ProblemKind, fp: FactorPair, lam: float) -> FactorPair:
+        """Return ``fp`` if a factor step of a ``kind`` problem may start from
+        it with weight ``lam``, else raise; :meth:`FactorPair.split` checks the side."""
         if self.kind is not kind:
             raise InvalidParameterError(
                 f"a {kind.value} step needs a {kind.value} problem, got {self.kind.value}"
             )
-        if side not in ("u", "v"):
-            raise InvalidParameterError(f"side must be 'u' or 'v', got {side!r}")
         if fp.d < 1:
             raise InvalidParameterError("factor pair has no columns")
         if not lam > 0:
@@ -290,20 +288,39 @@ class Problem:
             fit = 0.5 * float(np.sum(res * res))
         return fit + lam * smoothed_regularizer(fp, eta)
 
-    def data_gradient(self, side: str, fp: FactorPair) -> np.ndarray:
-        """The data-fit part of :meth:`gradient`: R V for the U side and
-        R^T U for the V side, R the possibly masked residual U V^T - Y."""
+    def filled_product(self, side: str, fp: FactorPair, gram: np.ndarray) -> np.ndarray:
+        """Z G for a step that updates ``side``, G the other factor and
+        ``gram`` its Gram G^T G: Z = Y for dense data, and for completion
+        the fill-in P_Omega(Y) + P_Omega^perp(U V^T), whose product
+        F G^T G - P_Omega(U V^T - Y) G (F the updated factor) forms no
+        m x n array."""
+        factor, other = fp.split(side)
         if self.kind is not ProblemKind.COMPLETE:
-            res = fp.product() - self.y
-        else:
-            res = self.residual_csr(fp)
-        return np.asarray(res @ fp.v if side == "u" else res.T @ fp.u)
+            return (self.y if side == "u" else self.y.T) @ other
+        res = self.residual_csr(fp)
+        return factor @ gram - np.asarray((res if side == "u" else res.T) @ other)
 
     def gradient(self, side: str, fp: FactorPair, lam: float, w: np.ndarray) -> np.ndarray:
         """:func:`gradient` at a point :meth:`check` accepts, with the
-        weight diagonal ``w`` of ``fp``."""
-        factor = fp.u if side == "u" else fp.v
-        return self.data_gradient(side, fp) + lam * factor * w
+        weight diagonal ``w`` of ``fp``: F G^T G - Z G + lam F D."""
+        factor, other = fp.split(side)
+        gram = other.T @ other
+        return factor @ gram - self.filled_product(side, fp, gram) + lam * factor * w
+
+
+def block_step(
+    problem: Problem, side: str, fp: FactorPair, w: np.ndarray, lam: float
+) -> tuple[np.ndarray, float]:
+    """Minimizer of the quadratic surrogate for one factor, and the objective
+    drop it certifies: on the U side Z V H^{-1}, Z V from
+    :meth:`Problem.filled_product` and H = V^T V + lam D (one d x d SPD solve),
+    and the drop 0.5 <dU^T dU, H>, dU = U' - U."""
+    factor, other = fp.split(side)
+    gram = other.T @ other
+    h = gram + lam * np.diag(np.asarray(w, dtype=float))
+    new = np.linalg.solve(h, problem.filled_product(side, fp, gram).T).T
+    step = new - factor
+    return new, 0.5 * float(np.vdot(step.T @ step, h))
 
 
 def objective(
@@ -339,10 +356,7 @@ def gradient(
     transposed analogue for the V side.
     """
     problem = Problem(kind, y, mask)
-    problem.check(fp)
-    if side not in ("u", "v"):
-        raise InvalidParameterError(f"side must be 'u' or 'v', got {side!r}")
-    return problem.gradient(side, fp, lam, weight_diag(fp, eta))
+    return problem.gradient(side, problem.check(fp), lam, weight_diag(fp, eta))
 
 
 def nre(x0, fp: FactorPair) -> float:

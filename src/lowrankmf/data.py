@@ -60,12 +60,21 @@ def gen_lowrank(m: int, n: int, r: int, dist: str, seed: int) -> np.ndarray:
 
 
 def add_noise_snr(x0, snr_db: float, seed: int) -> np.ndarray:
-    """Add i.i.d. Gaussian noise with variance ||X0||_F^2 / (m n 10^(snr/10))."""
+    """Add i.i.d. Gaussian noise with variance ||X0||_F^2 / (m n 10^(snr/10)),
+    none at ``snr_db = inf``.  An ``snr_db`` that gives no finite variance
+    (NaN, -inf, or so low that 10^(snr/10) underflows) is refused."""
     x0 = as_matrix(x0, "x0")
-    if math.isinf(snr_db) and snr_db > 0:
+    if snr_db == math.inf:
         return x0.copy()
     m, n = x0.shape
-    sigma2 = float(np.sum(x0 * x0)) / (m * n * 10.0 ** (snr_db / 10.0))
+    try:
+        sigma2 = float(np.sum(x0 * x0)) / (m * n * 10.0 ** (snr_db / 10.0))
+    except ZeroDivisionError:  # 10^(snr/10) underflowed to 0
+        sigma2 = math.nan
+    except OverflowError:  # 10^(snr/10) above the float range: no noise to add
+        return x0.copy()
+    if not math.isfinite(sigma2):
+        raise InvalidParameterError(f"snr_db={snr_db!r} gives no finite noise variance")
     rng = np.random.default_rng(seed)
     return x0 + rng.standard_normal((m, n)) * math.sqrt(sigma2)
 
@@ -128,12 +137,7 @@ def read_movielens(path) -> MovielensData:
         raise ParseError("no rating entries found", path)
     rows = max(k[0] for k in entries) + 1
     cols = max(k[1] for k in entries) + 1
-    if rows * cols > DENSIFY_LIMIT:
-        raise ParseError(
-            f"{rows} x {cols} ratings grid exceeds {DENSIFY_LIMIT} cells; "
-            "too large to densify",
-            path,
-        )
+    _check_densify(rows, cols, path)
     mask = ObservedMask.from_pairs(rows, cols, sorted(entries))
     y = np.zeros((rows, cols))
     for (i, j), val in entries.items():
@@ -141,10 +145,23 @@ def read_movielens(path) -> MovielensData:
     return MovielensData(y=y, mask=mask, duplicates=duplicates)
 
 
+def _check_densify(rows: int, cols: int, path, line: int | None = None):
+    if rows * cols > DENSIFY_LIMIT:
+        msg = f"{rows} x {cols} exceeds {DENSIFY_LIMIT} cells; too large to densify"
+        raise ParseError(msg, path, line)
+
+
 def _read_tokens(path):
     with open(path) as fh:
         lines = fh.readlines()
     return lines
+
+
+def _parse_int(tok: str, path, lineno: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"non-integer token {tok!r}", path, lineno) from None
 
 
 def _parse_float(tok: str, path, lineno: int) -> float:
@@ -156,7 +173,9 @@ def _parse_float(tok: str, path, lineno: int) -> float:
 
 def _read_mm(lines, path) -> tuple[np.ndarray, np.ndarray | None]:
     """Parse MatrixMarket lines once: the dense matrix and, for a coordinate
-    file, the row-major flat index of each entry (duplicates: last wins)."""
+    file, the row-major flat index of each entry (duplicates: last wins).
+    A size line of more than ``DENSIFY_LIMIT`` cells is refused before the
+    matrix is allocated."""
     if not lines:
         raise ParseError("empty file", path)
     header = lines[0].strip()
@@ -174,11 +193,17 @@ def _read_mm(lines, path) -> tuple[np.ndarray, np.ndarray | None]:
     if not body:
         raise ParseError("missing size line", path)
     size_line_no, size_line = body[0]
-    size_tokens = size_line.split()
+    sizes = [_parse_int(t, path, size_line_no) for t in size_line.split()]
+    if coordinate and len(sizes) != 3:
+        raise ParseError("coordinate size line needs rows cols nnz", path, size_line_no)
+    if not coordinate and len(sizes) != 2:
+        raise ParseError("array size line needs rows cols", path, size_line_no)
+    if min(sizes) < 0:
+        raise ParseError("negative size", path, size_line_no)
+    rows, cols = sizes[:2]
+    _check_densify(rows, cols, path, size_line_no)
     if coordinate:
-        if len(size_tokens) != 3:
-            raise ParseError("coordinate size line needs rows cols nnz", path, size_line_no)
-        rows, cols, nnz = (int(t) for t in size_tokens)
+        nnz = sizes[2]
         out = np.zeros((rows, cols))
         data = body[1:]
         if len(data) != nnz:
@@ -188,16 +213,13 @@ def _read_mm(lines, path) -> tuple[np.ndarray, np.ndarray | None]:
             toks = entry.split()
             if len(toks) != 3:
                 raise ParseError("coordinate entry needs i j value", path, lineno)
-            i, j = int(toks[0]), int(toks[1])
+            i, j = _parse_int(toks[0], path, lineno), _parse_int(toks[1], path, lineno)
             val = _parse_float(toks[2], path, lineno)
             if not (1 <= i <= rows and 1 <= j <= cols):
                 raise ParseError(f"index ({i}, {j}) out of bounds", path, lineno)
             out[i - 1, j - 1] = val
             flat[n] = (i - 1) * cols + (j - 1)
         return out, flat
-    if len(size_tokens) != 2:
-        raise ParseError("array size line needs rows cols", path, size_line_no)
-    rows, cols = (int(t) for t in size_tokens)
     values = []
     for lineno, entry in body[1:]:
         for tok in entry.split():

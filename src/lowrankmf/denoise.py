@@ -2,9 +2,10 @@
 
 Each outer iteration refreshes the weight diagonal, solves the two
 strictly convex quadratic surrogates in closed form (a d x d SPD system
-per factor), prunes annihilated columns and records the descent
-diagnostics.  The step takes the solve's :class:`Problem`, which checked Y,
-and returns the objective drop it certifies.
+per factor, :func:`core.block_step`), prunes annihilated columns and
+records the descent diagnostics.  The step takes the solve's
+:class:`Problem`, which checked Y and forms the data product Y G, and
+returns the objective drop it certifies.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .common import IterationTrace, SolverConfig, alternate
-from .core import FactorPair, Problem, ProblemKind, surrogate_block
+from .core import FactorPair, Problem, ProblemKind, block_step
 
 # Unused here: bench/ traces and checks these bindings of the shared functions.
 from .common import finish_iteration  # noqa: F401
@@ -26,20 +27,11 @@ def update_factor_denoise(
 ) -> tuple[np.ndarray, float]:
     """Closed-form minimizer of the quadratic surrogate for one factor of a
     denoising ``problem``, whose Y was checked when it was built, and the
-    objective drop it certifies.
-
-    U side: Y V H^{-1}, one d x d SPD solve with H = V^T V + lam D, and the
-    drop 0.5 <dU^T dU, H>, dU = U' - U; the V side is the transposed analogue.
+    objective drop it certifies: :func:`core.block_step`, Y V H^{-1} on the
+    U side with H = V^T V + lam D.
     """
-    problem.check_step(ProblemKind.DENOISE, side, fp, lam)
-    if side == "u":
-        cur, other, b = fp.u, fp.v, problem.y @ fp.v
-    else:
-        cur, other, b = fp.v, fp.u, problem.y.T @ fp.u
-    h = surrogate_block(other, w, lam)
-    new = np.linalg.solve(h, b.T).T
-    step = new - cur
-    return new, 0.5 * float(np.vdot(step.T @ step, h))
+    fp = problem.check_step(ProblemKind.DENOISE, fp, lam)
+    return block_step(problem, side, fp, w, lam)
 
 
 def solve_denoise(y, cfg: SolverConfig) -> tuple[FactorPair, IterationTrace]:

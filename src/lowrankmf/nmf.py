@@ -165,12 +165,10 @@ def armijo_search(
     block both use it, with weight ``cfg.lam``.  Each trial's decrease
     comes from :func:`_decrease`, so the search evaluates no objective.
     """
-    problem.check_step(ProblemKind.NMF, side, fp, cfg.lam)
-    factor = fp.u if side == "u" else fp.v
-    other = fp.v if side == "u" else fp.u
-    data_grad = problem.data_gradient(side, fp)
-    grad = data_grad + cfg.lam * factor * w
+    factor, other = problem.check_step(ProblemKind.NMF, fp, cfg.lam).split(side)
     gram = other.T @ other
+    data_grad = factor @ gram - problem.filled_product(side, fp, gram)
+    grad = data_grad + cfg.lam * factor * w
     # the surrogate block G^T G + lam diag(w), with its Gram kept
     h_tilde = gram + cfg.lam * np.diag(w)
     active = active_set_rows(factor, grad, cfg.nmf.eps_active)

@@ -22,7 +22,6 @@ from .core import (
     ProblemKind,
     gradient,
     objective,
-    surrogate_block,
     weight_diag,
 )
 from .nmf import check_active_mask, partial_diag_block
@@ -75,14 +74,8 @@ def exact_hessian(
     lam*K_ij off it; for completion the data-fit Gram of row i is
     restricted to that row's observed entries.
     """
-    y = np.asarray(y, dtype=float)
     d = fp.d
-    if side == "u":
-        factor, other = fp.u, fp.v
-    elif side == "v":
-        factor, other = fp.v, fp.u
-    else:
-        raise InvalidParameterError(f"side must be 'u' or 'v', got {side!r}")
+    factor, other = fp.split(side)
     rows = factor.shape[0]
     _check_guard(rows, d)
 
@@ -119,8 +112,8 @@ def surrogate_hessian(
     side: str, fp: FactorPair, lam: float, eta: float
 ) -> np.ndarray:
     """The solvers' shared positive-definite d x d block Gram + lam*D."""
-    other = fp.v if side == "u" else fp.u
-    return surrogate_block(other, weight_diag(fp, eta), lam)
+    _, other = fp.split(side)
+    return other.T @ other + lam * np.diag(weight_diag(fp, eta))
 
 
 def psd_gap(
@@ -135,8 +128,7 @@ def psd_gap(
     """Minimum eigenvalue of block-diag(H_tilde) minus the exact Hessian."""
     h = exact_hessian(kind, side, y, mask, fp, lam, eta)
     h_tilde = surrogate_hessian(side, fp, lam, eta)
-    rows = (fp.u if side == "u" else fp.v).shape[0]
-    h_bar = np.kron(np.eye(rows), h_tilde)
+    h_bar = np.kron(np.eye(fp.split(side)[0].shape[0]), h_tilde)
     return float(np.linalg.eigvalsh(h_bar - h)[0])
 
 
@@ -154,7 +146,7 @@ def surrogate_value(
     f0 = objective(kind, y, mask, fp, lam, eta)
     g = gradient(kind, side, y, mask, fp, lam, eta)
     h_tilde = surrogate_hessian(side, fp, lam, eta)
-    diff = cand - (fp.u if side == "u" else fp.v)
+    diff = cand - fp.split(side)[0]
     quad = float(np.sum((diff @ h_tilde) * diff))
     return f0 + float(np.sum(diff * g)) + 0.5 * quad
 
@@ -170,7 +162,7 @@ def nmf_surrogate_value(
     alpha: float,
 ) -> float:
     """Projected-Newton surrogate with per-row partially diagonalized blocks."""
-    factor = fp.u if side == "u" else fp.v
+    factor, _ = fp.split(side)
     check_active_mask(active, factor.shape)
     f0 = objective(ProblemKind.DENOISE, y, None, fp, lam, eta)
     g = gradient(ProblemKind.DENOISE, side, y, None, fp, lam, eta)
@@ -187,7 +179,7 @@ def nmf_alpha_bound(
     y, side: str, fp: FactorPair, lam: float, eta: float, active: np.ndarray
 ) -> float:
     """Step bound lambda_min(partially diagonalized blocks) / lambda_max(exact H)."""
-    factor = fp.u if side == "u" else fp.v
+    factor, _ = fp.split(side)
     check_active_mask(active, factor.shape)
     h = exact_hessian(ProblemKind.DENOISE, side, y, None, fp, lam, eta)
     h_tilde = surrogate_hessian(side, fp, lam, eta)

@@ -57,9 +57,16 @@ def test_parse_negative_lambda_is_usage_error():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flag", ["--tol=nan", "--lambda=nan", "--eta=inf"])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        "--tol=nan", "--lambda=nan", "--eta=inf", "--snr-db=nan", "--snr-db=-inf",
+        "--beta-u=nan", "--beta-v=inf",
+    ],
+)
 def test_parse_non_finite_float_is_usage_error(flag):
-    argv = ["denoise", "--rows", "10", "--cols", "8", "--rank", "2", "--lambda", "1", flag]
+    command = "nmf" if flag.startswith("--beta") else "denoise"
+    argv = [command, "--rows", "10", "--cols", "8", "--rank", "2", "--lambda", "1", flag]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -169,6 +176,20 @@ def test_malformed_input_exits_one(tmp_path, capsys):
     p.write_text("not a matrix\n")
     code = main(["denoise", "--input", str(p), "--lambda", "1.0"])
     assert code == 1
+
+
+def test_malformed_size_line_exits_one_with_its_location(tmp_path, capsys):
+    p = tmp_path / "bad.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real general\n2.5 2 1\n1 1 1.0\n")
+    code = main(["complete", "--input", str(p), "--lambda", "1.0"])
+    assert code == 1
+    assert f"error: {p}:2: non-integer token '2.5'" in capsys.readouterr().err
+
+
+def test_snr_too_low_for_a_finite_noise_variance_exits_one(capsys):
+    argv = ["denoise", "--rows", "10", "--cols", "8", "--rank", "2", "--lambda", "1"]
+    assert main([*argv, "--snr-db=-3300"]) == 1
+    assert "error: snr_db=-3300.0" in capsys.readouterr().err
 
 
 def test_singular_curvature_block_exits_one(tmp_path, capsys):

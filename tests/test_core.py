@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lowrankmf
-from lowrankmf import core
+from lowrankmf import core, oracles
 from lowrankmf import (
     ConstraintViolationError,
     DimensionMismatchError,
@@ -54,6 +54,14 @@ def test_factor_pair_dims():
     assert fp.d == 2
     assert fp.shape == (4, 3)
     assert fp.product().shape == (4, 3)
+
+
+def test_factor_pair_split_names_the_sides():
+    fp = random_pair(4, 3, 2, 0)
+    assert all(a is b for a, b in zip(fp.split("u"), (fp.u, fp.v)))
+    assert all(a is b for a, b in zip(fp.split("v"), (fp.v, fp.u)))
+    with pytest.raises(InvalidParameterError, match="side must be 'u' or 'v'"):
+        fp.split("U")
 
 
 def test_factor_pair_inner_dim_mismatch():
@@ -444,6 +452,22 @@ def test_blocked_residual_matches_the_dense_masked_formulas(case, block_entries)
         assert np.all(np.abs(grads[side] - (fit @ other + lam * cur * w)) <= 1e-12 * bound)
 
 
+@pytest.mark.parametrize("side", ["u", "v"])
+def test_filled_product_is_the_fill_in_data_times_the_other_factor(side):
+    # Z = P_Omega(Y) + P_Omega^perp(U V^T): the observed entries of Y, and
+    # the model's own values elsewhere
+    rng = np.random.default_rng(41)
+    y = rng.standard_normal((9, 7))
+    fp = FactorPair(rng.standard_normal((9, 3)), rng.standard_normal((7, 3)))
+    mask = sample_mask(9, 7, 30, 42)
+    z = np.where(mask.to_dense_bool(), y, fp.product())
+    _, other = fp.split(side)
+    want = (z if side == "u" else z.T) @ other
+    problem = Problem(ProblemKind.COMPLETE, y, mask)
+    got = problem.filled_product(side, fp, other.T @ other)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_import_loads_no_scipy_sparse():
     # scipy.sparse is imported by the first completion gradient, not by
     # the package
@@ -656,3 +680,61 @@ def test_factor_steps_reject_a_problem_of_another_kind(step_kind, problem_kind):
     _step(step_kind, Problem(step_kind, y, mask), fp)  # its own kind goes through
     with pytest.raises(InvalidParameterError, match="problem"):
         _step(step_kind, Problem(problem_kind, y, mask), fp)
+
+
+def _side_calls():
+    """Every public function with a ``side`` argument, as a call of ``side``."""
+    rng = np.random.default_rng(32)
+    y = np.abs(rng.standard_normal((4, 3)))
+    mask = ObservedMask(4, 3, np.arange(4), np.arange(4) % 3)
+    fp = FactorPair(np.abs(rng.standard_normal((4, 2))), np.abs(rng.standard_normal((3, 2))))
+    cfg, kind, active = BOUNDARY_CFG, ProblemKind.COMPLETE, np.zeros((4, 2), dtype=bool)
+    lam, eta, w = cfg.lam, cfg.eta, weight_diag(fp, cfg.eta)
+    problems = {k: Problem(k, y, mask) for k in ProblemKind}
+    return {
+        "update_factor_denoise": lambda side: update_factor_denoise(
+            problems[ProblemKind.DENOISE], side, fp, w, lam
+        ),
+        "update_factor_mc": lambda side: update_factor_mc(problems[kind], side, fp, w, lam),
+        "armijo_search": lambda side: armijo_search(
+            problems[ProblemKind.NMF], side, fp, w, cfg
+        ),
+        "gradient": lambda side: gradient(kind, side, y, mask, fp, lam, eta),
+        "exact_hessian": lambda side: oracles.exact_hessian(
+            kind, side, y, mask, fp, lam, eta
+        ),
+        "surrogate_hessian": lambda side: oracles.surrogate_hessian(side, fp, lam, eta),
+        "psd_gap": lambda side: oracles.psd_gap(kind, side, y, mask, fp, lam, eta),
+        "surrogate_value": lambda side: oracles.surrogate_value(
+            kind, side, y, mask, fp, lam, eta, fp.u
+        ),
+        "nmf_surrogate_value": lambda side: oracles.nmf_surrogate_value(
+            y, side, fp, lam, eta, fp.u, active, 1.0
+        ),
+        "nmf_alpha_bound": lambda side: oracles.nmf_alpha_bound(
+            y, side, fp, lam, eta, active
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_side_calls()))
+def test_every_side_argument_refuses_a_bad_side(name):
+    call = _side_calls()[name]
+    call("u")  # the well-formed call goes through
+    with pytest.raises(InvalidParameterError, match="side must be 'u' or 'v'"):
+        call("x")
+
+
+def test_denoise_and_nmf_steps_form_no_m_by_n_product(monkeypatch):
+    rng = np.random.default_rng(33)
+    y = np.abs(rng.standard_normal((6, 5)))
+    fp = FactorPair(np.abs(rng.standard_normal((6, 2))), np.abs(rng.standard_normal((5, 2))))
+    w = weight_diag(fp, BOUNDARY_CFG.eta)
+
+    def refuse(self):
+        raise AssertionError("formed the m x n product U V^T")
+
+    monkeypatch.setattr(FactorPair, "product", refuse)
+    for side in ("u", "v"):
+        update_factor_denoise(Problem(ProblemKind.DENOISE, y), side, fp, w, 1.0)
+        armijo_search(Problem(ProblemKind.NMF, y), side, fp, w, BOUNDARY_CFG)

@@ -60,6 +60,19 @@ def test_add_noise_infinite_snr_exact_copy():
     assert y is not x0
 
 
+@pytest.mark.parametrize("snr_db", [float("nan"), -float("inf"), -3300.0])
+def test_add_noise_without_a_finite_variance_is_refused(snr_db):
+    # -3300 dB: 10^(snr/10) underflows to 0, so the variance would divide by 0
+    x0 = gen_lowrank(6, 6, 2, "gaussian", 3)
+    with pytest.raises(InvalidParameterError, match="snr_db"):
+        add_noise_snr(x0, snr_db, 4)
+
+
+def test_add_noise_beyond_the_float_range_adds_none():
+    x0 = gen_lowrank(6, 6, 2, "gaussian", 3)
+    assert np.array_equal(add_noise_snr(x0, 4000.0, 4), x0)
+
+
 def test_add_noise_deterministic():
     x0 = gen_lowrank(6, 6, 2, "gaussian", 5)
     assert np.array_equal(add_noise_snr(x0, 10.0, 6), add_noise_snr(x0, 10.0, 6))
@@ -268,3 +281,41 @@ def test_coordinate_error_names_the_offending_line(tmp_path):
     with pytest.raises(ParseError) as err:
         read_coordinate(p)
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("2.5 2 1\n1 1 1.0\n", 2, "non-integer token '2.5'"),
+        ("2 -3 1\n1 1 1.0\n", 2, "negative size"),
+        ("2 2 1\n1 1.5 1.0\n", 3, "non-integer token '1.5'"),
+    ],
+    ids=["fractional-size", "negative-size", "fractional-index"],
+)
+def test_mm_integer_fields_are_parse_errors_with_location(tmp_path, body, line, message):
+    p = tmp_path / "bad.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real general\n" + body)
+    with pytest.raises(ParseError, match=message) as err:
+        read_coordinate(p)
+    assert err.value.line == line and err.value.path == p
+
+
+@pytest.mark.parametrize(
+    "header, size",
+    [("coordinate", "4000 4000 1\n1 1 1.0"), ("coordinate", "100000 100000 1\n1 1 1.0"),
+     ("array", "4000 4000\n1.0")],
+    ids=["coordinate-16M-cells", "coordinate-10G-cells", "array-16M-cells"],
+)
+def test_mm_size_over_densify_limit_is_refused_before_allocating(
+    tmp_path, monkeypatch, header, size
+):
+    p = tmp_path / "big.mtx"
+    p.write_text(f"%%MatrixMarket matrix {header} real general\n{size}\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated a matrix")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    with pytest.raises(ParseError, match="too large to densify") as err:
+        read_matrix(p, "mm")
+    assert err.value.line == 2
