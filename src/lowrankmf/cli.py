@@ -254,10 +254,9 @@ def _run_verify(args) -> int:
     for trial in range(3):
         m, n, d = 4, 3, 2
         fp = FactorPair(rng.standard_normal((m, d)), rng.standard_normal((n, d)))
-        y = rng.standard_normal((m, n))
         mask = dio.sample_mask(m, n, 8, args.seed + trial)
         for kind, msk in ((ProblemKind.DENOISE, None), (ProblemKind.COMPLETE, mask)):
-            gap = oracles.psd_gap(kind, "u", y, msk, fp, 1.0, 1e-3)
+            gap = oracles.psd_gap(kind, "u", msk, fp, 1.0, 1e-3)
             check(f"psd gap {kind.value} trial {trial}", gap >= -1e-8, f"min eig {gap:.2e}")
         nuc, bound = oracles.nuclear_bound_check(fp)
         check(

@@ -276,21 +276,24 @@ def init_factors(problem: Problem, d: int, rng: np.random.Generator) -> FactorPa
     return FactorPair(u, v)
 
 
-def _iteration_diagnostics(prev: FactorPair, next_: FactorPair) -> tuple[float, ...]:
+def _iteration_diagnostics(
+    prev: FactorPair, next_: FactorPair, gram_u: np.ndarray
+) -> tuple[float, ...]:
     """displacement_sq, rel_change, gram_min_eig and max_col_sq, forming U' - U,
-    V' - V and each Gram of (U', V') once.  The differences are freed on return,
-    before the objective allocates: held longer, they raised the minor page
-    faults of a completion solve by about 40 %."""
+    V' - V and V'^T V' once; ``gram_u`` is U'^T U', which the V step formed.
+    Both Grams' smallest eigenvalues come from one ``eigvalsh`` over their
+    (2, d, d) stack.  The differences are freed on return, before the
+    objective allocates: held longer, they raised the minor page faults of
+    a completion solve by about 40 %."""
     du, dv = next_.u - prev.u, next_.v - prev.v
     disp = float(np.sum(du**2) + float(np.sum(dv**2)))
-    gram_u, gram_v = next_.u.T @ next_.u, next_.v.T @ next_.v
+    gram_v = next_.v.T @ next_.v
     rel = safe_relative_change(prev, next_, (du, dv, gram_v))
     if next_.d == 0:
         return disp, rel, 0.0, 0.0
-    min_eig = min(
-        float(np.linalg.eigvalsh(gram_u)[0]), float(np.linalg.eigvalsh(gram_v)[0])
-    )
-    max_col = max(float(np.max(np.diag(gram_u))), float(np.max(np.diag(gram_v))))
+    grams = np.stack((gram_u, gram_v))
+    min_eig = float(np.min(np.linalg.eigvalsh(grams)[:, 0]))
+    max_col = float(np.max(np.diagonal(grams, axis1=1, axis2=2)))
     return disp, rel, min_eig, max_col
 
 
@@ -304,8 +307,17 @@ def finish_iteration(
     problem: Problem,
     t0: float,
 ) -> FactorPair:
-    """Shared post-update bookkeeping: prune, record, return current pair."""
-    disp, rel, min_eig, max_col = _iteration_diagnostics(prev, next_)
+    """Shared post-update bookkeeping: prune, record, return current pair.
+
+    The diagnostics read U'^T U' from the V step (:meth:`Problem.gram_u`),
+    and the objective at the pruned pair comes from the V step's products
+    (:meth:`Problem.objective`, with :meth:`Problem.keep_columns` across a
+    prune).  An unmoved, unpruned pair (``displacement_sq == 0``) takes the
+    previous record's objective exactly, so a stalled record repeats it.
+    """
+    disp, rel, min_eig, max_col = _iteration_diagnostics(
+        prev, next_, problem.gram_u(next_)
+    )
     norms = column_pair_norms(next_)
     if norms.size and norms.max() < cfg.eta:
         # Every column sits below the smoothing scale: the factorization
@@ -314,7 +326,8 @@ def finish_iteration(
         pruned, kept = FactorPair(next_.u[:, :0], next_.v[:, :0]), []
     else:
         pruned, kept = prune_columns(next_, cfg.prune_tol)
-    if len(kept) < next_.d:
+    unpruned = len(kept) == next_.d
+    if not unpruned:
         removed = sorted(set(range(next_.d)).difference(kept))
         trace.prunes.append(
             PruneEvent(
@@ -323,7 +336,11 @@ def finish_iteration(
                 pair_norms_at_removal=[float(norms[i]) for i in removed],
             )
         )
-    obj = problem.objective(pruned, cfg.lam, cfg.eta)
+        problem.keep_columns(next_, pruned, kept)
+    if unpruned and disp == 0.0:
+        obj = trace.records[-1].objective if trace.records else trace.initial_objective
+    else:
+        obj = problem.objective(pruned, cfg.lam, cfg.eta)
     trace.records.append(
         IterationRecord(
             k=k,

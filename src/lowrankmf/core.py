@@ -210,12 +210,29 @@ class Problem:
     reused): the objective at the end of one iteration and the U step of
     the next read it at the same pruned point.  A new pair, even one with
     equal values, is evaluated afresh.
+
+    The V side of :meth:`filled_product` keeps the products it forms at
+    U' in a second slot, keyed by the array U' (held, like the pair
+    above): U'^T U', and for dense data Y^T U'.  With 1/2 ||Y||^2 cached
+    once, :meth:`objective` at any (U', V') reads the fit term from them
+    as 1/2 ||Y||^2 - <V', Y^T U'> + 1/2 <U'^T U', V'^T V'> in
+    O(n d^2), not O(m n d).  :meth:`keep_columns` carries the slot to a
+    pruned pair.  A point the slot does not hold (a step that never
+    forms the product, a non-float64 factor copied on the way), or a fit
+    term below ``CANCELLATION`` times 1/2 ||Y||^2, is evaluated from the
+    residual U V^T - Y directly: the subtraction's rounding error is a few
+    eps * 1/2 ||Y||^2, about 1e-12 of the fit term at the guard.
     """
+
+    # Fit term, relative to 1/2 ||Y||^2, below which the factored form
+    # cancels too much and the objective is evaluated from the residual.
+    CANCELLATION = 1e-3
 
     def __init__(self, kind: ProblemKind, y, mask: ObservedMask | None = None):
         y = as_matrix(y, "y")
         self.kind, self.y, self.mask, self.y_obs = kind, y, mask, y
         self._last: tuple[FactorPair, np.ndarray] | None = None
+        self._v_step: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None
         if kind is ProblemKind.COMPLETE:
             if mask is None:
                 raise InvalidParameterError("completion requires an observed mask")
@@ -226,6 +243,7 @@ class Problem:
             self.flat = mask.row_idx * mask.cols + mask.col_idx
         if kind is ProblemKind.NMF and np.any(y < 0):
             raise ConstraintViolationError("NMF data must be elementwise nonnegative")
+        self.half_sq = 0.5 * float(np.vdot(self.y_obs, self.y_obs))
 
     def check(self, fp: FactorPair) -> FactorPair:
         """Return ``fp`` if it is a point of this problem, else raise."""
@@ -284,19 +302,65 @@ class Problem:
             r = self.residual(fp)
             fit = 0.5 * float(r @ r)
         else:
-            res = fp.product() - self.y
-            fit = 0.5 * float(np.sum(res * res))
+            fit = self._factored_fit(fp)
+            if fit is None:
+                res = fp.product() - self.y
+                fit = 0.5 * float(np.sum(res * res))
         return fit + lam * smoothed_regularizer(fp, eta)
+
+    def _slot_at(self, u: np.ndarray):
+        """The V-step slot if it was filled at the array ``u``, else None."""
+        slot = self._v_step
+        return slot if slot is not None and slot[0] is u else None
+
+    def _factored_fit(self, fp: FactorPair) -> float | None:
+        """The dense fit term at ``fp`` from the V-step slot, or None when the
+        slot does not hold ``fp.u`` or the fit term is below the guard."""
+        slot = self._slot_at(fp.u)
+        if slot is None:
+            return None
+        _, gram_u, yt_u = slot
+        fit = (
+            self.half_sq
+            - float(np.vdot(fp.v, yt_u))
+            + 0.5 * float(np.vdot(gram_u, fp.v.T @ fp.v))
+        )
+        return fit if fit >= self.CANCELLATION * self.half_sq else None
+
+    def gram_u(self, fp: FactorPair) -> np.ndarray:
+        """U^T U of ``fp``: the V step's, when the slot holds ``fp.u``."""
+        slot = self._slot_at(fp.u)
+        return fp.u.T @ fp.u if slot is None else slot[1]
+
+    def keep_columns(self, fp: FactorPair, pruned: FactorPair, kept: list[int]):
+        """Carry the V-step slot at ``fp.u`` over to ``pruned``, the columns
+        ``kept`` of ``fp``: a column selection of each product."""
+        slot = self._slot_at(fp.u)
+        if slot is None:
+            return
+        _, gram_u, yt_u = slot
+        idx = np.asarray(kept, dtype=np.intp)
+        self._v_step = (
+            pruned.u,
+            gram_u[np.ix_(idx, idx)],
+            None if yt_u is None else yt_u[:, idx],
+        )
 
     def filled_product(self, side: str, fp: FactorPair, gram: np.ndarray) -> np.ndarray:
         """Z G for a step that updates ``side``, G the other factor and
         ``gram`` its Gram G^T G: Z = Y for dense data, and for completion
         the fill-in P_Omega(Y) + P_Omega^perp(U V^T), whose product
         F G^T G - P_Omega(U V^T - Y) G (F the updated factor) forms no
-        m x n array."""
+        m x n array.  On the V side it fills the slot :meth:`objective`
+        reads: (U, U^T U, Y^T U), Y^T U left out for completion."""
         factor, other = fp.split(side)
         if self.kind is not ProblemKind.COMPLETE:
-            return (self.y if side == "u" else self.y.T) @ other
+            prod = (self.y if side == "u" else self.y.T) @ other
+            if side == "v":
+                self._v_step = (other, gram, prod)
+            return prod
+        if side == "v":
+            self._v_step = (other, gram, None)
         res = self.residual_csr(fp)
         return factor @ gram - np.asarray((res if side == "u" else res.T) @ other)
 

@@ -61,13 +61,13 @@ def _reg_curvature_terms(factor: np.ndarray, other: np.ndarray, eta: float):
 def exact_hessian(
     kind: ProblemKind,
     side: str,
-    y,
     mask: ObservedMask | None,
     fp: FactorPair,
     lam: float,
     eta: float,
 ) -> np.ndarray:
-    """Dense Hessian of the smoothed objective w.r.t. one factor.
+    """Dense Hessian of the smoothed objective w.r.t. one factor; it does
+    not depend on Y, so it takes none.
 
     Row-vectorization ordering: coordinate (i, c) of the factor maps to
     index i*d + c.  Blocks are Gram + lam*K_ii on the diagonal and
@@ -119,14 +119,13 @@ def surrogate_hessian(
 def psd_gap(
     kind: ProblemKind,
     side: str,
-    y,
     mask: ObservedMask | None,
     fp: FactorPair,
     lam: float,
     eta: float,
 ) -> float:
     """Minimum eigenvalue of block-diag(H_tilde) minus the exact Hessian."""
-    h = exact_hessian(kind, side, y, mask, fp, lam, eta)
+    h = exact_hessian(kind, side, mask, fp, lam, eta)
     h_tilde = surrogate_hessian(side, fp, lam, eta)
     h_bar = np.kron(np.eye(fp.split(side)[0].shape[0]), h_tilde)
     return float(np.linalg.eigvalsh(h_bar - h)[0])
@@ -176,12 +175,12 @@ def nmf_surrogate_value(
 
 
 def nmf_alpha_bound(
-    y, side: str, fp: FactorPair, lam: float, eta: float, active: np.ndarray
+    side: str, fp: FactorPair, lam: float, eta: float, active: np.ndarray
 ) -> float:
     """Step bound lambda_min(partially diagonalized blocks) / lambda_max(exact H)."""
     factor, _ = fp.split(side)
     check_active_mask(active, factor.shape)
-    h = exact_hessian(ProblemKind.DENOISE, side, y, None, fp, lam, eta)
+    h = exact_hessian(ProblemKind.DENOISE, side, None, fp, lam, eta)
     h_tilde = surrogate_hessian(side, fp, lam, eta)
     lam_min = min(
         float(np.linalg.eigvalsh(partial_diag_block(h_tilde, active[i]))[0])

@@ -162,7 +162,7 @@ def test_criterion_5_majorization():
             hkind = ProblemKind.DENOISE if kind is ProblemKind.NMF else kind
             for side in ("u", "v"):
                 worst_gap = min(
-                    worst_gap, psd_gap(hkind, side, y, mask, fp, 1.0, 1e-3)
+                    worst_gap, psd_gap(hkind, side, mask, fp, 1.0, 1e-3)
                 )
                 factor = fp.u if side == "u" else fp.v
                 for _ in range(100):
@@ -193,7 +193,7 @@ def test_criterion_6_nmf_step_bound_majorization():
             g = gradient(ProblemKind.NMF, side, y, None, fp, 1.0, 1e-3)
             factor = fp.u if side == "u" else fp.v
             act = active_set_rows(factor, g, 1e-6)
-            alpha = min(1.0, nmf_alpha_bound(y, side, fp, 1.0, 1e-3, act))
+            alpha = min(1.0, nmf_alpha_bound(side, fp, 1.0, 1e-3, act))
             for _ in range(100):
                 cand = np.maximum(
                     factor + 0.3 * rng.standard_normal(factor.shape), 0.0
@@ -288,7 +288,7 @@ def test_criterion_8_gradient_hessian_correctness():
         y = rng.standard_normal((m, n))
         fp = FactorPair(rng.standard_normal((m, 2)), rng.standard_normal((n, 2)))
         for side in ("u", "v"):
-            h = exact_hessian(ProblemKind.DENOISE, side, y, None, fp, 0.9, 1e-2)
+            h = exact_hessian(ProblemKind.DENOISE, side, None, fp, 0.9, 1e-2)
             fd = fd_hessian(ProblemKind.DENOISE, side, y, None, fp, 0.9, 1e-2)
             worst_h = max(worst_h, np.linalg.norm(h - fd) / np.linalg.norm(fd))
     ok = worst_g <= 1e-5 and worst_h <= 1e-4

@@ -12,6 +12,7 @@ from lowrankmf import (
     Problem,
     ProblemKind,
     SolverConfig,
+    armijo_search,
     objective,
     prune_columns,
     relative_change,
@@ -20,6 +21,7 @@ from lowrankmf import (
     solve_denoise,
     solve_mc,
     solve_nmf,
+    weight_diag,
 )
 from lowrankmf import common
 from lowrankmf.common import (
@@ -30,6 +32,7 @@ from lowrankmf.common import (
     init_factors,
     stop_status,
 )
+from lowrankmf.core import block_step
 from lowrankmf.data import add_noise_snr, gen_lowrank, sample_mask
 
 
@@ -365,3 +368,163 @@ def test_every_solve_descends_by_its_certificate_and_stops_as_reported(
         last = i + 1 == trace.iterations
         assert stop_status(prefix, cfg) == (trace.status if last else None)
         prev = r.objective
+
+
+# ------------------------------------- objective from the V step's products
+
+
+@pytest.fixture
+def driver_objectives(monkeypatch):
+    """Each objective a ``Problem`` forms during a solve, as
+    (problem, pair, lam, eta, value, direct): ``direct`` when it formed U V^T."""
+    seen, products = [], [0]
+    product, original = FactorPair.product, Problem.objective
+
+    def count(self):
+        products[0] += 1
+        return product(self)
+
+    def spy(self, fp, lam, eta):
+        before = products[0]
+        value = original(self, fp, lam, eta)
+        seen.append((self, fp, lam, eta, value, products[0] > before))
+        return value
+
+    monkeypatch.setattr(FactorPair, "product", count)
+    monkeypatch.setattr(Problem, "objective", spy)
+    return seen
+
+
+def _check_against_recomputed(seen) -> list[bool]:
+    """Assert each recorded objective equals ``objective`` recomputed from its
+    factors to 1e-12 relative; return whether each in-loop one was direct.
+    The first entry is the start point, evaluated on a fresh ``Problem``."""
+    seen = list(seen)
+    assert seen[0][5]
+    for problem, fp, lam, eta, value, _ in seen:
+        want = objective(problem.kind, problem.y, problem.mask, fp, lam, eta)
+        assert abs(value - want) <= 1e-12 * abs(want)
+    return [direct for *_, direct in seen[1:]]
+
+
+def _noisy(m, n, r, seed, dist="gaussian"):
+    return add_noise_snr(gen_lowrank(m, n, r, dist, seed), 20.0, seed + 1)
+
+
+def test_factored_objective_of_denoise_iterates_without_a_prune(driver_objectives):
+    _, trace = solve_denoise(_noisy(40, 30, 3, 5), SolverConfig(lam=1.0, d_init=3))
+    assert not trace.prunes and trace.iterations > 1
+    direct = _check_against_recomputed(driver_objectives)
+    assert len(direct) == trace.iterations and not any(direct)
+
+
+def test_factored_objective_of_denoise_iterates_across_prunes(driver_objectives):
+    _, trace = solve_denoise(_noisy(40, 30, 3, 7), SolverConfig(lam=5.0, d_init=10))
+    assert trace.prunes and trace.records[-1].d < 10
+    direct = _check_against_recomputed(driver_objectives)
+    assert len(direct) == trace.iterations and not any(direct)
+
+
+def test_factored_objective_after_a_rejected_nmf_v_search(driver_objectives):
+    # The V search cannot meet a sufficient-decrease factor of 1e6, so V' = V
+    # while U moves: the record reads the slot the rejected search filled.
+    y = np.maximum(_noisy(30, 20, 3, 9, "uniform01"), 0.0)
+    cfg = SolverConfig(lam=1.0, d_init=5, max_iter=4)
+    reject = SolverConfig(lam=1.0, d_init=5, nmf=NmfOptions(sigma=1e6, max_backtracks=3))
+    problem, accepted = Problem(ProblemKind.NMF, y), []
+
+    def step(side, fp, w):
+        res = armijo_search(problem, side, fp, w, cfg if side == "u" else reject)
+        accepted.append((side, res.accepted))
+        return res.factor, res.rhs
+
+    _, trace = common.alternate(problem, cfg, step)
+    assert ("u", True) in accepted and ("v", True) not in accepted
+    direct = _check_against_recomputed(driver_objectives)
+    assert len(direct) == trace.iterations and not any(direct)
+
+
+def test_factored_objective_falls_back_on_cancellation(driver_objectives):
+    # Noiseless rank-3 data: the fit term drops far below 1e-3 of 1/2 ||Y||^2,
+    # where the factored form would cancel, and is evaluated directly.
+    y = gen_lowrank(40, 30, 3, "gaussian", 11)
+    _, trace = solve_denoise(y, SolverConfig(lam=1e-3, d_init=3))
+    direct = _check_against_recomputed(driver_objectives)
+    assert len(direct) == trace.iterations and any(direct)
+    half_sq = 0.5 * float(np.sum(y * y))
+    for (_, fp, lam, eta, value, _), was_direct in zip(driver_objectives[1:], direct):
+        fit = value - lam * smoothed_regularizer(fp, eta)
+        assert was_direct == (fit < Problem.CANCELLATION * half_sq)
+
+
+def test_factored_objective_of_a_step_without_filled_product(driver_objectives):
+    # A custom step that forms Y G itself leaves the slot empty: direct objective.
+    y = _noisy(30, 20, 3, 13)
+    cfg = SolverConfig(lam=1.0, d_init=4, max_iter=5)
+
+    def step(side, fp, w):
+        factor, other = fp.split(side)
+        h = other.T @ other + cfg.lam * np.diag(w)
+        return np.linalg.solve(h, other.T @ (y.T if side == "u" else y)).T, 0.0
+
+    _, trace = common.alternate(Problem(ProblemKind.DENOISE, y), cfg, step)
+    direct = _check_against_recomputed(driver_objectives)
+    assert len(direct) == trace.iterations and all(direct)
+
+
+def test_factored_objective_of_a_pair_the_slot_does_not_hold(driver_objectives):
+    # The slot is keyed by the array U' itself: an equal copy, or another
+    # point, is evaluated directly.
+    y = _noisy(30, 20, 3, 15)
+    problem = Problem(ProblemKind.DENOISE, y)
+    fp = init_factors(problem, 4, np.random.default_rng(0))
+    v_new, _ = block_step(problem, "v", fp, weight_diag(fp, 1e-6), 1.0)
+    held = FactorPair(fp.u, v_new)
+    other = init_factors(problem, 4, np.random.default_rng(1))
+    for pair in (held, FactorPair(fp.u.copy(), v_new), other):
+        problem.objective(pair, 1.0, 1e-6)
+    assert [entry[5] for entry in driver_objectives] == [False, True, True]
+    for _, pair, lam, eta, value, _ in list(driver_objectives):
+        want = objective(ProblemKind.DENOISE, y, None, pair, lam, eta)
+        assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def _two_gram_diagnostics(prev, next_):
+    """The diagnostics as formed before the V step's Gram was reused: both
+    Grams formed here, and one ``eigvalsh`` call each."""
+    du, dv = next_.u - prev.u, next_.v - prev.v
+    disp = float(np.sum(du**2) + float(np.sum(dv**2)))
+    gram_u, gram_v = next_.u.T @ next_.u, next_.v.T @ next_.v
+    rel = common.safe_relative_change(prev, next_, (du, dv, gram_v))
+    if next_.d == 0:
+        return disp, rel, 0.0, 0.0
+    min_eig = min(
+        float(np.linalg.eigvalsh(gram_u)[0]), float(np.linalg.eigvalsh(gram_v)[0])
+    )
+    max_col = max(float(np.max(np.diag(gram_u))), float(np.max(np.diag(gram_v))))
+    return disp, rel, min_eig, max_col
+
+
+@pytest.mark.parametrize("d", [1, 5, 40])
+def test_iteration_diagnostics_from_the_step_gram_match_bitwise(d):
+    y = _noisy(60, 50, 3, 17)
+    problem = Problem(ProblemKind.DENOISE, y)
+    prev = init_factors(problem, d, np.random.default_rng(d))
+    u_new, _ = block_step(problem, "u", prev, weight_diag(prev, 1e-6), 1.0)
+    mid = FactorPair(u_new, prev.v)
+    v_new, _ = block_step(problem, "v", mid, weight_diag(mid, 1e-6), 1.0)
+    next_ = FactorPair(u_new, v_new)
+    gram_u = problem.gram_u(next_)
+    assert problem.gram_u(next_) is gram_u  # the V step's Gram, not formed again
+    got = common._iteration_diagnostics(prev, next_, gram_u)
+    assert got == _two_gram_diagnostics(prev, next_)
+    # with the factors' roles swapped, the other Gram holds the smaller eigenvalue
+    swap = [FactorPair(p.v, p.u) for p in (prev, next_)]
+    got = common._iteration_diagnostics(*swap, next_.v.T @ next_.v)
+    assert got == _two_gram_diagnostics(*swap)
+
+
+def test_iteration_diagnostics_of_an_empty_pair_are_zero():
+    empty = FactorPair(np.zeros((4, 0)), np.zeros((3, 0)))
+    gram_u = Problem(ProblemKind.DENOISE, np.ones((4, 3))).gram_u(empty)
+    assert common._iteration_diagnostics(empty, empty, gram_u) == (0.0, 0.0, 0.0, 0.0)

@@ -701,10 +701,10 @@ def _side_calls():
         ),
         "gradient": lambda side: gradient(kind, side, y, mask, fp, lam, eta),
         "exact_hessian": lambda side: oracles.exact_hessian(
-            kind, side, y, mask, fp, lam, eta
+            kind, side, mask, fp, lam, eta
         ),
         "surrogate_hessian": lambda side: oracles.surrogate_hessian(side, fp, lam, eta),
-        "psd_gap": lambda side: oracles.psd_gap(kind, side, y, mask, fp, lam, eta),
+        "psd_gap": lambda side: oracles.psd_gap(kind, side, mask, fp, lam, eta),
         "surrogate_value": lambda side: oracles.surrogate_value(
             kind, side, y, mask, fp, lam, eta, fp.u
         ),
@@ -712,7 +712,7 @@ def _side_calls():
             y, side, fp, lam, eta, fp.u, active, 1.0
         ),
         "nmf_alpha_bound": lambda side: oracles.nmf_alpha_bound(
-            y, side, fp, lam, eta, active
+            side, fp, lam, eta, active
         ),
     }
 
