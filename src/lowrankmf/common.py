@@ -169,12 +169,13 @@ class IterationTrace:
 def prune_columns(fp: FactorPair, threshold: float) -> tuple[FactorPair, list[int]]:
     """Drop columns whose joint norm falls below ``threshold`` times the largest.
 
-    Returns the pruned pair and the list of surviving column indices
+    Returns the pruned pair, a column selection that carries the Grams
+    (:meth:`FactorPair.select`), and the list of surviving column indices
     (order preserved).  An all-zero pair yields a d = 0 pair, the caller's
     degenerate terminal state.
     """
-    if threshold <= 0:
-        raise InvalidParameterError("threshold must be positive")
+    if not 0.0 < threshold < math.inf:
+        raise InvalidParameterError("threshold must be positive and finite")
     norms = column_pair_norms(fp)
     top = norms.max() if norms.size else 0.0
     if top == 0.0:
@@ -184,31 +185,32 @@ def prune_columns(fp: FactorPair, threshold: float) -> tuple[FactorPair, list[in
     kept = [int(i) for i in np.nonzero(kept_mask)[0]]
     if len(kept) == fp.d:
         return fp, kept
-    return FactorPair(fp.u[:, kept_mask], fp.v[:, kept_mask]), kept
+    return fp.select(kept), kept
 
 
-def _product_change_sq(
-    prev: FactorPair, next_: FactorPair, diff=None
-) -> tuple[float, float]:
+def _padded(fp: FactorPair, d: int) -> FactorPair:
+    """``fp`` with zero columns appended up to width ``d``."""
+    if fp.d == d:
+        return fp
+    return FactorPair(*(np.pad(a, ((0, 0), (0, d - fp.d))) for a in (fp.u, fp.v)))
+
+
+def _product_change_sq(prev: FactorPair, next_: FactorPair) -> tuple[float, float]:
     """||dU V'^T + U dV^T||_F^2 = ||U' V'^T - U V^T||_F^2, exactly 0 for an unmoved
-    pair, and ||U V^T||_F^2, from d x d Grams (a narrower pair is zero-padded).
-    ``diff`` is (U' - U, V' - V, V'^T V') of pairs of one width, when the
-    caller has formed them."""
+    pair, and ||U V^T||_F^2, in O((m + n) d^2): U^T U, V^T V and V'^T V' come
+    from the pairs' ledgers.  A narrower pair is zero-padded."""
     if next_.shape != prev.shape:
         raise InvalidParameterError("factor pairs describe different matrix shapes")
     d = max(prev.d, next_.d)
-    u, v, un, vn = (
-        a if a.shape[1] == d else np.pad(a, ((0, 0), (0, d - a.shape[1])))
-        for a in (prev.u, prev.v, next_.u, next_.v)
-    )
-    du, dv, gram_vn = diff or (un - u, vn - v, vn.T @ vn)
-    gram_u = u.T @ u
+    prev, next_ = _padded(prev, d), _padded(next_, d)
+    u, gram_u = prev.u, prev.gram_u
+    du, dv = next_.u - u, next_.v - prev.v
     change = (
-        np.vdot(du.T @ du, gram_vn)
-        + 2.0 * np.vdot(du.T @ u, vn.T @ dv)
+        np.vdot(du.T @ du, next_.gram_v)
+        + 2.0 * np.vdot(du.T @ u, next_.v.T @ dv)
         + np.vdot(gram_u, dv.T @ dv)
     )
-    return max(float(change), 0.0), float(np.vdot(gram_u, v.T @ v))
+    return max(float(change), 0.0), float(np.vdot(gram_u, prev.gram_v))
 
 
 def relative_change(prev: FactorPair, next_: FactorPair) -> float:
@@ -219,11 +221,10 @@ def relative_change(prev: FactorPair, next_: FactorPair) -> float:
     return float(np.sqrt(change / base))
 
 
-def safe_relative_change(prev: FactorPair, next_: FactorPair, diff=None) -> float:
+def safe_relative_change(prev: FactorPair, next_: FactorPair) -> float:
     """Like :func:`relative_change` but defined for a zero previous product:
-    0.0 for an unmoved pair, else inf.  ``diff`` is (U' - U, V' - V, V'^T V')
-    of pairs of one width, when the caller has formed them."""
-    change, base = _product_change_sq(prev, next_, diff)
+    0.0 for an unmoved pair, else inf."""
+    change, base = _product_change_sq(prev, next_)
     if base <= 0.0:
         return 0.0 if change == 0.0 else float("inf")
     return float(np.sqrt(change / base))
@@ -276,22 +277,16 @@ def init_factors(problem: Problem, d: int, rng: np.random.Generator) -> FactorPa
     return FactorPair(u, v)
 
 
-def _iteration_diagnostics(
-    prev: FactorPair, next_: FactorPair, gram_u: np.ndarray
-) -> tuple[float, ...]:
-    """displacement_sq, rel_change, gram_min_eig and max_col_sq, forming U' - U,
-    V' - V and V'^T V' once; ``gram_u`` is U'^T U', which the V step formed.
-    Both Grams' smallest eigenvalues come from one ``eigvalsh`` over their
-    (2, d, d) stack.  The differences are freed on return, before the
-    objective allocates: held longer, they raised the minor page faults of
-    a completion solve by about 40 %."""
-    du, dv = next_.u - prev.u, next_.v - prev.v
-    disp = float(np.sum(du**2) + float(np.sum(dv**2)))
-    gram_v = next_.v.T @ next_.v
-    rel = safe_relative_change(prev, next_, (du, dv, gram_v))
+def _iteration_diagnostics(prev: FactorPair, next_: FactorPair) -> tuple[float, ...]:
+    """displacement_sq, rel_change, gram_min_eig and max_col_sq of pairs of
+    one width, every Gram read from the pairs' ledgers.  Both of ``next_``'s
+    Grams' smallest eigenvalues come from one ``eigvalsh`` over their
+    (2, d, d) stack."""
+    disp = sum(float(np.vdot(x, x)) for x in (next_.u - prev.u, next_.v - prev.v))
+    rel = safe_relative_change(prev, next_)
     if next_.d == 0:
         return disp, rel, 0.0, 0.0
-    grams = np.stack((gram_u, gram_v))
+    grams = np.stack((next_.gram_u, next_.gram_v))
     min_eig = float(np.min(np.linalg.eigvalsh(grams)[:, 0]))
     max_col = float(np.max(np.diagonal(grams, axis1=1, axis2=2)))
     return disp, rel, min_eig, max_col
@@ -309,21 +304,20 @@ def finish_iteration(
 ) -> FactorPair:
     """Shared post-update bookkeeping: prune, record, return current pair.
 
-    The diagnostics read U'^T U' from the V step (:meth:`Problem.gram_u`),
-    and the objective at the pruned pair comes from the V step's products
-    (:meth:`Problem.objective`, with :meth:`Problem.keep_columns` across a
-    prune).  An unmoved, unpruned pair (``displacement_sq == 0``) takes the
-    previous record's objective exactly, so a stalled record repeats it.
+    The diagnostics, the column norms and the objective read the Grams of
+    the pairs' ledgers; the objective at the pruned pair also reads the V
+    step's Y^T U' (:meth:`Problem.objective`, with
+    :meth:`Problem.keep_columns` across a prune).  An unmoved, unpruned
+    pair (``displacement_sq == 0``) takes the previous record's objective
+    exactly, so a stalled record repeats it.
     """
-    disp, rel, min_eig, max_col = _iteration_diagnostics(
-        prev, next_, problem.gram_u(next_)
-    )
+    disp, rel, min_eig, max_col = _iteration_diagnostics(prev, next_)
     norms = column_pair_norms(next_)
     if norms.size and norms.max() < cfg.eta:
         # Every column sits below the smoothing scale: the factorization
         # carries no signal the regularizer can distinguish from zero, so
         # the relative rule (scale invariant by design) would never fire.
-        pruned, kept = FactorPair(next_.u[:, :0], next_.v[:, :0]), []
+        pruned, kept = next_.select([]), []
     else:
         pruned, kept = prune_columns(next_, cfg.prune_tol)
     unpruned = len(kept) == next_.d
@@ -381,7 +375,7 @@ def alternate(
         side = "U"
         try:
             u_new, cert_u = step("u", fp, weight_diag(fp, cfg.eta))
-            mid = FactorPair(u_new, fp.v)
+            mid = fp.with_factor("u", u_new)
             side = "V"
             v_new, cert_v = step("v", mid, weight_diag(mid, cfg.eta))
         except np.linalg.LinAlgError as exc:
@@ -389,7 +383,7 @@ def alternate(
                 f"iteration {k}, {side} half-step: the curvature block is singular "
                 f"to working precision at lam={cfg.lam!r}; use a larger lam"
             ) from exc
-        next_fp = FactorPair(u_new, v_new)
+        next_fp = mid.with_factor("v", v_new)
         fp = finish_iteration(trace, cfg, k, fp, next_fp, cert_u + cert_v, problem, t0)
         status = stop_status(trace, cfg)
         if status is not None:

@@ -11,8 +11,10 @@ residual at the observed entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -69,9 +71,33 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` if it is read-only, else a read-only view of it."""
+    if a.flags.writeable:
+        a = a.view()
+        a.flags.writeable = False
+    return a
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    """A^T A, the one place a factor's Gram is formed."""
+    return a.T @ a
+
+
 @dataclass(frozen=True)
 class FactorPair:
-    """The current factors U (m x d) and V (n x d) sharing inner dimension d."""
+    """The current factors U (m x d) and V (n x d) sharing inner dimension d.
+
+    The pair keeps a ledger of its Grams: ``gram_u`` = U^T U and
+    ``gram_v`` = V^T V, each formed on first use and kept, and ``sq``, the
+    squared joint column norms ||u_i||^2 + ||v_i||^2, read from their
+    diagonals.  The weights, the regularizer, pruning, the factor steps,
+    the rate diagnostics and the dense objective all read these.  The
+    ledger stays exact because ``u`` and ``v`` are read-only views (writing
+    through the pair raises) and because the two derivations that keep it,
+    :meth:`with_factor` and :meth:`select`, carry only what they do not
+    change.  Each factor is checked finite once, when it enters a pair.
+    """
 
     u: np.ndarray
     v: np.ndarray
@@ -83,8 +109,20 @@ class FactorPair:
             raise DimensionMismatchError(
                 f"factors disagree on inner dimension: {u.shape[1]} vs {v.shape[1]}"
             )
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "u", _frozen(u))
+        object.__setattr__(self, "v", _frozen(v))
+
+    @classmethod
+    def _carry(cls, u, v, ledger: dict) -> "FactorPair":
+        """A pair of checked read-only factors and the ``ledger`` entries
+        (Grams by name) known for them."""
+        fp = object.__new__(cls)
+        vars(fp).update(u=u, v=v, **ledger)
+        return fp
+
+    def _known(self, *names) -> dict:
+        """The ledger entries among ``names`` that are already formed."""
+        return {name: vars(self)[name] for name in names if name in vars(self)}
 
     @property
     def d(self) -> int:
@@ -94,16 +132,62 @@ class FactorPair:
     def shape(self) -> tuple[int, int]:
         return (self.u.shape[0], self.v.shape[0])
 
+    # The ledger: each entry is formed on first use and kept in the
+    # instance dictionary, where :meth:`_carry` also puts carried ones.
+    @cached_property
+    def gram_u(self) -> np.ndarray:
+        """U^T U (read-only)."""
+        return _frozen(_gram(self.u))
+
+    @cached_property
+    def gram_v(self) -> np.ndarray:
+        """V^T V (read-only)."""
+        return _frozen(_gram(self.v))
+
+    @cached_property
+    def sq(self) -> np.ndarray:
+        """Squared joint column norms diag(U^T U) + diag(V^T V) (read-only)."""
+        return _frozen(np.diagonal(self.gram_u) + np.diagonal(self.gram_v))
+
     def product(self) -> np.ndarray:
         return self.u @ self.v.T
 
+    @staticmethod
+    def _is_u(side: str) -> bool:
+        if side not in ("u", "v"):
+            raise InvalidParameterError(f"side must be 'u' or 'v', got {side!r}")
+        return side == "u"
+
     def split(self, side: str) -> tuple[np.ndarray, np.ndarray]:
         """(factor, other) of a step that updates ``side``, ``"u"`` or ``"v"``."""
-        if side == "u":
-            return self.u, self.v
-        if side == "v":
-            return self.v, self.u
-        raise InvalidParameterError(f"side must be 'u' or 'v', got {side!r}")
+        return (self.u, self.v) if self._is_u(side) else (self.v, self.u)
+
+    def other_gram(self, side: str) -> np.ndarray:
+        """G^T G of the factor G that a step updating ``side`` holds fixed."""
+        return self.gram_v if self._is_u(side) else self.gram_u
+
+    def with_factor(self, side: str, new) -> "FactorPair":
+        """This pair with the ``side`` factor replaced by ``new``, which is
+        checked; the other factor and its Gram are carried over."""
+        is_u = self._is_u(side)
+        old, kept = (self.u, "gram_v") if is_u else (self.v, "gram_u")
+        new = as_matrix(new, side)
+        if new.shape != old.shape:
+            raise DimensionMismatchError(
+                f"new {side} has shape {new.shape}, the pair's has {old.shape}"
+            )
+        new = _frozen(new)
+        u, v = (new, self.v) if is_u else (self.u, new)
+        return self._carry(u, v, self._known(kept))
+
+    def select(self, columns) -> "FactorPair":
+        """The pair of the ``columns`` (indices, in order) of both factors,
+        with the matching sub-blocks of the Grams already formed."""
+        idx = np.asarray(columns, dtype=np.intp)
+        block = np.ix_(idx, idx)
+        grams = self._known("gram_u", "gram_v")
+        ledger = {name: _frozen(g[block]) for name, g in grams.items()}
+        return self._carry(_frozen(self.u[:, idx]), _frozen(self.v[:, idx]), ledger)
 
 
 @dataclass(frozen=True)
@@ -158,16 +242,15 @@ class ObservedMask:
 
 
 def column_pair_norms(fp: FactorPair) -> np.ndarray:
-    """Per-column joint norms sqrt(||u_i||^2 + ||v_i||^2)."""
-    return np.sqrt(np.sum(fp.u * fp.u, axis=0) + np.sum(fp.v * fp.v, axis=0))
+    """Per-column joint norms sqrt(||u_i||^2 + ||v_i||^2), from the pair's Grams."""
+    return np.sqrt(fp.sq)
 
 
 def weight_diag(fp: FactorPair, eta: float) -> np.ndarray:
     """Diagonal reweighting entries 1/sqrt(||u_i||^2 + ||v_i||^2 + eta^2)."""
-    if eta <= 0:
-        raise InvalidParameterError("eta must be positive")
-    sq = np.sum(fp.u * fp.u, axis=0) + np.sum(fp.v * fp.v, axis=0)
-    return 1.0 / np.sqrt(sq + eta * eta)
+    if not 0.0 < eta < math.inf:
+        raise InvalidParameterError("eta must be positive and finite")
+    return 1.0 / np.sqrt(fp.sq + eta * eta)
 
 
 def smoothed_regularizer(fp: FactorPair, eta: float) -> float:
@@ -175,10 +258,9 @@ def smoothed_regularizer(fp: FactorPair, eta: float) -> float:
 
     With ``eta=0`` this is the l1/l2 norm of the stacked factor columns.
     """
-    if eta < 0:
-        raise InvalidParameterError("eta must be nonnegative")
-    sq = np.sum(fp.u * fp.u, axis=0) + np.sum(fp.v * fp.v, axis=0)
-    return float(np.sum(np.sqrt(sq + eta * eta)))
+    if not 0.0 <= eta < math.inf:
+        raise InvalidParameterError("eta must be nonnegative and finite")
+    return float(np.sum(np.sqrt(fp.sq + eta * eta)))
 
 
 def apply_mask(m, mask: ObservedMask) -> np.ndarray:
@@ -211,17 +293,18 @@ class Problem:
     the next read it at the same pruned point.  A new pair, even one with
     equal values, is evaluated afresh.
 
-    The V side of :meth:`filled_product` keeps the products it forms at
-    U' in a second slot, keyed by the array U' (held, like the pair
-    above): U'^T U', and for dense data Y^T U'.  With 1/2 ||Y||^2 cached
-    once, :meth:`objective` at any (U', V') reads the fit term from them
-    as 1/2 ||Y||^2 - <V', Y^T U'> + 1/2 <U'^T U', V'^T V'> in
-    O(n d^2), not O(m n d).  :meth:`keep_columns` carries the slot to a
-    pruned pair.  A point the slot does not hold (a step that never
-    forms the product, a non-float64 factor copied on the way), or a fit
-    term below ``CANCELLATION`` times 1/2 ||Y||^2, is evaluated from the
-    residual U V^T - Y directly: the subtraction's rounding error is a few
-    eps * 1/2 ||Y||^2, about 1e-12 of the fit term at the guard.
+    For dense data the V side of :meth:`filled_product` keeps the product
+    it forms at U', Y^T U', in a second slot, keyed by the array U' (held,
+    like the pair above).  With 1/2 ||Y||^2 cached once and both Grams
+    read from the pair's ledger (:class:`FactorPair`), :meth:`objective`
+    at any (U', V') reads the fit term as
+    1/2 ||Y||^2 - <V', Y^T U'> + 1/2 <U'^T U', V'^T V'> in O(n d), not
+    O(m n d).  :meth:`keep_columns` carries the slot to a pruned pair.  A
+    point the slot does not hold (a step that never forms the product, a
+    pair built from a copy of U'), or a fit term below ``CANCELLATION`` times
+    1/2 ||Y||^2, is evaluated from the residual U V^T - Y directly: the
+    subtraction's rounding error is a few eps * 1/2 ||Y||^2, about 1e-12
+    of the fit term at the guard.
     """
 
     # Fit term, relative to 1/2 ||Y||^2, below which the factored form
@@ -232,7 +315,7 @@ class Problem:
         y = as_matrix(y, "y")
         self.kind, self.y, self.mask, self.y_obs = kind, y, mask, y
         self._last: tuple[FactorPair, np.ndarray] | None = None
-        self._v_step: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None
+        self._v_step: tuple[np.ndarray, np.ndarray] | None = None
         if kind is ProblemKind.COMPLETE:
             if mask is None:
                 raise InvalidParameterError("completion requires an observed mask")
@@ -308,68 +391,59 @@ class Problem:
                 fit = 0.5 * float(np.sum(res * res))
         return fit + lam * smoothed_regularizer(fp, eta)
 
-    def _slot_at(self, u: np.ndarray):
-        """The V-step slot if it was filled at the array ``u``, else None."""
+    def _yt_u_at(self, u: np.ndarray) -> np.ndarray | None:
+        """Y^T U from the V-step slot if it was filled at the array ``u``."""
         slot = self._v_step
-        return slot if slot is not None and slot[0] is u else None
+        return slot[1] if slot is not None and slot[0] is u else None
 
     def _factored_fit(self, fp: FactorPair) -> float | None:
-        """The dense fit term at ``fp`` from the V-step slot, or None when the
-        slot does not hold ``fp.u`` or the fit term is below the guard."""
-        slot = self._slot_at(fp.u)
-        if slot is None:
+        """The dense fit term at ``fp`` from the V-step slot and the pair's
+        Grams, or None when the slot does not hold ``fp.u`` or the fit term
+        is below the guard."""
+        yt_u = self._yt_u_at(fp.u)
+        if yt_u is None:
             return None
-        _, gram_u, yt_u = slot
         fit = (
             self.half_sq
             - float(np.vdot(fp.v, yt_u))
-            + 0.5 * float(np.vdot(gram_u, fp.v.T @ fp.v))
+            + 0.5 * float(np.vdot(fp.gram_u, fp.gram_v))
         )
         return fit if fit >= self.CANCELLATION * self.half_sq else None
 
-    def gram_u(self, fp: FactorPair) -> np.ndarray:
-        """U^T U of ``fp``: the V step's, when the slot holds ``fp.u``."""
-        slot = self._slot_at(fp.u)
-        return fp.u.T @ fp.u if slot is None else slot[1]
-
     def keep_columns(self, fp: FactorPair, pruned: FactorPair, kept: list[int]):
         """Carry the V-step slot at ``fp.u`` over to ``pruned``, the columns
-        ``kept`` of ``fp``: a column selection of each product."""
-        slot = self._slot_at(fp.u)
-        if slot is None:
-            return
-        _, gram_u, yt_u = slot
-        idx = np.asarray(kept, dtype=np.intp)
-        self._v_step = (
-            pruned.u,
-            gram_u[np.ix_(idx, idx)],
-            None if yt_u is None else yt_u[:, idx],
-        )
+        ``kept`` of ``fp``: a column selection of Y^T U."""
+        yt_u = self._yt_u_at(fp.u)
+        if yt_u is not None:
+            self._v_step = (pruned.u, yt_u[:, np.asarray(kept, dtype=np.intp)])
 
-    def filled_product(self, side: str, fp: FactorPair, gram: np.ndarray) -> np.ndarray:
-        """Z G for a step that updates ``side``, G the other factor and
-        ``gram`` its Gram G^T G: Z = Y for dense data, and for completion
-        the fill-in P_Omega(Y) + P_Omega^perp(U V^T), whose product
-        F G^T G - P_Omega(U V^T - Y) G (F the updated factor) forms no
-        m x n array.  On the V side it fills the slot :meth:`objective`
-        reads: (U, U^T U, Y^T U), Y^T U left out for completion."""
+    def filled_product(self, side: str, fp: FactorPair) -> np.ndarray:
+        """Z G for a step that updates ``side``, G the other factor: Z = Y
+        for dense data, and for completion the fill-in
+        P_Omega(Y) + P_Omega^perp(U V^T), whose product
+        F G^T G - P_Omega(U V^T - Y) G (F the updated factor, G^T G from the
+        pair's ledger) forms no m x n array.  For dense data the V side
+        fills the slot :meth:`objective` reads: (U, Y^T U)."""
         factor, other = fp.split(side)
         if self.kind is not ProblemKind.COMPLETE:
             prod = (self.y if side == "u" else self.y.T) @ other
             if side == "v":
-                self._v_step = (other, gram, prod)
+                self._v_step = (other, prod)
             return prod
-        if side == "v":
-            self._v_step = (other, gram, None)
         res = self.residual_csr(fp)
-        return factor @ gram - np.asarray((res if side == "u" else res.T) @ other)
+        return factor @ fp.other_gram(side) - np.asarray(
+            (res if side == "u" else res.T) @ other
+        )
 
     def gradient(self, side: str, fp: FactorPair, lam: float, w: np.ndarray) -> np.ndarray:
         """:func:`gradient` at a point :meth:`check` accepts, with the
         weight diagonal ``w`` of ``fp``: F G^T G - Z G + lam F D."""
-        factor, other = fp.split(side)
-        gram = other.T @ other
-        return factor @ gram - self.filled_product(side, fp, gram) + lam * factor * w
+        factor = fp.split(side)[0]
+        return (
+            factor @ fp.other_gram(side)
+            - self.filled_product(side, fp)
+            + lam * factor * w
+        )
 
 
 def block_step(
@@ -377,12 +451,11 @@ def block_step(
 ) -> tuple[np.ndarray, float]:
     """Minimizer of the quadratic surrogate for one factor, and the objective
     drop it certifies: on the U side Z V H^{-1}, Z V from
-    :meth:`Problem.filled_product` and H = V^T V + lam D (one d x d SPD solve),
-    and the drop 0.5 <dU^T dU, H>, dU = U' - U."""
-    factor, other = fp.split(side)
-    gram = other.T @ other
-    h = gram + lam * np.diag(np.asarray(w, dtype=float))
-    new = np.linalg.solve(h, problem.filled_product(side, fp, gram).T).T
+    :meth:`Problem.filled_product` and H = V^T V + lam D (one d x d SPD solve,
+    V^T V from the pair's ledger), and the drop 0.5 <dU^T dU, H>, dU = U' - U."""
+    factor = fp.split(side)[0]
+    h = fp.other_gram(side) + lam * np.diag(np.asarray(w, dtype=float))
+    new = np.linalg.solve(h, problem.filled_product(side, fp).T).T
     step = new - factor
     return new, 0.5 * float(np.vdot(step.T @ step, h))
 
@@ -426,6 +499,10 @@ def gradient(
 def nre(x0, fp: FactorPair) -> float:
     """Normalized reconstruction error ||X0 - U V^T||_F / ||X0||_F."""
     x0 = as_matrix(x0, "x0")
+    if x0.shape != fp.shape:
+        raise DimensionMismatchError(
+            f"reference shape {x0.shape} does not match factor product {fp.shape}"
+        )
     denom = float(np.linalg.norm(x0))
     if denom == 0.0:
         raise InvalidParameterError("reference matrix must be nonzero")

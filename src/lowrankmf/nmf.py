@@ -162,19 +162,20 @@ def armijo_search(
     inequality holds, or the cap is exhausted.
 
     ``w`` is the weight diagonal of ``fp``; the gradient and the curvature
-    block both use it, with weight ``cfg.lam``.  Each trial's decrease
+    block both use it, with weight ``cfg.lam``.  The other factor's Gram and
+    the squared column norms come from ``fp``'s ledger.  Each trial's decrease
     comes from :func:`_decrease`, so the search evaluates no objective.
     """
-    factor, other = problem.check_step(ProblemKind.NMF, fp, cfg.lam).split(side)
-    gram = other.T @ other
-    data_grad = factor @ gram - problem.filled_product(side, fp, gram)
+    factor = problem.check_step(ProblemKind.NMF, fp, cfg.lam).split(side)[0]
+    gram = fp.other_gram(side)
+    data_grad = factor @ gram - problem.filled_product(side, fp)
     grad = data_grad + cfg.lam * factor * w
     # the surrogate block G^T G + lam diag(w), with its Gram kept
     h_tilde = gram + cfg.lam * np.diag(w)
     active = active_set_rows(factor, grad, cfg.nmf.eps_active)
     direction = _newton_directions(grad, h_tilde, active)
 
-    sq = np.sum(factor * factor, axis=0) + np.sum(other * other, axis=0)
+    sq = fp.sq
     beta = cfg.nmf.beta_u if side == "u" else cfg.nmf.beta_v
     sigma = cfg.nmf.sigma
     cap = cfg.nmf.max_backtracks

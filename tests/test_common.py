@@ -23,7 +23,7 @@ from lowrankmf import (
     solve_nmf,
     weight_diag,
 )
-from lowrankmf import common
+from lowrankmf import common, core
 from lowrankmf.common import (
     STATUS_CONVERGED,
     IterationRecord,
@@ -132,6 +132,13 @@ def test_prune_threshold_positive():
     fp = pair_with_norms([1.0])
     with pytest.raises(InvalidParameterError):
         prune_columns(fp, 0.0)
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf])
+def test_prune_threshold_finite(threshold):
+    # a NaN or infinite threshold would prune every column silently
+    with pytest.raises(InvalidParameterError):
+        prune_columns(pair_with_norms([1.0, 0.5]), threshold)
 
 
 def test_prune_objective_perturbation_bounded():
@@ -489,19 +496,27 @@ def test_factored_objective_of_a_pair_the_slot_does_not_hold(driver_objectives):
         assert abs(value - want) <= 1e-12 * abs(want)
 
 
-def _two_gram_diagnostics(prev, next_):
-    """The diagnostics as formed before the V step's Gram was reused: both
-    Grams formed here, and one ``eigvalsh`` call each."""
+def _spelled_out_diagnostics(prev, next_):
+    """The diagnostics with every Gram formed here as A^T A, the ledger's
+    formula, in the driver's order of operations, and one ``eigvalsh`` call
+    per Gram."""
     du, dv = next_.u - prev.u, next_.v - prev.v
-    disp = float(np.sum(du**2) + float(np.sum(dv**2)))
-    gram_u, gram_v = next_.u.T @ next_.u, next_.v.T @ next_.v
-    rel = common.safe_relative_change(prev, next_, (du, dv, gram_v))
+    disp = float(np.vdot(du, du)) + float(np.vdot(dv, dv))
+    gram_u, gram_v = prev.u.T @ prev.u, prev.v.T @ prev.v
+    gram_un, gram_vn = next_.u.T @ next_.u, next_.v.T @ next_.v
+    change = (
+        np.vdot(du.T @ du, gram_vn)
+        + 2.0 * np.vdot(du.T @ prev.u, next_.v.T @ dv)
+        + np.vdot(gram_u, dv.T @ dv)
+    )
+    base = float(np.vdot(gram_u, gram_v))
+    rel = float(np.sqrt(max(float(change), 0.0) / base))
     if next_.d == 0:
         return disp, rel, 0.0, 0.0
     min_eig = min(
-        float(np.linalg.eigvalsh(gram_u)[0]), float(np.linalg.eigvalsh(gram_v)[0])
+        float(np.linalg.eigvalsh(gram_un)[0]), float(np.linalg.eigvalsh(gram_vn)[0])
     )
-    max_col = max(float(np.max(np.diag(gram_u))), float(np.max(np.diag(gram_v))))
+    max_col = max(float(np.max(np.diag(gram_un))), float(np.max(np.diag(gram_vn))))
     return disp, rel, min_eig, max_col
 
 
@@ -511,20 +526,52 @@ def test_iteration_diagnostics_from_the_step_gram_match_bitwise(d):
     problem = Problem(ProblemKind.DENOISE, y)
     prev = init_factors(problem, d, np.random.default_rng(d))
     u_new, _ = block_step(problem, "u", prev, weight_diag(prev, 1e-6), 1.0)
-    mid = FactorPair(u_new, prev.v)
+    mid = prev.with_factor("u", u_new)
     v_new, _ = block_step(problem, "v", mid, weight_diag(mid, 1e-6), 1.0)
-    next_ = FactorPair(u_new, v_new)
-    gram_u = problem.gram_u(next_)
-    assert problem.gram_u(next_) is gram_u  # the V step's Gram, not formed again
-    got = common._iteration_diagnostics(prev, next_, gram_u)
-    assert got == _two_gram_diagnostics(prev, next_)
+    next_ = mid.with_factor("v", v_new)
+    assert next_.gram_u is mid.gram_u  # the V step's Gram, carried, not formed again
+    got = common._iteration_diagnostics(prev, next_)
+    assert got == _spelled_out_diagnostics(prev, next_)
+    # against the dense forms, to rounding
+    disp = float(np.sum((next_.u - prev.u) ** 2) + np.sum((next_.v - prev.v) ** 2))
+    dense = np.linalg.norm(next_.product() - prev.product()) / np.linalg.norm(
+        prev.product()
+    )
+    assert abs(got[0] - disp) <= 1e-12 * disp
+    assert abs(got[1] - dense) <= 1e-12 * dense
     # with the factors' roles swapped, the other Gram holds the smaller eigenvalue
     swap = [FactorPair(p.v, p.u) for p in (prev, next_)]
-    got = common._iteration_diagnostics(*swap, next_.v.T @ next_.v)
-    assert got == _two_gram_diagnostics(*swap)
+    assert common._iteration_diagnostics(*swap) == _spelled_out_diagnostics(*swap)
 
 
 def test_iteration_diagnostics_of_an_empty_pair_are_zero():
     empty = FactorPair(np.zeros((4, 0)), np.zeros((3, 0)))
-    gram_u = Problem(ProblemKind.DENOISE, np.ones((4, 3))).gram_u(empty)
-    assert common._iteration_diagnostics(empty, empty, gram_u) == (0.0, 0.0, 0.0, 0.0)
+    assert common._iteration_diagnostics(empty, empty) == (0.0, 0.0, 0.0, 0.0)
+
+
+# ------------------------------------------------------ Gram ledger per iteration
+
+
+@pytest.mark.parametrize("solve", ["denoise", "complete", "nmf"])
+def test_ledger_forms_two_factor_grams_per_iteration(monkeypatch, solve):
+    # The start point forms U^T U and V^T V once; each iteration then forms
+    # U'^T U' (for the V step's weights) and V'^T V' (for the diagnostics),
+    # and everything else reads them from the pairs' ledgers.
+    formed, gram = [], core._gram
+
+    def count(a):
+        formed.append(a.shape[0])
+        return gram(a)
+
+    monkeypatch.setattr(core, "_gram", count)
+    m, n = 30, 20
+    y = _noisy(m, n, 3, 19, "uniform01")
+    cfg = SolverConfig(lam=5.0, d_init=6, max_iter=40)
+    if solve == "denoise":
+        _, trace = solve_denoise(y, cfg)
+    elif solve == "complete":
+        _, trace = solve_mc(y, sample_mask(m, n, 400, 20), cfg)
+    else:
+        _, trace = solve_nmf(np.maximum(y, 0.0), cfg)
+    assert trace.iterations > 1 and trace.prunes
+    assert formed == [m, n] * (trace.iterations + 1)

@@ -76,6 +76,72 @@ def test_factor_pair_rejects_nonfinite():
         FactorPair(u, np.zeros((2, 1)))
 
 
+def test_factor_pair_ledger_cannot_go_stale():
+    # the factors and the Grams are read-only, so writing through the pair
+    # raises instead of leaving a Gram that no longer matches its factor
+    fp = random_pair(4, 3, 2, 0)
+    derived = [fp, fp.with_factor("u", np.ones((4, 2))), fp.select([1])]
+    for pair in derived:
+        for a in (pair.u, pair.v, pair.gram_u, pair.gram_v, pair.sq):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        fp.u += 1.0
+
+
+def test_factor_pair_with_factor_checks_only_the_new_factor():
+    fp = random_pair(4, 3, 2, 0)
+    gram_v = fp.gram_v
+    moved = fp.with_factor("u", np.ones((4, 2)))
+    assert moved.v is fp.v and moved.gram_v is gram_v
+    with pytest.raises(InvalidParameterError, match="non-finite"):
+        fp.with_factor("v", np.full((3, 2), np.nan))
+    with pytest.raises(DimensionMismatchError):
+        fp.with_factor("v", np.ones((3, 3)))
+    with pytest.raises(InvalidParameterError, match="side must be 'u' or 'v'"):
+        fp.with_factor("U", np.ones((4, 2)))
+
+
+@st.composite
+def ledger_walks(draw):
+    """A start pair (d = 0 to 4) and a sequence of derivations: a new factor
+    on one side, a column selection, or a read of one ledger entry, which
+    forms it if it is not yet known."""
+    m, n, d = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = st.sampled_from(["u", "v", "select", "gram_u", "gram_v", "sq"])
+    ops = draw(st.lists(steps, max_size=12))
+    return m, n, d, rng, ops, draw(st.randoms(use_true_random=False))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ledger_walks())
+def test_factor_pair_ledger_matches_fresh_grams(walk):
+    # every pair of the walk is checked at its end, so an entry carried
+    # while it was formed is checked as well as one formed on the check
+    m, n, d, rng, ops, pick = walk
+    scale = 10.0 ** rng.uniform(-3, 3)
+    walked = [FactorPair(scale * rng.standard_normal((m, d)), rng.standard_normal((n, d)))]
+    for op in ops:
+        fp = walked[-1]
+        if op in ("u", "v"):
+            rows = m if op == "u" else n
+            walked.append(fp.with_factor(op, rng.standard_normal((rows, fp.d))))
+        elif op == "select":
+            walked.append(fp.select(sorted(pick.sample(range(fp.d), pick.randint(0, fp.d)))))
+        else:
+            getattr(fp, op)
+    for fp in walked:
+        for got, a in ((fp.gram_u, fp.u), (fp.gram_v, fp.v)):
+            want = a.T @ a
+            assert got.shape == want.shape == (fp.d, fp.d)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.max(want, initial=0.0))
+        sq = np.sum(fp.u * fp.u, axis=0) + np.sum(fp.v * fp.v, axis=0)
+        assert np.all(np.abs(fp.sq - sq) <= 1e-12 * sq)
+        norms = np.sqrt(sq)
+        assert np.all(np.abs(column_pair_norms(fp) - norms) <= 1e-12 * norms)
+
+
 def test_mask_validation():
     with pytest.raises(InvalidParameterError):
         ObservedMask(2, 2, np.array([0, 0]), np.array([1, 1]))  # duplicate
@@ -143,6 +209,18 @@ def test_weight_diag_requires_positive_eta():
     fp = random_pair(2, 2, 1, 0)
     with pytest.raises(InvalidParameterError):
         weight_diag(fp, 0.0)
+
+
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
+def test_weight_diag_requires_finite_eta(eta):
+    with pytest.raises(InvalidParameterError):
+        weight_diag(random_pair(2, 2, 1, 0), eta)
+
+
+@pytest.mark.parametrize("eta", [-1e-3, np.nan, np.inf])
+def test_regularizer_requires_finite_nonnegative_eta(eta):
+    with pytest.raises(InvalidParameterError):
+        smoothed_regularizer(random_pair(2, 2, 1, 0), eta)
 
 
 def test_weight_diag_bounded_and_monotone():
@@ -464,7 +542,7 @@ def test_filled_product_is_the_fill_in_data_times_the_other_factor(side):
     _, other = fp.split(side)
     want = (z if side == "u" else z.T) @ other
     problem = Problem(ProblemKind.COMPLETE, y, mask)
-    got = problem.filled_product(side, fp, other.T @ other)
+    got = problem.filled_product(side, fp)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -503,6 +581,12 @@ def test_nre_rejects_zero_reference():
     fp = random_pair(2, 2, 1, 0)
     with pytest.raises(InvalidParameterError):
         nre(np.zeros((2, 2)), fp)
+
+
+def test_nre_rejects_a_reference_of_another_shape():
+    # a (1, 3) reference would broadcast against a 4 x 3 product
+    with pytest.raises(DimensionMismatchError):
+        nre(np.ones((1, 3)), random_pair(4, 3, 2, 0))
 
 
 def test_nre_matches_direct_computation():
