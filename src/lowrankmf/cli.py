@@ -52,14 +52,23 @@ def _snr_float(text: str) -> float:
     return val
 
 
-def _positive_int(text: str) -> int:
-    try:
-        val = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if val <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return val
+def _int_from(low: int):
+    """An argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            val = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if val < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return val
+
+    return parse
+
+
+_positive_int = _int_from(1)
+_seed = _int_from(0)  # numpy's generators take no negative seed
 
 
 def _add_solver_flags(p: argparse.ArgumentParser, lambda_required: bool = True):
@@ -71,7 +80,7 @@ def _add_solver_flags(p: argparse.ArgumentParser, lambda_required: bool = True):
     p.add_argument("--tol", type=_positive_float, default=SolverConfig.tol)
     p.add_argument("--max-iter", type=_positive_int, default=SolverConfig.max_iter)
     p.add_argument("--prune-tol", type=_positive_float, default=SolverConfig.prune_tol)
-    p.add_argument("--seed", type=int, default=SolverConfig.seed)
+    p.add_argument("--seed", type=_seed, default=SolverConfig.seed)
     p.add_argument("--output", help="factor output prefix (writes .u.mtx/.v.mtx)")
     p.add_argument("--trace", help="write the iteration trace as JSON")
     _add_synth_flags(p)
@@ -108,12 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth")
     _add_synth_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--format", choices=["mm", "csv"], default="mm")
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("verify")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("bench")
     _add_solver_flags(p, lambda_required=False)

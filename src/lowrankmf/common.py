@@ -305,9 +305,9 @@ def finish_iteration(
     """Shared post-update bookkeeping: prune, record, return current pair.
 
     The diagnostics, the column norms and the objective read the Grams of
-    the pairs' ledgers; the objective at the pruned pair also reads the V
-    step's Y^T U' (:meth:`Problem.objective`, with
-    :meth:`Problem.keep_columns` across a prune).  An unmoved, unpruned
+    the pairs' ledgers; the objective at the pruned pair fills the
+    problem's data-term slot there, which the next U step reads
+    (:meth:`Problem.objective`).  An unmoved, unpruned
     pair (``displacement_sq == 0``) takes the previous record's objective
     exactly, so a stalled record repeats it.
     """
@@ -330,7 +330,6 @@ def finish_iteration(
                 pair_norms_at_removal=[float(norms[i]) for i in removed],
             )
         )
-        problem.keep_columns(next_, pruned, kept)
     if unpruned and disp == 0.0:
         obj = trace.records[-1].objective if trace.records else trace.initial_objective
     else:

@@ -5,8 +5,8 @@ arrays validated at the boundary, a :class:`FactorPair` couples the two
 factors ``U`` (m x d) and ``V`` (n x d), and an :class:`ObservedMask`
 holds the index set of observed entries together with its sampling
 operator.  A :class:`Problem` checks one solve's data once and evaluates
-its objective and gradients; for completion its one data term is the
-residual at the observed entries.
+its objective and gradients from one data term per pair: the residual at
+the observed entries for completion, else Y V.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _gram(a: np.ndarray) -> np.ndarray:
     return a.T @ a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorPair:
     """The current factors U (m x d) and V (n x d) sharing inner dimension d.
 
@@ -285,26 +285,19 @@ class Problem:
     order, which is also CSR order, so the row pointers and the flat
     offsets are computed once.
 
-    The one completion data term is the residual at the observed entries,
-    read from row blocks of U V^T of at most ``STACK_ENTRIES`` entries.
-    The residual of the last point evaluated is kept in one slot, keyed
-    by that :class:`FactorPair` object (held, so its identity cannot be
-    reused): the objective at the end of one iteration and the U step of
-    the next read it at the same pruned point.  A new pair, even one with
-    equal values, is evaluated afresh.
-
-    For dense data the V side of :meth:`filled_product` keeps the product
-    it forms at U', Y^T U', in a second slot, keyed by the array U' (held,
-    like the pair above).  With 1/2 ||Y||^2 cached once and both Grams
-    read from the pair's ledger (:class:`FactorPair`), :meth:`objective`
-    at any (U', V') reads the fit term as
-    1/2 ||Y||^2 - <V', Y^T U'> + 1/2 <U'^T U', V'^T V'> in O(n d), not
-    O(m n d).  :meth:`keep_columns` carries the slot to a pruned pair.  A
-    point the slot does not hold (a step that never forms the product, a
-    pair built from a copy of U'), or a fit term below ``CANCELLATION`` times
-    1/2 ||Y||^2, is evaluated from the residual U V^T - Y directly: the
-    subtraction's rounding error is a few eps * 1/2 ||Y||^2, about 1e-12
-    of the fit term at the guard.
+    One slot, ``_last``, holds the data term at the last pair evaluated,
+    keyed by that :class:`FactorPair` object (held, so its identity cannot
+    be reused): for completion the residual at the observed entries, read
+    from row blocks of U V^T of at most ``STACK_ENTRIES`` entries; for
+    dense data Y V.  Both are read-only.  The objective at the end of one
+    iteration fills it at the pruned pair, and the U step of the next reads
+    it there.  A new pair, even one with equal values, is evaluated afresh.
+    With 1/2 ||Y||^2 cached once and both Grams read from the pair's ledger,
+    the dense fit term is 1/2 ||Y||^2 - <U, Y V> + 1/2 <U^T U, V^T V>,
+    unless it falls below ``CANCELLATION`` times 1/2 ||Y||^2: then it is
+    evaluated from the residual U V^T - Y directly, as the subtraction's
+    rounding error is a few eps * 1/2 ||Y||^2, about 1e-12 of the fit term
+    at the guard.
     """
 
     # Fit term, relative to 1/2 ||Y||^2, below which the factored form
@@ -315,7 +308,6 @@ class Problem:
         y = as_matrix(y, "y")
         self.kind, self.y, self.mask, self.y_obs = kind, y, mask, y
         self._last: tuple[FactorPair, np.ndarray] | None = None
-        self._v_step: tuple[np.ndarray, np.ndarray] | None = None
         if kind is ProblemKind.COMPLETE:
             if mask is None:
                 raise InvalidParameterError("completion requires an observed mask")
@@ -351,11 +343,21 @@ class Problem:
             raise InvalidParameterError("lam must be positive")
         return self.check(fp)
 
+    def _data_term(self, fp: FactorPair) -> np.ndarray:
+        """The slot's data term at ``fp``, formed there if it holds another pair."""
+        if self._last is None or self._last[0] is not fp:
+            if self.kind is ProblemKind.COMPLETE:
+                term = self._observed_residual(fp)
+            else:
+                term = _frozen(self.y @ fp.v)
+            self._last = (fp, term)
+        return self._last[1]
+
     def residual(self, fp: FactorPair) -> np.ndarray:
         """Completion residual U V^T - Y at the observed entries (read-only)."""
-        if self._last is None or self._last[0] is not fp:
-            self._last = (fp, self._observed_residual(fp))
-        return self._last[1]
+        if self.kind is not ProblemKind.COMPLETE:
+            raise InvalidParameterError(f"{self.kind.value} data has no observed residual")
+        return self._data_term(fp)
 
     def _observed_residual(self, fp: FactorPair) -> np.ndarray:
         m, n = self.y.shape
@@ -369,68 +371,38 @@ class Problem:
         r.flags.writeable = False
         return r
 
-    def residual_csr(self, fp: FactorPair):
-        """:meth:`residual` as an m x n ``scipy.sparse.csr_matrix``."""
-        # imported here, so that importing the package does not load it
-        import scipy.sparse as sp
-
-        m = self.mask
-        return sp.csr_matrix(
-            (self.residual(fp), m.col_idx, self.indptr), shape=(m.rows, m.cols)
-        )
-
     def objective(self, fp: FactorPair, lam: float, eta: float) -> float:
         """:func:`objective` at a point :meth:`check` accepts."""
         if self.kind is ProblemKind.COMPLETE:
-            r = self.residual(fp)
+            r = self._data_term(fp)
             fit = 0.5 * float(r @ r)
         else:
-            fit = self._factored_fit(fp)
-            if fit is None:
+            fit = (
+                self.half_sq
+                - float(np.vdot(fp.u, self._data_term(fp)))
+                + 0.5 * float(np.vdot(fp.gram_u, fp.gram_v))
+            )
+            if not fit >= self.CANCELLATION * self.half_sq:
                 res = fp.product() - self.y
                 fit = 0.5 * float(np.sum(res * res))
         return fit + lam * smoothed_regularizer(fp, eta)
 
-    def _yt_u_at(self, u: np.ndarray) -> np.ndarray | None:
-        """Y^T U from the V-step slot if it was filled at the array ``u``."""
-        slot = self._v_step
-        return slot[1] if slot is not None and slot[0] is u else None
-
-    def _factored_fit(self, fp: FactorPair) -> float | None:
-        """The dense fit term at ``fp`` from the V-step slot and the pair's
-        Grams, or None when the slot does not hold ``fp.u`` or the fit term
-        is below the guard."""
-        yt_u = self._yt_u_at(fp.u)
-        if yt_u is None:
-            return None
-        fit = (
-            self.half_sq
-            - float(np.vdot(fp.v, yt_u))
-            + 0.5 * float(np.vdot(fp.gram_u, fp.gram_v))
-        )
-        return fit if fit >= self.CANCELLATION * self.half_sq else None
-
-    def keep_columns(self, fp: FactorPair, pruned: FactorPair, kept: list[int]):
-        """Carry the V-step slot at ``fp.u`` over to ``pruned``, the columns
-        ``kept`` of ``fp``: a column selection of Y^T U."""
-        yt_u = self._yt_u_at(fp.u)
-        if yt_u is not None:
-            self._v_step = (pruned.u, yt_u[:, np.asarray(kept, dtype=np.intp)])
-
     def filled_product(self, side: str, fp: FactorPair) -> np.ndarray:
         """Z G for a step that updates ``side``, G the other factor: Z = Y
-        for dense data, and for completion the fill-in
-        P_Omega(Y) + P_Omega^perp(U V^T), whose product
-        F G^T G - P_Omega(U V^T - Y) G (F the updated factor, G^T G from the
-        pair's ledger) forms no m x n array.  For dense data the V side
-        fills the slot :meth:`objective` reads: (U, Y^T U)."""
+        for dense data, where the U side's Y V is read from the slot, and
+        for completion the fill-in P_Omega(Y) + P_Omega^perp(U V^T), whose
+        product F G^T G - P_Omega(U V^T - Y) G (F the updated factor, G^T G
+        from the pair's ledger, the residual from the slot) forms no m x n
+        array."""
         factor, other = fp.split(side)
         if self.kind is not ProblemKind.COMPLETE:
-            prod = (self.y if side == "u" else self.y.T) @ other
-            if side == "v":
-                self._v_step = (other, prod)
-            return prod
-        res = self.residual_csr(fp)
+            return self._data_term(fp) if side == "u" else self.y.T @ other
+        # imported here, so that importing the package does not load it
+        import scipy.sparse as sp
+
+        res = sp.csr_matrix(
+            (self._data_term(fp), self.mask.col_idx, self.indptr), shape=self.y.shape
+        )
         return factor @ fp.other_gram(side) - np.asarray(
             (res if side == "u" else res.T) @ other
         )

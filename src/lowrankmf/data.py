@@ -108,13 +108,11 @@ def read_movielens(path) -> MovielensData:
     """
     entries: dict[tuple[int, int], float] = {}
     duplicates = 0
-    n_lines = 0
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
-            n_lines += 1
             parts = line.split("\t")
             if len(parts) != 4:
                 raise ParseError(

@@ -72,6 +72,26 @@ def test_parse_non_finite_float_is_usage_error(flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [command, "--rows", "10", "--cols", "8", "--rank", "2", "--lambda", "1"]
+        for command in ("denoise", "complete", "nmf")
+    ]
+    + [
+        ["bench", "--rows", "10", "--cols", "8", "--rank", "2", "--lambda-grid", "1"],
+        ["synth", "--rows", "10", "--cols", "8", "--rank", "2", "--output", "y.mtx"],
+        ["verify"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed: must be at least 0" in capsys.readouterr().err
+
+
 def test_parse_synth_needs_dimensions():
     with pytest.raises(SystemExit) as exc:
         parse_args(["synth", "--output", "y.mtx", "--rows", "5"])

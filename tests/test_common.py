@@ -377,7 +377,7 @@ def test_every_solve_descends_by_its_certificate_and_stops_as_reported(
         prev = r.objective
 
 
-# ------------------------------------- objective from the V step's products
+# ------------------------------------------- objective from the data-term slot
 
 
 @pytest.fixture
@@ -402,16 +402,22 @@ def driver_objectives(monkeypatch):
     return seen
 
 
-def _check_against_recomputed(seen) -> list[bool]:
-    """Assert each recorded objective equals ``objective`` recomputed from its
-    factors to 1e-12 relative; return whether each in-loop one was direct.
-    The first entry is the start point, evaluated on a fresh ``Problem``."""
-    seen = list(seen)
-    assert seen[0][5]
+def _direct_objective(y, fp, lam, eta):
+    """1/2 ||U V^T - Y||^2 + lam * sum_i sqrt(||u_i||^2 + ||v_i||^2 + eta^2),
+    spelled out from the factors."""
+    res = fp.u @ fp.v.T - y
+    sq = np.sum(fp.u * fp.u, axis=0) + np.sum(fp.v * fp.v, axis=0)
+    return 0.5 * float(np.sum(res * res)) + lam * float(np.sum(np.sqrt(sq + eta * eta)))
+
+
+def _check_against_direct(seen) -> list[bool]:
+    """Assert each recorded objective, the start point's included, equals
+    the spelled-out one to 1e-12 relative; return whether each was direct."""
+    assert seen
     for problem, fp, lam, eta, value, _ in seen:
-        want = objective(problem.kind, problem.y, problem.mask, fp, lam, eta)
+        want = _direct_objective(problem.y, fp, lam, eta)
         assert abs(value - want) <= 1e-12 * abs(want)
-    return [direct for *_, direct in seen[1:]]
+    return [direct for *_, direct in seen]
 
 
 def _noisy(m, n, r, seed, dist="gaussian"):
@@ -421,20 +427,20 @@ def _noisy(m, n, r, seed, dist="gaussian"):
 def test_factored_objective_of_denoise_iterates_without_a_prune(driver_objectives):
     _, trace = solve_denoise(_noisy(40, 30, 3, 5), SolverConfig(lam=1.0, d_init=3))
     assert not trace.prunes and trace.iterations > 1
-    direct = _check_against_recomputed(driver_objectives)
-    assert len(direct) == trace.iterations and not any(direct)
+    direct = _check_against_direct(driver_objectives)
+    assert len(direct) == trace.iterations + 1 and not any(direct)
 
 
 def test_factored_objective_of_denoise_iterates_across_prunes(driver_objectives):
     _, trace = solve_denoise(_noisy(40, 30, 3, 7), SolverConfig(lam=5.0, d_init=10))
     assert trace.prunes and trace.records[-1].d < 10
-    direct = _check_against_recomputed(driver_objectives)
-    assert len(direct) == trace.iterations and not any(direct)
+    direct = _check_against_direct(driver_objectives)
+    assert len(direct) == trace.iterations + 1 and not any(direct)
 
 
 def test_factored_objective_after_a_rejected_nmf_v_search(driver_objectives):
-    # The V search cannot meet a sufficient-decrease factor of 1e6, so V' = V
-    # while U moves: the record reads the slot the rejected search filled.
+    # The V search cannot meet a sufficient-decrease factor of 1e6, so V' is
+    # a copy of V while U moves: a new pair, evaluated in factored form.
     y = np.maximum(_noisy(30, 20, 3, 9, "uniform01"), 0.0)
     cfg = SolverConfig(lam=1.0, d_init=5, max_iter=4)
     reject = SolverConfig(lam=1.0, d_init=5, nmf=NmfOptions(sigma=1e6, max_backtracks=3))
@@ -447,8 +453,8 @@ def test_factored_objective_after_a_rejected_nmf_v_search(driver_objectives):
 
     _, trace = common.alternate(problem, cfg, step)
     assert ("u", True) in accepted and ("v", True) not in accepted
-    direct = _check_against_recomputed(driver_objectives)
-    assert len(direct) == trace.iterations and not any(direct)
+    direct = _check_against_direct(driver_objectives)
+    assert len(direct) == trace.iterations + 1 and not any(direct)
 
 
 def test_factored_objective_falls_back_on_cancellation(driver_objectives):
@@ -456,16 +462,17 @@ def test_factored_objective_falls_back_on_cancellation(driver_objectives):
     # where the factored form would cancel, and is evaluated directly.
     y = gen_lowrank(40, 30, 3, "gaussian", 11)
     _, trace = solve_denoise(y, SolverConfig(lam=1e-3, d_init=3))
-    direct = _check_against_recomputed(driver_objectives)
-    assert len(direct) == trace.iterations and any(direct)
+    direct = _check_against_direct(driver_objectives)
+    assert len(direct) == trace.iterations + 1 and any(direct)
     half_sq = 0.5 * float(np.sum(y * y))
-    for (_, fp, lam, eta, value, _), was_direct in zip(driver_objectives[1:], direct):
+    for (_, fp, lam, eta, value, _), was_direct in zip(driver_objectives, direct):
         fit = value - lam * smoothed_regularizer(fp, eta)
         assert was_direct == (fit < Problem.CANCELLATION * half_sq)
 
 
 def test_factored_objective_of_a_step_without_filled_product(driver_objectives):
-    # A custom step that forms Y G itself leaves the slot empty: direct objective.
+    # A custom step that forms Y G itself: the objective forms Y V' on its own
+    # and is still factored.
     y = _noisy(30, 20, 3, 13)
     cfg = SolverConfig(lam=1.0, d_init=4, max_iter=5)
 
@@ -475,25 +482,53 @@ def test_factored_objective_of_a_step_without_filled_product(driver_objectives):
         return np.linalg.solve(h, other.T @ (y.T if side == "u" else y)).T, 0.0
 
     _, trace = common.alternate(Problem(ProblemKind.DENOISE, y), cfg, step)
-    direct = _check_against_recomputed(driver_objectives)
-    assert len(direct) == trace.iterations and all(direct)
+    direct = _check_against_direct(driver_objectives)
+    assert len(direct) == trace.iterations + 1 and not any(direct)
 
 
 def test_factored_objective_of_a_pair_the_slot_does_not_hold(driver_objectives):
-    # The slot is keyed by the array U' itself: an equal copy, or another
-    # point, is evaluated directly.
+    # The slot is keyed by the pair object: a pair it does not hold, an
+    # equal copy included, forms its own Y V and is still factored.
     y = _noisy(30, 20, 3, 15)
     problem = Problem(ProblemKind.DENOISE, y)
     fp = init_factors(problem, 4, np.random.default_rng(0))
     v_new, _ = block_step(problem, "v", fp, weight_diag(fp, 1e-6), 1.0)
     held = FactorPair(fp.u, v_new)
     other = init_factors(problem, 4, np.random.default_rng(1))
-    for pair in (held, FactorPair(fp.u.copy(), v_new), other):
+    for pair in (held, FactorPair(fp.u.copy(), v_new), other, held):
         problem.objective(pair, 1.0, 1e-6)
-    assert [entry[5] for entry in driver_objectives] == [False, True, True]
-    for _, pair, lam, eta, value, _ in list(driver_objectives):
-        want = objective(ProblemKind.DENOISE, y, None, pair, lam, eta)
-        assert abs(value - want) <= 1e-12 * abs(want)
+    assert _check_against_direct(driver_objectives) == [False] * 4
+
+
+@pytest.fixture
+def data_terms(monkeypatch):
+    """The pairs at which each ``Problem`` forms its data term, by problem."""
+    formed, original = {}, Problem._data_term
+
+    def spy(self, fp):
+        if self._last is None or self._last[0] is not fp:
+            formed.setdefault(self, []).append(fp)
+        return original(self, fp)
+
+    monkeypatch.setattr(Problem, "_data_term", spy)
+    return formed
+
+
+@pytest.mark.parametrize("solve", ["denoise", "nmf"])
+def test_dense_solve_forms_y_v_once_per_pair(data_terms, solve):
+    y = _noisy(30, 20, 3, 19, "uniform01")
+    cfg = SolverConfig(lam=5.0, d_init=6, max_iter=40)
+    if solve == "denoise":
+        _, trace = solve_denoise(y, cfg)
+    else:
+        _, trace = solve_nmf(np.maximum(y, 0.0), cfg)
+    assert trace.iterations > 1 and trace.prunes
+    # the public objective that checks the start point forms Y V on its own
+    # Problem; the solve's Problem forms it for the first U step and for the
+    # objective of every iteration, which the next U step reads
+    start, solve_pairs = sorted(data_terms.values(), key=len)
+    assert len(start) == 1 and len(solve_pairs) == trace.iterations + 1
+    assert len({id(fp) for fp in solve_pairs}) == len(solve_pairs)
 
 
 def _spelled_out_diagnostics(prev, next_):

@@ -76,6 +76,14 @@ def test_factor_pair_rejects_nonfinite():
         FactorPair(u, np.zeros((2, 1)))
 
 
+def test_factor_pair_equality_is_identity():
+    # arrays have no truth value, so a pair equals only itself and hashes by
+    # identity, as the problem's data-term slot keys it
+    a, b = (FactorPair(np.ones((2, 2)), np.ones((2, 2))) for _ in range(2))
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
 def test_factor_pair_ledger_cannot_go_stale():
     # the factors and the Grams are read-only, so writing through the pair
     # raises instead of leaving a Gram that no longer matches its factor
@@ -487,6 +495,21 @@ def test_residual_memo_never_returns_a_stale_residual(monkeypatch):
     assert agrees(problem.residual(moved), moved)
     assert agrees(problem.residual(pruned), pruned)
     assert counts[id(problem)] == 5
+
+
+@pytest.mark.parametrize("kind", [ProblemKind.DENOISE, ProblemKind.NMF])
+def test_dense_problem_has_no_residual_and_a_read_only_y_v(kind):
+    rng = np.random.default_rng(43)
+    y = np.abs(rng.standard_normal((6, 5)))
+    fp = FactorPair(np.abs(rng.standard_normal((6, 2))), np.abs(rng.standard_normal((5, 2))))
+    problem = Problem(kind, y)
+    with pytest.raises(InvalidParameterError, match="no observed residual"):
+        problem.residual(fp)
+    problem.objective(fp, 1.0, 1e-3)
+    yv = problem.filled_product("u", fp)  # the objective's Y V, from the slot
+    assert np.array_equal(yv, y @ fp.v) and problem.filled_product("u", fp) is yv
+    with pytest.raises(ValueError):
+        yv[0, 0] = 0.0  # read-only, so no caller can corrupt the kept Y V
 
 
 @st.composite
