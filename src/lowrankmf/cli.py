@@ -24,7 +24,7 @@ import numpy as np
 from . import data as dio
 from .common import STATUS_DEGENERATE, NmfOptions, SolverConfig
 from .completion import solve_mc
-from .core import FactorPair, ObservedMask, ProblemKind, nmae, nre
+from .core import FactorPair, InvalidParameterError, ObservedMask, ProblemKind, nmae, nre
 from .denoise import solve_denoise
 from .nmf import solve_nmf
 from . import oracles
@@ -33,16 +33,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
-
-
-def _positive_float(text: str) -> float:
-    try:
-        val = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0 < val < math.inf:
-        raise argparse.ArgumentTypeError("must be positive and finite")
-    return val
 
 
 def _snr_float(text: str) -> float:
@@ -71,15 +61,21 @@ _positive_int = _int_from(1)
 _seed = _int_from(0)  # numpy's generators take no negative seed
 
 
-def _add_solver_flags(p: argparse.ArgumentParser, lambda_required: bool = True):
+def _float_list(text: str) -> list[float]:
+    return [float(t) for t in text.split(",")]  # argparse reports a ValueError
+
+
+def _add_solver_flags(p: argparse.ArgumentParser):
+    # The config flags parse as plain numbers: SolverConfig and NmfOptions
+    # decide their ranges when parse_args builds the run's configs.  --seed
+    # also seeds the synthetic instance, as in synth and verify.
     p.add_argument("--input", help="input matrix file")
     p.add_argument("--format", choices=["mm", "csv", "movielens"], default="mm")
-    p.add_argument("--lambda", dest="lam", type=_positive_float, required=lambda_required, default=1.0)
-    p.add_argument("--eta", type=_positive_float, default=SolverConfig.eta)
-    p.add_argument("--rank-init", type=_positive_int, default=None)
-    p.add_argument("--tol", type=_positive_float, default=SolverConfig.tol)
-    p.add_argument("--max-iter", type=_positive_int, default=SolverConfig.max_iter)
-    p.add_argument("--prune-tol", type=_positive_float, default=SolverConfig.prune_tol)
+    p.add_argument("--eta", type=float, default=SolverConfig.eta)
+    p.add_argument("--rank-init", type=int, default=None)
+    p.add_argument("--tol", type=float, default=SolverConfig.tol)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    p.add_argument("--prune-tol", type=float, default=SolverConfig.prune_tol)
     p.add_argument("--seed", type=_seed, default=SolverConfig.seed)
     p.add_argument("--output", help="factor output prefix (writes .u.mtx/.v.mtx)")
     p.add_argument("--trace", help="write the iteration trace as JSON")
@@ -96,10 +92,10 @@ def _add_synth_flags(p: argparse.ArgumentParser):
 
 
 def _add_nmf_flags(p: argparse.ArgumentParser):
-    p.add_argument("--beta-u", type=_positive_float, default=NmfOptions.beta_u)
-    p.add_argument("--beta-v", type=_positive_float, default=NmfOptions.beta_v)
-    p.add_argument("--sigma-armijo", type=_positive_float, default=NmfOptions.sigma)
-    p.add_argument("--eps-active", type=_positive_float, default=NmfOptions.eps_active)
+    p.add_argument("--beta-u", type=float, default=NmfOptions.beta_u)
+    p.add_argument("--beta-v", type=float, default=NmfOptions.beta_v)
+    p.add_argument("--sigma-armijo", type=float, default=NmfOptions.sigma)
+    p.add_argument("--eps-active", type=float, default=NmfOptions.eps_active)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,25 +105,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # No abbreviations: bench would read ``--lambda 7`` as ``--lambda-grid 7``.
     for name in ("denoise", "complete", "nmf"):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         _add_solver_flags(p)
+        p.add_argument("--lambda", dest="lam", type=float, required=True)
         if name == "nmf":
             _add_nmf_flags(p)
 
-    p = sub.add_parser("synth")
+    p = sub.add_parser("synth", allow_abbrev=False)
     _add_synth_flags(p)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--format", choices=["mm", "csv"], default="mm")
     p.add_argument("--output", required=True)
 
-    p = sub.add_parser("verify")
+    p = sub.add_parser("verify", allow_abbrev=False)
     p.add_argument("--seed", type=_seed, default=0)
 
-    p = sub.add_parser("bench")
-    _add_solver_flags(p, lambda_required=False)
+    p = sub.add_parser("bench", allow_abbrev=False)
+    _add_solver_flags(p)
     _add_nmf_flags(p)
-    p.add_argument("--lambda-grid", required=True, help="comma-separated lambda values")
+    p.add_argument(
+        "--lambda-grid", type=_float_list, required=True, help="comma-separated lambda values"
+    )
     p.add_argument(
         "--problem", choices=["denoise", "complete", "nmf"], default="denoise"
     )
@@ -135,62 +135,80 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv) -> argparse.Namespace:
+    """Parse ``argv``; ``args.configs`` holds a solver command's configs, one
+    per ``--lambda-grid`` value for bench.  A value they refuse exits 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("denoise", "complete", "nmf", "bench"):
-        synth = args.rows is not None or args.cols is not None or args.rank is not None
-        if args.input is None and not synth:
-            parser.error(f"{args.command}: provide --input or synthetic --rows/--cols/--rank")
-        if args.input is None and not (args.rows and args.cols and args.rank):
-            parser.error("synthetic instances need --rows, --cols and --rank")
-    if args.command == "synth" and not (args.rows and args.cols and args.rank):
-        parser.error("synth needs --rows, --cols and --rank")
+    solver = args.command in ("denoise", "complete", "nmf", "bench")
+    if (args.command == "synth" or (solver and args.input is None)) and not (
+        args.rows and args.cols and args.rank
+    ):
+        alt = " or --input" if solver else ""
+        parser.error(f"{args.command}: needs --rows, --cols and --rank{alt}")
+    if solver:
+        try:
+            args.configs = _configs(args)
+        except InvalidParameterError as exc:
+            parser.error(f"{args.command}: {exc}")
     return args
 
 
-def _config_from_args(args, d_init: int) -> SolverConfig:
+def _configs(args) -> list[SolverConfig]:
     nmf = NmfOptions()
     if hasattr(args, "beta_u"):  # only nmf and bench take the NMF flags
         nmf = NmfOptions(
-            beta_u=args.beta_u,
-            beta_v=args.beta_v,
-            sigma=args.sigma_armijo,
-            eps_active=args.eps_active,
+            beta_u=args.beta_u, beta_v=args.beta_v,
+            sigma=args.sigma_armijo, eps_active=args.eps_active,
         )
-    return SolverConfig(
-        lam=args.lam,
-        eta=args.eta,
-        d_init=d_init,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        prune_tol=args.prune_tol,
-        seed=args.seed,
-        nmf=nmf,
-    )
+    # Without --rank-init, d_init is min(m, n), set once the instance is
+    # loaded (_load_instance); 1 stands in for it until then.
+    d_init = 1 if args.rank_init is None else args.rank_init
+    lams = args.lambda_grid if args.command == "bench" else [args.lam]
+    return [
+        SolverConfig(
+            lam=lam, d_init=d_init, eta=args.eta, tol=args.tol, max_iter=args.max_iter,
+            prune_tol=args.prune_tol, seed=args.seed, nmf=nmf,
+        )
+        for lam in lams
+    ]
 
 
-def _load_instance(args, kind: ProblemKind):
-    """Returns (y, mask, x0): mask only for completion, x0 only for synth."""
-    if args.input is not None:
-        if args.format == "movielens":
-            ml = dio.read_movielens(args.input)
-            return ml.y, ml.mask, None
-        if kind is ProblemKind.COMPLETE and args.format == "mm":
-            y, mask = dio.read_coordinate(args.input)
-            return y, mask, None
-        y = dio.read_matrix(args.input, args.format)
-        mask = ObservedMask.full(*y.shape) if kind is ProblemKind.COMPLETE else None
-        return y, mask, None
-    dist = args.dist or ("uniform01" if kind is ProblemKind.NMF else "gaussian")
+def _synthetic(args, dist: str, card: int | None):
+    """(x0, y, mask) of the synthetic flags: the ground truth from ``seed``,
+    its noisy copy from ``seed + 1`` and, given a ``card``, a mask of that
+    many entries from ``seed + 2``."""
     x0 = dio.gen_lowrank(args.rows, args.cols, args.rank, dist, args.seed)
     y = dio.add_noise_snr(x0, args.snr_db, args.seed + 1)
     mask = None
-    if kind is ProblemKind.COMPLETE:
-        card = args.mask_card or args.rows * args.cols
+    if card is not None:
         mask = dio.sample_mask(args.rows, args.cols, card, args.seed + 2)
-    if kind is ProblemKind.NMF:
-        y = np.maximum(y, 0.0)
-    return y, mask, x0
+    return x0, y, mask
+
+
+def _load_instance(args, kind: ProblemKind):
+    """Returns (y, mask, x0, configs): mask only for completion and ratings,
+    x0 only for a synthetic instance, and the run's configs, whose d_init
+    is min(m, n) without --rank-init."""
+    x0 = mask = None
+    if args.input is None:
+        dist = args.dist or ("uniform01" if kind is ProblemKind.NMF else "gaussian")
+        card = args.mask_card or args.rows * args.cols
+        x0, y, mask = _synthetic(args, dist, card if kind is ProblemKind.COMPLETE else None)
+        if kind is ProblemKind.NMF:
+            y = np.maximum(y, 0.0)
+    elif args.format == "movielens":
+        ml = dio.read_movielens(args.input)
+        y, mask = ml.y, ml.mask
+    elif kind is ProblemKind.COMPLETE and args.format == "mm":
+        y, mask = dio.read_coordinate(args.input)
+    else:
+        y = dio.read_matrix(args.input, args.format)
+        if kind is ProblemKind.COMPLETE:
+            mask = ObservedMask.full(*y.shape)
+    configs = args.configs
+    if args.rank_init is None:
+        configs = [replace(cfg, d_init=min(y.shape)) for cfg in configs]
+    return y, mask, x0, configs
 
 
 def _solve(kind: ProblemKind, y, mask, cfg: SolverConfig):
@@ -202,9 +220,7 @@ def _solve(kind: ProblemKind, y, mask, cfg: SolverConfig):
 
 
 def _run_solver(args, kind: ProblemKind) -> int:
-    y, mask, x0 = _load_instance(args, kind)
-    d_init = args.rank_init or min(y.shape)
-    cfg = _config_from_args(args, d_init)
+    y, mask, x0, (cfg,) = _load_instance(args, kind)
     t0 = time.perf_counter()
     fp, trace = _solve(kind, y, mask, cfg)
     wall = time.perf_counter() - t0
@@ -237,13 +253,10 @@ def _run_solver(args, kind: ProblemKind) -> int:
 
 
 def _run_synth(args) -> int:
-    dist = args.dist or "gaussian"
-    x0 = dio.gen_lowrank(args.rows, args.cols, args.rank, dist, args.seed)
-    y = dio.add_noise_snr(x0, args.snr_db, args.seed + 1)
+    _, y, mask = _synthetic(args, args.dist or "gaussian", args.mask_card)
     dio.write_matrix(args.output, y, args.format)
     print(f"wrote {args.rows}x{args.cols} rank-{args.rank} instance to {args.output}")
-    if args.mask_card:
-        mask = dio.sample_mask(args.rows, args.cols, args.mask_card, args.seed + 2)
+    if mask is not None:
         mask_path = f"{args.output}.mask.mtx"
         dio.write_mask_coordinate(mask_path, y, mask)
         print(f"wrote mask ({mask.card} entries) to {mask_path}")
@@ -277,29 +290,18 @@ def _run_verify(args) -> int:
 
 
 def _run_bench(args) -> int:
-    try:
-        grid = [_positive_float(t) for t in args.lambda_grid.split(",") if t.strip()]
-    except argparse.ArgumentTypeError as exc:
-        print(f"bench: --lambda-grid value {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not grid:
-        print("bench: empty --lambda-grid", file=sys.stderr)
-        return EXIT_USAGE
-    kind = ProblemKind(args.problem)
-    y, mask, x0 = _load_instance(args, kind)
-    if x0 is None:
+    if args.input is not None:
         print("bench: needs a synthetic instance (ground truth)", file=sys.stderr)
         return EXIT_USAGE
-    d_init = args.rank_init or min(y.shape)
-    base_cfg = _config_from_args(args, d_init)
+    kind = ProblemKind(args.problem)
+    y, mask, x0, configs = _load_instance(args, kind)
     best = None
-    for lam in grid:
-        cfg = replace(base_cfg, lam=lam)
+    for cfg in configs:
         fp, trace = _solve(kind, y, mask, cfg)
         err = nre(x0, fp)
-        print(f"lambda={lam:g} nre={err:.4g} d={fp.d} status={trace.status}")
+        print(f"lambda={cfg.lam:g} nre={err:.4g} d={fp.d} status={trace.status}")
         if best is None or err < best[1]:
-            best = (lam, err)
+            best = (cfg.lam, err)
     print(f"best lambda={best[0]:g} nre={best[1]:.4g}")
     return EXIT_OK
 

@@ -116,15 +116,14 @@ class IterationRecord:
     # The objective drop the iteration's U and V steps certify, summed.
     delta: float
     ms: float
-    # Extra diagnostics consumed by the convergence-rate checks; these do
-    # not appear in the serialized trace schema, TRACE_FIELDS.
+    # Diagnostics consumed by the convergence-rate checks.
     displacement_sq: float = 0.0
     gram_min_eig: float = 0.0
     max_col_sq: float = 0.0
 
 
-# The fields of an IterationRecord that a JSON trace serializes.
-TRACE_FIELDS = ("k", "objective", "d", "rel_change", "delta", "ms")
+# Version 2 writes every IterationRecord field and the initial objective.
+TRACE_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -151,8 +150,10 @@ class IterationTrace:
         config = dataclasses.asdict(self.config)
         config["lambda"] = config.pop("lam")
         return {
+            "schema_version": TRACE_SCHEMA_VERSION,
             "config": config,
-            "iterations": [{f: getattr(r, f) for f in TRACE_FIELDS} for r in self.records],
+            "initial_objective": self.initial_objective,
+            "iterations": [dataclasses.asdict(r) for r in self.records],
             "prunes": [
                 {
                     "k": p.iteration,

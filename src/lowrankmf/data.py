@@ -118,11 +118,7 @@ def read_movielens(path) -> MovielensData:
                 raise ParseError(
                     f"expected 4 tab-separated fields, got {len(parts)}", path, lineno
                 )
-            try:
-                user, item, rating = int(parts[0]), int(parts[1]), int(parts[2])
-                int(parts[3])
-            except ValueError:
-                raise ParseError("non-integer field", path, lineno) from None
+            user, item, rating, _ = (_parse_int(t, path, lineno) for t in parts)
             if not 1 <= rating <= 5:
                 raise ParseError(f"rating {rating} outside 1..5", path, lineno)
             if user < 1 or item < 1:
@@ -163,10 +159,14 @@ def _parse_int(tok: str, path, lineno: int) -> int:
 
 
 def _parse_float(tok: str, path, lineno: int) -> float:
+    """``tok`` as a finite float; NaN, infinities and overflows are refused."""
     try:
-        return float(tok)
+        val = float(tok)
     except ValueError:
         raise ParseError(f"non-numeric token {tok!r}", path, lineno) from None
+    if not math.isfinite(val):
+        raise ParseError(f"non-finite value {tok!r}", path, lineno)
+    return val
 
 
 def _read_mm(lines, path) -> tuple[np.ndarray, np.ndarray | None]:
@@ -248,14 +248,14 @@ def _read_csv(path):
 
 
 def read_coordinate(path) -> tuple[np.ndarray, ObservedMask]:
-    """Read a MatrixMarket coordinate file as (dense matrix, observed mask).
+    """Read a MatrixMarket file as (dense matrix, observed mask).
 
-    The listed entries define the observation set; everything else is 0.
+    A coordinate file observes its listed entries, everything else is 0;
+    an array file observes every entry.
     """
-    lines = _read_tokens(path)
-    if not lines or lines[0].strip() != MM_HEADER_COORD:
-        raise ParseError("expected a MatrixMarket coordinate header", path, 1)
-    y, flat = _read_mm(lines, path)
+    y, flat = _read_mm(_read_tokens(path), path)
+    if flat is None:
+        return y, ObservedMask.full(*y.shape)
     ri, ci = np.divmod(np.unique(flat), y.shape[1])
     return y, ObservedMask(y.shape[0], y.shape[1], ri, ci)
 
@@ -263,14 +263,10 @@ def read_coordinate(path) -> tuple[np.ndarray, ObservedMask]:
 def read_matrix(path, fmt: str) -> np.ndarray:
     """Read a dense matrix from a MatrixMarket (``mm``) or ``csv`` file."""
     if fmt == "mm":
-        out = _read_mm(_read_tokens(path), path)[0]
-    elif fmt == "csv":
-        out = _read_csv(path)
-    else:
-        raise InvalidParameterError(f"unknown format {fmt!r}")
-    if not np.all(np.isfinite(out)):
-        raise ParseError("file contains non-finite values", path)
-    return out
+        return _read_mm(_read_tokens(path), path)[0]
+    if fmt == "csv":
+        return _read_csv(path)
+    raise InvalidParameterError(f"unknown format {fmt!r}")
 
 
 def write_matrix(path, a, fmt: str) -> None:

@@ -5,12 +5,19 @@ import json
 import numpy as np
 import pytest
 
-from lowrankmf import SolverConfig
-from lowrankmf.cli import _config_from_args, main, parse_args
+from lowrankmf import NmfOptions, SolverConfig, solve_denoise
+from lowrankmf.cli import main, parse_args
+from lowrankmf.common import IterationRecord, IterationTrace
 from lowrankmf.data import read_matrix, write_matrix
+from lowrankmf.oracles import rate_bound_check
 
-TRACE_KEYS = {"config", "iterations", "prunes", "status", "metrics"}
-ITER_KEYS = {"k", "objective", "d", "rel_change", "delta", "ms"}
+TRACE_KEYS = {
+    "schema_version", "config", "initial_objective", "iterations", "prunes", "status", "metrics"
+}
+ITER_KEYS = {
+    "k", "objective", "d", "rel_change", "delta", "ms",
+    "displacement_sq", "gram_min_eig", "max_col_sq",
+}
 
 
 # ---------------------------------------------------------------- parsing
@@ -41,8 +48,8 @@ def test_parse_complete_movielens_flags():
 
 @pytest.mark.parametrize("command", ["denoise", "nmf"])
 def test_required_flags_only_give_the_library_defaults(command):
-    args = parse_args([command, "--input", "y.mtx", "--lambda", "2.5"])
-    assert _config_from_args(args, 7) == SolverConfig(lam=2.5, d_init=7)
+    args = parse_args([command, "--input", "y.mtx", "--lambda", "2.5", "--rank-init", "7"])
+    assert args.configs == [SolverConfig(lam=2.5, d_init=7)]
 
 
 def test_parse_missing_input_is_usage_error():
@@ -90,6 +97,38 @@ def test_negative_seed_is_usage_error(argv, capsys):
         main([*argv, "--seed", "-1"])
     assert exc.value.code == 2
     assert "--seed: must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        ("nmf", "--beta-u=1.5", "beta_u and beta_v must lie in (0, 1)"),
+        ("denoise", "--tol=0", "tol must be positive and finite"),
+        ("complete", "--max-iter=0", "max_iter must be an integer of at least 1"),
+        ("denoise", "--rank-init=0", "d_init must be an integer of at least 1"),
+    ],
+)
+def test_value_the_config_refuses_is_usage_error_with_its_message(command, flag, message, capsys):
+    argv = [command, "--rows", "10", "--cols", "8", "--rank", "2", "--lambda", "1", flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_bench_takes_no_lambda(capsys):
+    argv = ["bench", "--rows", "5", "--cols", "5", "--rank", "1", "--lambda", "7"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--lambda-grid", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --lambda 7" in capsys.readouterr().err
+
+
+def test_rank_init_defaults_to_the_smaller_dimension(tmp_path):
+    trace_path = tmp_path / "t.json"
+    argv = ["denoise", "--rows", "10", "--cols", "8", "--rank", "2", "--lambda", "1"]
+    assert main([*argv, "--max-iter", "1", "--trace", str(trace_path)]) == 0
+    assert json.loads(trace_path.read_text())["config"]["d_init"] == 8
 
 
 def test_parse_synth_needs_dimensions():
@@ -262,6 +301,19 @@ def test_complete_synthetic_with_mask(tmp_path, capsys):
     assert doc["metrics"]["nmae"] is not None
 
 
+def test_complete_on_an_array_file_observes_every_entry(tmp_path, capsys):
+    y = np.random.default_rng(5).standard_normal((12, 9))
+    objectives = []
+    for fmt in ("mm", "csv"):
+        p = tmp_path / f"y.{fmt}"
+        write_matrix(p, y, fmt)
+        argv = ["complete", "--input", str(p), "--format", fmt, "--lambda", "1.0"]
+        assert main([*argv, "--rank-init", "4", "--max-iter", "20"]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        objectives.append(line.split("objective=")[1].split()[0])
+    assert objectives[0] == objectives[1]
+
+
 def test_nmf_synthetic_runs(capsys):
     code = main(
         [
@@ -317,6 +369,27 @@ def test_trace_reproducible_modulo_timing(tmp_path):
     assert docs[0] == docs[1]
 
 
+def test_trace_file_rebuilds_the_rate_report(tmp_path):
+    y = np.random.default_rng(8).standard_normal((14, 10))
+    y_path, trace_path = tmp_path / "y.mtx", tmp_path / "t.json"
+    write_matrix(y_path, y, "mm")
+    argv = ["denoise", "--input", str(y_path), "--lambda", "2.0", "--rank-init", "6"]
+    assert main([*argv, "--seed", "3", "--trace", str(trace_path)]) == 0
+    doc = json.loads(trace_path.read_text())
+    assert doc["schema_version"] == 2
+    config = doc["config"]
+    config["lam"] = config.pop("lambda")
+    config["nmf"] = NmfOptions(**config["nmf"])
+    rebuilt = IterationTrace(
+        config=SolverConfig(**config),
+        initial_objective=doc["initial_objective"],
+        records=[IterationRecord(**it) for it in doc["iterations"]],
+    )
+    _, trace = solve_denoise(y, SolverConfig(lam=2.0, d_init=6, seed=3))
+    assert rebuilt.config == trace.config
+    assert rate_bound_check(rebuilt) == rate_bound_check(trace)
+
+
 def test_verify_passes(capsys):
     assert main(["verify", "--seed", "0"]) == 0
     out = capsys.readouterr().out
@@ -365,22 +438,25 @@ def test_bench_reports_best_lambda(capsys):
 
 
 def test_bench_bad_grid(capsys):
-    code = main(
-        [
-            "bench",
-            "--rows",
-            "5",
-            "--cols",
-            "5",
-            "--rank",
-            "1",
-            "--lambda-grid",
-            "1,-2",
-        ]
-    )
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "bench",
+                "--rows",
+                "5",
+                "--cols",
+                "5",
+                "--rank",
+                "1",
+                "--lambda-grid",
+                "1,-2",
+            ]
+        )
+    assert exc.value.code == 2
 
 
 def test_bench_non_finite_grid_value_is_usage_error():
     argv = ["bench", "--rows", "5", "--cols", "5", "--rank", "1", "--lambda-grid", "1,nan"]
-    assert main(argv) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -318,7 +318,11 @@ def test_trace_json_schema():
         IterationRecord(k=1, objective=3.5, d=4, rel_change=0.5, delta=0.1, ms=1.25)
     )
     doc = trace.to_json_dict({"nre": 0.05})
-    assert set(doc) == {"config", "iterations", "prunes", "status", "metrics"}
+    assert set(doc) == {
+        "schema_version", "config", "initial_objective", "iterations", "prunes", "status",
+        "metrics",
+    }
+    assert doc["schema_version"] == 2
     assert doc["config"]["lambda"] == 2.0
     assert set(doc["config"]["nmf"]) == {
         "beta_u",
@@ -328,7 +332,10 @@ def test_trace_json_schema():
         "max_backtracks",
     }
     it = doc["iterations"][0]
-    assert set(it) == {"k", "objective", "d", "rel_change", "delta", "ms"}
+    assert it == {
+        "k": 1, "objective": 3.5, "d": 4, "rel_change": 0.5, "delta": 0.1, "ms": 1.25,
+        "displacement_sq": 0.0, "gram_min_eig": 0.0, "max_col_sq": 0.0,
+    }
     assert doc["metrics"] == {"nre": 0.05, "nmae": None}
 
 

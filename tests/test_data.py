@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lowrankmf import InvalidParameterError
+from lowrankmf import InvalidParameterError, ObservedMask
 from lowrankmf.data import (
     ParseError,
     add_noise_snr,
@@ -150,6 +150,20 @@ def test_read_movielens_bad_rows(tmp_path):
             read_movielens(p)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [("1\t2\tx\t0", "non-integer token 'x'"), ("1\t2.5\t3\t0", "non-integer token '2.5'"),
+     ("1\t2\t3\tnow", "non-integer token 'now'"), ("1\t2\t9\t0", "rating 9 outside 1..5")],
+    ids=["rating", "item", "timestamp", "range"],
+)
+def test_read_movielens_error_names_the_offending_line(tmp_path, bad, message):
+    p = tmp_path / "u.data"
+    p.write_text("1\t1\t3\t0\n\n" + bad + "\n2\t2\t4\t0\n")
+    with pytest.raises(ParseError, match=message) as err:
+        read_movielens(p)
+    assert err.value.line == 3 and err.value.path == p
+
+
 def test_read_movielens_refuses_a_grid_too_large_to_densify(tmp_path):
     # Two ratings span a 4000 x 3000 grid: 12 M cells, over DENSIFY_LIMIT.
     p = tmp_path / "u.data"
@@ -254,6 +268,38 @@ def test_read_matrix_rejects_nonfinite(tmp_path):
     p.write_text("1,nan\n2,3\n")
     with pytest.raises(ParseError):
         read_matrix(p, "csv")
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e400"])
+@pytest.mark.parametrize(
+    "name, text, line",
+    [
+        ("a.mtx", "%%MatrixMarket matrix array real general\n2 1\n1.0\n{}\n", 4),
+        ("c.mtx", "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 {}\n", 4),
+        ("y.csv", "1,2\n\n3,{}\n", 3),
+    ],
+    ids=["array", "coordinate", "csv"],
+)
+def test_non_finite_token_is_parse_error_with_its_line(tmp_path, token, name, text, line):
+    p = tmp_path / name
+    p.write_text(text.format(token))
+    fmt = "csv" if name.endswith(".csv") else "mm"
+    readers = [lambda: read_matrix(p, fmt)] + ([lambda: read_coordinate(p)] if fmt == "mm" else [])
+    for read in readers:
+        with pytest.raises(ParseError, match=f"non-finite value '{token}'") as err:
+            read()
+        assert err.value.line == line and err.value.path == p
+
+
+def test_read_coordinate_observes_every_entry_of_an_array_file(tmp_path):
+    p = tmp_path / "a.mtx"
+    y = np.arange(6.0).reshape(2, 3)
+    write_matrix(p, y, "mm")
+    y2, mask = read_coordinate(p)
+    assert np.array_equal(y2, y)
+    full = ObservedMask.full(2, 3)
+    assert np.array_equal(mask.row_idx, full.row_idx)
+    assert np.array_equal(mask.col_idx, full.col_idx)
 
 
 def test_unknown_format():
