@@ -31,7 +31,6 @@ from . import oracles
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 
 
@@ -69,26 +68,22 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     # The config flags parse as plain numbers: SolverConfig and NmfOptions
     # decide their ranges when parse_args builds the run's configs.  --seed
     # also seeds the synthetic instance, as in synth and verify.
-    p.add_argument("--input", help="input matrix file")
-    p.add_argument("--format", choices=["mm", "csv", "movielens"], default="mm")
     p.add_argument("--eta", type=float, default=SolverConfig.eta)
     p.add_argument("--rank-init", type=int, default=None)
     p.add_argument("--tol", type=float, default=SolverConfig.tol)
     p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p.add_argument("--prune-tol", type=float, default=SolverConfig.prune_tol)
     p.add_argument("--seed", type=_seed, default=SolverConfig.seed)
-    p.add_argument("--output", help="factor output prefix (writes .u.mtx/.v.mtx)")
-    p.add_argument("--trace", help="write the iteration trace as JSON")
-    _add_synth_flags(p)
 
 
-def _add_synth_flags(p: argparse.ArgumentParser):
+def _add_synth_flags(p: argparse.ArgumentParser, mask_card: bool):
     p.add_argument("--rows", type=_positive_int)
     p.add_argument("--cols", type=_positive_int)
     p.add_argument("--rank", type=_positive_int)
     p.add_argument("--snr-db", type=_snr_float, default=math.inf)
     p.add_argument("--dist", choices=["gaussian", "uniform01"])
-    p.add_argument("--mask-card", type=_positive_int)
+    if mask_card:  # only a completion instance is masked
+        p.add_argument("--mask-card", type=_positive_int)
 
 
 def _add_nmf_flags(p: argparse.ArgumentParser):
@@ -109,12 +104,17 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("denoise", "complete", "nmf"):
         p = sub.add_parser(name, allow_abbrev=False)
         _add_solver_flags(p)
+        _add_synth_flags(p, mask_card=name == "complete")
         p.add_argument("--lambda", dest="lam", type=float, required=True)
+        p.add_argument("--input", help="input matrix file")
+        p.add_argument("--format", choices=["mm", "csv", "movielens"], default="mm")
+        p.add_argument("--output", help="factor output prefix (writes .u.mtx/.v.mtx)")
+        p.add_argument("--trace", help="write the iteration trace as JSON")
         if name == "nmf":
             _add_nmf_flags(p)
 
     p = sub.add_parser("synth", allow_abbrev=False)
-    _add_synth_flags(p)
+    _add_synth_flags(p, mask_card=True)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--format", choices=["mm", "csv"], default="mm")
     p.add_argument("--output", required=True)
@@ -122,8 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", allow_abbrev=False)
     p.add_argument("--seed", type=_seed, default=0)
 
+    # bench needs the ground truth of a synthetic instance: no --input.
     p = sub.add_parser("bench", allow_abbrev=False)
     _add_solver_flags(p)
+    _add_synth_flags(p, mask_card=True)
     _add_nmf_flags(p)
     p.add_argument(
         "--lambda-grid", type=_float_list, required=True, help="comma-separated lambda values"
@@ -139,13 +141,13 @@ def parse_args(argv) -> argparse.Namespace:
     per ``--lambda-grid`` value for bench.  A value they refuse exits 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    solver = args.command in ("denoise", "complete", "nmf", "bench")
-    if (args.command == "synth" or (solver and args.input is None)) and not (
+    # synth and bench take no --input: their instance is always synthetic.
+    if args.command != "verify" and getattr(args, "input", None) is None and not (
         args.rows and args.cols and args.rank
     ):
-        alt = " or --input" if solver else ""
+        alt = " or --input" if hasattr(args, "input") else ""
         parser.error(f"{args.command}: needs --rows, --cols and --rank{alt}")
-    if solver:
+    if args.command in ("denoise", "complete", "nmf", "bench"):
         try:
             args.configs = _configs(args)
         except InvalidParameterError as exc:
@@ -190,10 +192,10 @@ def _load_instance(args, kind: ProblemKind):
     x0 only for a synthetic instance, and the run's configs, whose d_init
     is min(m, n) without --rank-init."""
     x0 = mask = None
-    if args.input is None:
+    if getattr(args, "input", None) is None:
         dist = args.dist or ("uniform01" if kind is ProblemKind.NMF else "gaussian")
-        card = args.mask_card or args.rows * args.cols
-        x0, y, mask = _synthetic(args, dist, card if kind is ProblemKind.COMPLETE else None)
+        card = (args.mask_card or args.rows * args.cols) if kind is ProblemKind.COMPLETE else None
+        x0, y, mask = _synthetic(args, dist, card)
         if kind is ProblemKind.NMF:
             y = np.maximum(y, 0.0)
     elif args.format == "movielens":
@@ -290,9 +292,6 @@ def _run_verify(args) -> int:
 
 
 def _run_bench(args) -> int:
-    if args.input is not None:
-        print("bench: needs a synthetic instance (ground truth)", file=sys.stderr)
-        return EXIT_USAGE
     kind = ProblemKind(args.problem)
     y, mask, x0, configs = _load_instance(args, kind)
     best = None

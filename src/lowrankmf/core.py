@@ -192,12 +192,16 @@ class FactorPair:
 
 @dataclass(frozen=True)
 class ObservedMask:
-    """Index set of observed entries of an m x n matrix, in row-major order."""
+    """Index set of observed entries of an m x n matrix, in row-major order,
+    which is CSR order: ``flat`` holds the offsets ``i * cols + j`` and row
+    ``i``'s entries are ``indptr[i]:indptr[i + 1]``."""
 
     rows: int
     cols: int
     row_idx: np.ndarray = field(repr=False)
     col_idx: np.ndarray = field(repr=False)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    indptr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ri = np.asarray(self.row_idx, dtype=np.int64).ravel()
@@ -214,6 +218,8 @@ class ObservedMask:
         ri, ci = np.divmod(flat, self.cols)
         object.__setattr__(self, "row_idx", ri)
         object.__setattr__(self, "col_idx", ci)
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "indptr", np.searchsorted(ri, np.arange(self.rows + 1)))
 
     @classmethod
     def from_pairs(cls, rows: int, cols: int, pairs) -> "ObservedMask":
@@ -282,8 +288,8 @@ class Problem:
     ``y``; for completion, a mask of ``y``'s shape; for NMF, ``y >= 0``.
     ``y_obs`` holds the entries of Y the data term reads: all of ``y``,
     or for completion its values at the mask in the mask's row-major
-    order, which is also CSR order, so the row pointers and the flat
-    offsets are computed once.
+    order, which is also the CSR order of the mask's ``flat`` and
+    ``indptr``.
 
     One slot, ``_last``, holds the data term at the last pair evaluated,
     keyed by that :class:`FactorPair` object (held, so its identity cannot
@@ -314,8 +320,6 @@ class Problem:
             if (mask.rows, mask.cols) != y.shape:
                 raise InvalidParameterError("mask shape does not match data")
             self.y_obs = y[mask.row_idx, mask.col_idx]
-            self.indptr = np.searchsorted(mask.row_idx, np.arange(mask.rows + 1))
-            self.flat = mask.row_idx * mask.cols + mask.col_idx
         if kind is ProblemKind.NMF and np.any(y < 0):
             raise ConstraintViolationError("NMF data must be elementwise nonnegative")
         self.half_sq = 0.5 * float(np.vdot(self.y_obs, self.y_obs))
@@ -363,10 +367,10 @@ class Problem:
         m, n = self.y.shape
         r, step = np.empty(self.mask.card), max(1, STACK_ENTRIES // n)
         for i in range(0, m, step):
-            s, e = self.indptr[i], self.indptr[min(i + step, m)]
+            s, e = self.mask.indptr[i], self.mask.indptr[min(i + step, m)]
             block = (fp.u[i : i + step] @ fp.v.T).ravel()
             # the offsets are in range by construction: "wrap" skips the check
-            np.take(block, self.flat[s:e] - i * n, out=r[s:e], mode="wrap")
+            np.take(block, self.mask.flat[s:e] - i * n, out=r[s:e], mode="wrap")
         r -= self.y_obs
         r.flags.writeable = False
         return r
@@ -401,7 +405,7 @@ class Problem:
         import scipy.sparse as sp
 
         res = sp.csr_matrix(
-            (self._data_term(fp), self.mask.col_idx, self.indptr), shape=self.y.shape
+            (self._data_term(fp), self.mask.col_idx, self.mask.indptr), shape=self.y.shape
         )
         return factor @ fp.other_gram(side) - np.asarray(
             (res if side == "u" else res.T) @ other

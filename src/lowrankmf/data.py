@@ -106,37 +106,31 @@ def read_movielens(path) -> MovielensData:
     pairs the last rating wins.  Timestamps are discarded.  A grid of more
     than ``DENSIFY_LIMIT`` cells is a :class:`ParseError`.
     """
-    entries: dict[tuple[int, int], float] = {}
-    duplicates = 0
+    users, items, ratings = [], [], []
+    for lineno, line in _lines(path):
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ParseError(f"expected 4 tab-separated fields, got {len(parts)}", path, lineno)
+        user, item, rating, _ = (_parse_int(t, path, lineno) for t in parts)
+        if not 1 <= rating <= 5:
+            raise ParseError(f"rating {rating} outside 1..5", path, lineno)
+        if user < 1 or item < 1:
+            raise ParseError("user/item ids must be >= 1", path, lineno)
+        users.append(user - 1)
+        items.append(item - 1)
+        ratings.append(rating)
+    rows, cols = max(users, default=-1) + 1, max(items, default=-1) + 1
+    y, mask, duplicates = _from_triples(rows, cols, users, items, ratings, path)
+    return MovielensData(y=y, mask=mask, duplicates=duplicates)
+
+
+def _lines(path):
+    """(line number, stripped text) of each non-blank line of ``path``."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ParseError(
-                    f"expected 4 tab-separated fields, got {len(parts)}", path, lineno
-                )
-            user, item, rating, _ = (_parse_int(t, path, lineno) for t in parts)
-            if not 1 <= rating <= 5:
-                raise ParseError(f"rating {rating} outside 1..5", path, lineno)
-            if user < 1 or item < 1:
-                raise ParseError("user/item ids must be >= 1", path, lineno)
-            key = (user - 1, item - 1)
-            if key in entries:
-                duplicates += 1
-            entries[key] = float(rating)
-    if not entries:
-        raise ParseError("no rating entries found", path)
-    rows = max(k[0] for k in entries) + 1
-    cols = max(k[1] for k in entries) + 1
-    _check_densify(rows, cols, path)
-    mask = ObservedMask.from_pairs(rows, cols, sorted(entries))
-    y = np.zeros((rows, cols))
-    for (i, j), val in entries.items():
-        y[i, j] = val
-    return MovielensData(y=y, mask=mask, duplicates=duplicates)
+            line = raw.strip()
+            if line:
+                yield lineno, line
 
 
 def _check_densify(rows: int, cols: int, path, line: int | None = None):
@@ -145,10 +139,19 @@ def _check_densify(rows: int, cols: int, path, line: int | None = None):
         raise ParseError(msg, path, line)
 
 
-def _read_tokens(path):
-    with open(path) as fh:
-        lines = fh.readlines()
-    return lines
+def _from_triples(rows: int, cols: int, ri, ci, vals, path):
+    """(y, mask, duplicates) of the 0-based ``(ri, ci, vals)`` triples of a
+    rows x cols file: a repeated entry keeps its last value.  A file with no
+    entries, or a grid too large to densify, is refused before allocating."""
+    if not vals:
+        raise ParseError("no entries found", path)
+    _check_densify(rows, cols, path)
+    flat = np.asarray(ri, dtype=np.int64) * cols + np.asarray(ci, dtype=np.int64)
+    # np.unique keeps each offset's first index: over the reversed list, its last
+    flat, last = np.unique(flat[::-1], return_index=True)
+    y = np.zeros((rows, cols))
+    y.flat[flat] = np.asarray(vals, dtype=np.float64)[::-1][last]
+    return y, ObservedMask(rows, cols, *np.divmod(flat, cols)), len(vals) - flat.size
 
 
 def _parse_int(tok: str, path, lineno: int) -> int:
@@ -169,28 +172,21 @@ def _parse_float(tok: str, path, lineno: int) -> float:
     return val
 
 
-def _read_mm(lines, path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Parse MatrixMarket lines once: the dense matrix and, for a coordinate
-    file, the row-major flat index of each entry (duplicates: last wins).
-    A size line of more than ``DENSIFY_LIMIT`` cells is refused before the
-    matrix is allocated."""
-    if not lines:
+def _read_mm(path) -> tuple[np.ndarray, ObservedMask | None]:
+    """Parse a MatrixMarket file in one pass: the dense matrix and, for a
+    coordinate file, the mask of its listed entries.  A size line of more
+    than ``DENSIFY_LIMIT`` cells is refused before the matrix is allocated."""
+    lines = _lines(path)
+    header_no, header = next(lines, (None, None))
+    if header is None:
         raise ParseError("empty file", path)
-    header = lines[0].strip()
-    if header == MM_HEADER_COORD:
-        coordinate = True
-    elif header == MM_HEADER_ARRAY:
-        coordinate = False
-    else:
-        raise ParseError(f"unsupported MatrixMarket header {header!r}", path, 1)
-    body = [
-        (i + 1, ln.strip())
-        for i, ln in enumerate(lines[1:], start=1)
-        if ln.strip() and not ln.lstrip().startswith("%")
-    ]
-    if not body:
+    coordinate = header == MM_HEADER_COORD
+    if not coordinate and header != MM_HEADER_ARRAY:
+        raise ParseError(f"unsupported MatrixMarket header {header!r}", path, header_no)
+    body = ((lineno, line) for lineno, line in lines if not line.startswith("%"))
+    size_line_no, size_line = next(body, (None, None))
+    if size_line is None:
         raise ParseError("missing size line", path)
-    size_line_no, size_line = body[0]
     sizes = [_parse_int(t, path, size_line_no) for t in size_line.split()]
     if coordinate and len(sizes) != 3:
         raise ParseError("coordinate size line needs rows cols nnz", path, size_line_no)
@@ -201,13 +197,8 @@ def _read_mm(lines, path) -> tuple[np.ndarray, np.ndarray | None]:
     rows, cols = sizes[:2]
     _check_densify(rows, cols, path, size_line_no)
     if coordinate:
-        nnz = sizes[2]
-        out = np.zeros((rows, cols))
-        data = body[1:]
-        if len(data) != nnz:
-            raise ParseError(f"expected {nnz} entries, found {len(data)}", path)
-        flat = np.empty(nnz, dtype=np.int64)
-        for n, (lineno, entry) in enumerate(data):
+        ri, ci, vals = [], [], []
+        for lineno, entry in body:
             toks = entry.split()
             if len(toks) != 3:
                 raise ParseError("coordinate entry needs i j value", path, lineno)
@@ -215,13 +206,14 @@ def _read_mm(lines, path) -> tuple[np.ndarray, np.ndarray | None]:
             val = _parse_float(toks[2], path, lineno)
             if not (1 <= i <= rows and 1 <= j <= cols):
                 raise ParseError(f"index ({i}, {j}) out of bounds", path, lineno)
-            out[i - 1, j - 1] = val
-            flat[n] = (i - 1) * cols + (j - 1)
-        return out, flat
-    values = []
-    for lineno, entry in body[1:]:
-        for tok in entry.split():
-            values.append(_parse_float(tok, path, lineno))
+            ri.append(i - 1)
+            ci.append(j - 1)
+            vals.append(val)
+        if len(vals) != sizes[2]:
+            raise ParseError(f"expected {sizes[2]} entries, found {len(vals)}", path)
+        y, mask, _ = _from_triples(rows, cols, ri, ci, vals, path)
+        return y, mask
+    values = [_parse_float(tok, path, lineno) for lineno, entry in body for tok in entry.split()]
     if len(values) != rows * cols:
         raise ParseError(f"expected {rows * cols} values, found {len(values)}", path)
     # MatrixMarket array format is column-major.
@@ -231,11 +223,7 @@ def _read_mm(lines, path) -> tuple[np.ndarray, np.ndarray | None]:
 def _read_csv(path):
     rows = []
     width = None
-    lines = _read_tokens(path)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in _lines(path):
         toks = line.split(",")
         if width is None:
             width = len(toks)
@@ -253,17 +241,14 @@ def read_coordinate(path) -> tuple[np.ndarray, ObservedMask]:
     A coordinate file observes its listed entries, everything else is 0;
     an array file observes every entry.
     """
-    y, flat = _read_mm(_read_tokens(path), path)
-    if flat is None:
-        return y, ObservedMask.full(*y.shape)
-    ri, ci = np.divmod(np.unique(flat), y.shape[1])
-    return y, ObservedMask(y.shape[0], y.shape[1], ri, ci)
+    y, mask = _read_mm(path)
+    return y, ObservedMask.full(*y.shape) if mask is None else mask
 
 
 def read_matrix(path, fmt: str) -> np.ndarray:
     """Read a dense matrix from a MatrixMarket (``mm``) or ``csv`` file."""
     if fmt == "mm":
-        return _read_mm(_read_tokens(path), path)[0]
+        return _read_mm(path)[0]
     if fmt == "csv":
         return _read_csv(path)
     raise InvalidParameterError(f"unknown format {fmt!r}")

@@ -399,18 +399,30 @@ def test_verify_passes(capsys):
 def test_bench_needs_ground_truth(tmp_path, capsys):
     y_path = tmp_path / "y.csv"
     y_path.write_text("1,2\n3,4\n")
-    code = main(
-        [
-            "bench",
-            "--input",
-            str(y_path),
-            "--format",
-            "csv",
-            "--lambda-grid",
-            "1,2",
-        ]
-    )
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--input", str(y_path), "--format", "csv", "--lambda-grid", "1,2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("bench", f) for f in ("--input=y.mtx", "--format=csv", "--output=f", "--trace=t.json")]
+    + [("denoise", "--mask-card=5"), ("nmf", "--mask-card=5")],
+)
+def test_flag_the_command_does_not_read_is_usage_error(command, flag, capsys):
+    argv = [command, "--rows", "5", "--cols", "5", "--rank", "1"]
+    argv += ["--lambda-grid", "1"] if command == "bench" else ["--lambda", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_complete_on_an_empty_coordinate_file_names_it(tmp_path, capsys):
+    p = tmp_path / "empty.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real general\n3 3 0\n")
+    assert main(["complete", "--input", str(p), "--lambda", "1"]) == 1
+    assert f"{p}: no entries found" in capsys.readouterr().err
 
 
 def test_bench_reports_best_lambda(capsys):

@@ -166,6 +166,22 @@ def test_mask_full_and_density():
     assert mask.to_dense_bool().all()
 
 
+def test_mask_csr_layout_matches_a_lexsort_reference():
+    rng = np.random.default_rng(4)
+    rows, cols = 9, 7
+    flat = rng.choice(rows * cols, size=25, replace=False)
+    ri, ci = np.divmod(flat, cols)
+    ri[ri == 3] = 5  # leave row 3 empty
+    keep = np.unique(ri * cols + ci, return_index=True)[1]
+    ri, ci = ri[keep], ci[keep]
+    order = rng.permutation(ri.size)
+    mask = ObservedMask(rows, cols, ri[order], ci[order])
+    ref = np.lexsort((ci, ri))
+    assert np.array_equal(mask.flat, ri[ref] * cols + ci[ref])
+    assert np.array_equal(mask.indptr, np.searchsorted(ri[ref], np.arange(rows + 1)))
+    assert mask.indptr[3] == mask.indptr[4]
+
+
 # ----------------------------------------------------- column pair norms
 
 

@@ -319,6 +319,34 @@ def test_coordinate_duplicate_entry_last_wins(tmp_path):
     assert mask.col_idx.tolist() == [1, 0]
 
 
+def test_movielens_and_coordinate_files_agree(tmp_path):
+    triples = [(2, 3, 4), (1, 1, 5), (3, 2, 1), (2, 3, 2), (1, 2, 3)]  # (2, 3) twice
+    ml = tmp_path / "u.data"
+    ml.write_text("".join(f"{i}\t{j}\t{v}\t0\n" for i, j, v in triples))
+    mm = tmp_path / "u.mtx"
+    mm.write_text(
+        "%%MatrixMarket matrix coordinate real general\n3 3 5\n"
+        + "".join(f"{i} {j} {v}\n" for i, j, v in triples)
+    )
+    data = read_movielens(ml)
+    y, mask = read_coordinate(mm)
+    assert np.array_equal(data.y, y) and y[1, 2] == 2.0
+    assert np.array_equal(data.mask.row_idx, mask.row_idx)
+    assert np.array_equal(data.mask.col_idx, mask.col_idx)
+    assert data.duplicates == 1 and len(triples) - mask.card == 1
+
+
+@pytest.mark.parametrize(
+    "read", [read_coordinate, lambda p: read_matrix(p, "mm")], ids=["coordinate", "matrix"]
+)
+def test_empty_coordinate_file_is_parse_error_naming_the_file(tmp_path, read):
+    p = tmp_path / "empty.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real general\n3 3 0\n")
+    with pytest.raises(ParseError, match="no entries found") as err:
+        read(p)
+    assert err.value.path == p and str(p) in str(err.value)
+
+
 def test_coordinate_error_names_the_offending_line(tmp_path):
     p = tmp_path / "bad.mtx"
     p.write_text(
