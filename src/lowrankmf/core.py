@@ -212,9 +212,11 @@ class ObservedMask:
             raise InvalidParameterError("mask must contain at least one entry")
         if ri.min() < 0 or ri.max() >= self.rows or ci.min() < 0 or ci.max() >= self.cols:
             raise InvalidParameterError("mask index out of range")
-        flat = np.unique(ri * self.cols + ci)
-        if flat.size != ri.size:
-            raise InvalidParameterError("mask contains duplicate index pairs")
+        flat = ri * self.cols + ci
+        if np.any(flat[1:] <= flat[:-1]):  # not already sorted and distinct
+            flat = np.unique(flat)
+            if flat.size != ri.size:
+                raise InvalidParameterError("mask contains duplicate index pairs")
         ri, ci = np.divmod(flat, self.cols)
         object.__setattr__(self, "row_idx", ri)
         object.__setattr__(self, "col_idx", ci)
@@ -289,7 +291,7 @@ class Problem:
     ``y_obs`` holds the entries of Y the data term reads: all of ``y``,
     or for completion its values at the mask in the mask's row-major
     order, which is also the CSR order of the mask's ``flat`` and
-    ``indptr``.
+    ``indptr``, on which it builds one sparse operator (:meth:`filled_product`).
 
     One slot, ``_last``, holds the data term at the last pair evaluated,
     keyed by that :class:`FactorPair` object (held, so its identity cannot
@@ -396,20 +398,27 @@ class Problem:
         for dense data, where the U side's Y V is read from the slot, and
         for completion the fill-in P_Omega(Y) + P_Omega^perp(U V^T), whose
         product F G^T G - P_Omega(U V^T - Y) G (F the updated factor, G^T G
-        from the pair's ledger, the residual from the slot) forms no m x n
-        array."""
+        from the pair's ledger) forms no m x n array: the slot's residual is
+        the data of the problem's one sparse operator, CSR on the U side and
+        its CSC transpose on the V side."""
         factor, other = fp.split(side)
         if self.kind is not ProblemKind.COMPLETE:
             return self._data_term(fp) if side == "u" else self.y.T @ other
+        csr, csc = self._operator
+        csr.data[:] = self._data_term(fp)
+        return factor @ fp.other_gram(side) - (csr if side == "u" else csc) @ other
+
+    @cached_property
+    def _operator(self):
+        """The mask's CSR matrix and its CSC transpose, one ``data`` array
+        shared by both, built on first use."""
         # imported here, so that importing the package does not load it
         import scipy.sparse as sp
 
-        res = sp.csr_matrix(
-            (self._data_term(fp), self.mask.col_idx, self.mask.indptr), shape=self.y.shape
+        csr = sp.csr_matrix(
+            (np.empty(self.mask.card), self.mask.col_idx, self.mask.indptr), self.y.shape
         )
-        return factor @ fp.other_gram(side) - np.asarray(
-            (res if side == "u" else res.T) @ other
-        )
+        return csr, csr.T
 
     def gradient(self, side: str, fp: FactorPair, lam: float, w: np.ndarray) -> np.ndarray:
         """:func:`gradient` at a point :meth:`check` accepts, with the
@@ -427,11 +436,15 @@ def block_step(
 ) -> tuple[np.ndarray, float]:
     """Minimizer of the quadratic surrogate for one factor, and the objective
     drop it certifies: on the U side Z V H^{-1}, Z V from
-    :meth:`Problem.filled_product` and H = V^T V + lam D (one d x d SPD solve,
-    V^T V from the pair's ledger), and the drop 0.5 <dU^T dU, H>, dU = U' - U."""
+    :meth:`Problem.filled_product` and H = V^T V + lam D (V^T V from the
+    pair's ledger), and the drop 0.5 <dU^T dU, H>, dU = U' - U.  H^{-1} is
+    formed once by LU (``LinAlgError`` if singular) and applied by products:
+    X = Z V H^{-1}, refined once, X += (Z V - X H) H^{-1}, to a solve's residual."""
     factor = fp.split(side)[0]
     h = fp.other_gram(side) + lam * np.diag(np.asarray(w, dtype=float))
-    new = np.linalg.solve(h, problem.filled_product(side, fp).T).T
+    h_inv, zg = np.linalg.inv(h), problem.filled_product(side, fp)
+    new = zg @ h_inv
+    new += (zg - new @ h) @ h_inv
     step = new - factor
     return new, 0.5 * float(np.vdot(step.T @ step, h))
 

@@ -120,8 +120,8 @@ def read_movielens(path) -> MovielensData:
         items.append(item - 1)
         ratings.append(rating)
     rows, cols = max(users, default=-1) + 1, max(items, default=-1) + 1
-    y, mask, duplicates = _from_triples(rows, cols, users, items, ratings, path)
-    return MovielensData(y=y, mask=mask, duplicates=duplicates)
+    y, flat, duplicates = _from_triples(rows, cols, users, items, ratings, path)
+    return MovielensData(y, ObservedMask(rows, cols, *np.divmod(flat, cols)), duplicates)
 
 
 def _lines(path):
@@ -140,8 +140,9 @@ def _check_densify(rows: int, cols: int, path, line: int | None = None):
 
 
 def _from_triples(rows: int, cols: int, ri, ci, vals, path):
-    """(y, mask, duplicates) of the 0-based ``(ri, ci, vals)`` triples of a
-    rows x cols file: a repeated entry keeps its last value.  A file with no
+    """(y, flat, duplicates) of the 0-based ``(ri, ci, vals)`` triples of a
+    rows x cols file, ``flat`` their sorted distinct offsets ``i * cols + j``:
+    a repeated entry keeps its last value.  A file with no
     entries, or a grid too large to densify, is refused before allocating."""
     if not vals:
         raise ParseError("no entries found", path)
@@ -151,7 +152,7 @@ def _from_triples(rows: int, cols: int, ri, ci, vals, path):
     flat, last = np.unique(flat[::-1], return_index=True)
     y = np.zeros((rows, cols))
     y.flat[flat] = np.asarray(vals, dtype=np.float64)[::-1][last]
-    return y, ObservedMask(rows, cols, *np.divmod(flat, cols)), len(vals) - flat.size
+    return y, flat, len(vals) - flat.size
 
 
 def _parse_int(tok: str, path, lineno: int) -> int:
@@ -172,10 +173,10 @@ def _parse_float(tok: str, path, lineno: int) -> float:
     return val
 
 
-def _read_mm(path) -> tuple[np.ndarray, ObservedMask | None]:
+def _read_mm(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Parse a MatrixMarket file in one pass: the dense matrix and, for a
-    coordinate file, the mask of its listed entries.  A size line of more
-    than ``DENSIFY_LIMIT`` cells is refused before the matrix is allocated."""
+    coordinate file, the sorted offsets of its listed entries.  A size line
+    of more than ``DENSIFY_LIMIT`` cells is refused before allocating."""
     lines = _lines(path)
     header_no, header = next(lines, (None, None))
     if header is None:
@@ -211,8 +212,7 @@ def _read_mm(path) -> tuple[np.ndarray, ObservedMask | None]:
             vals.append(val)
         if len(vals) != sizes[2]:
             raise ParseError(f"expected {sizes[2]} entries, found {len(vals)}", path)
-        y, mask, _ = _from_triples(rows, cols, ri, ci, vals, path)
-        return y, mask
+        return _from_triples(rows, cols, ri, ci, vals, path)[:2]
     values = [_parse_float(tok, path, lineno) for lineno, entry in body for tok in entry.split()]
     if len(values) != rows * cols:
         raise ParseError(f"expected {rows * cols} values, found {len(values)}", path)
@@ -241,8 +241,9 @@ def read_coordinate(path) -> tuple[np.ndarray, ObservedMask]:
     A coordinate file observes its listed entries, everything else is 0;
     an array file observes every entry.
     """
-    y, mask = _read_mm(path)
-    return y, ObservedMask.full(*y.shape) if mask is None else mask
+    y, flat = _read_mm(path)
+    flat = np.arange(y.size) if flat is None else flat
+    return y, ObservedMask(*y.shape, *np.divmod(flat, y.shape[1]))
 
 
 def read_matrix(path, fmt: str) -> np.ndarray:

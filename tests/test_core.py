@@ -159,6 +159,19 @@ def test_mask_validation():
         ObservedMask(2, 2, np.array([], dtype=int), np.array([], dtype=int))
 
 
+def test_mask_sorts_only_offsets_that_are_not_strictly_increasing(monkeypatch):
+    sorts, unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+    in_order = ObservedMask(3, 4, np.array([0, 0, 2]), np.array([1, 3, 0]))
+    assert sorts == []
+    shuffled = ObservedMask(3, 4, np.array([2, 0, 0]), np.array([0, 3, 1]))
+    assert sorts == [1]
+    for name in ("row_idx", "col_idx", "flat", "indptr"):
+        assert np.array_equal(getattr(shuffled, name), getattr(in_order, name))
+    with pytest.raises(InvalidParameterError, match="duplicate"):
+        ObservedMask(3, 4, np.array([0, 1, 1]), np.array([1, 2, 2]))  # sorted, repeated
+
+
 def test_mask_full_and_density():
     mask = ObservedMask.full(3, 4)
     assert mask.card == 12
@@ -585,6 +598,37 @@ def test_filled_product_is_the_fill_in_data_times_the_other_factor(side):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_completion_problem_holds_one_sparse_operator(monkeypatch):
+    import scipy.sparse as sp
+
+    built, csr_matrix = [], sp.csr_matrix
+    monkeypatch.setattr(sp, "csr_matrix", lambda *a, **k: built.append(1) or csr_matrix(*a, **k))
+    y = add_noise_snr(gen_lowrank(30, 30, 2, "gaussian", 5), 20.0, 6)
+    cfg = SolverConfig(lam=20.0, d_init=8, max_iter=30)
+    _, trace = solve_mc(y, sample_mask(30, 30, 400, 7), cfg)
+    assert trace.iterations > 2 and trace.prunes and len(built) == 1
+    # consecutive pairs on both sides, a pruned pair, and a pair read
+    # again after another one: each product is the fill-in Z = P_Omega(Y)
+    # + P_Omega^perp(U V^T) times the other factor, with no residual left over
+    rng = np.random.default_rng(8)
+    mask = sample_mask(12, 9, 50, 9)
+    y = rng.standard_normal((12, 9))
+    problem = Problem(ProblemKind.COMPLETE, y, mask)
+    fp = FactorPair(rng.standard_normal((12, 4)), rng.standard_normal((9, 4)))
+    mid = fp.with_factor("u", rng.standard_normal((12, 4)))
+    nxt = mid.with_factor("v", rng.standard_normal((9, 4)))
+    pruned = nxt.select([0, 2, 3])
+    for side, pair in [("u", fp), ("v", fp), ("v", mid), ("u", nxt), ("v", nxt),
+                       ("u", pruned), ("v", mid), ("v", pruned)]:
+        z = np.where(mask.to_dense_bool(), y, pair.product())
+        other = pair.split(side)[1]
+        want = (z if side == "u" else z.T) @ other
+        got = problem.filled_product(side, pair)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), side
+    csr, csc = problem._operator
+    assert len(built) == 2 and np.shares_memory(csr.data, csc.data)
+
+
 def test_import_loads_no_scipy_sparse():
     # scipy.sparse is imported by the first completion gradient, not by
     # the package
@@ -603,6 +647,60 @@ def test_import_loads_no_scipy_sparse():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+# ------------------------------------------------------------- block step
+
+
+# The stationarity residual ||X H - Z G|| / ||Z G|| of the step, against
+# that of np.linalg.solve on the same block: the largest ratio measured over
+# 100 blocks of each d and condition number below was 2.2.
+BLOCK_STEP_RESIDUAL_FACTOR = 4.0
+
+
+def _conditioned_u_step(d, cond, seed, m=60, n=50):
+    """A denoising problem and pair whose U-step block H = V^T V + lam I has
+    the eigenvalues geomspace(1, 1/cond): V = P S Q^T, P and Q orthonormal,
+    so Z G = Y V carries the block's scaling, as in a solve."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    p, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    lam = 0.5 / cond
+    s = np.sqrt(np.geomspace(1.0, 1.0 / cond, d) - lam)
+    fp = FactorPair(rng.standard_normal((m, d)), (p * s) @ q.T)
+    return Problem(ProblemKind.DENOISE, rng.standard_normal((m, n))), fp, lam
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e8, 1e10])
+@pytest.mark.parametrize("d", [5, 40])
+def test_block_step_conditioning(d, cond):
+    w = np.ones(d)
+    for seed in range(3):
+        problem, fp, lam = _conditioned_u_step(d, cond, seed)
+        h = fp.gram_v + lam * np.diag(w)
+        assert 0.99 * cond < np.linalg.cond(h) < 1.01 * cond
+        zg = problem.filled_product("u", fp)
+        new, drop = core.block_step(problem, "u", fp, w, lam)
+
+        def residual(x):
+            return np.linalg.norm(x @ h - zg) / np.linalg.norm(zg)
+
+        ref = np.linalg.solve(h, zg.T).T
+        assert residual(new) <= BLOCK_STEP_RESIDUAL_FACTOR * residual(ref)
+
+        # the drop is the surrogate's decrease q(U) - q(U'), q(X) = 1/2 <X^T X, H>
+        # - <X, Z G>, which is determined to about eps * cond(H) relative
+        def q(x):
+            return 0.5 * np.vdot(x.T @ x, h) - np.vdot(x, zg)
+
+        eps = np.finfo(float).eps
+        assert abs(q(fp.u) - q(new) - drop) <= eps * cond * drop
+    # an exactly singular block: a zero column of V with a zero weight
+    v = fp.v.copy()
+    v[:, 0] = 0.0
+    w[0] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        core.block_step(problem, "u", FactorPair(fp.u, v), w, lam)
 
 
 # ---------------------------------------------------------------- metrics

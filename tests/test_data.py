@@ -302,6 +302,17 @@ def test_read_coordinate_observes_every_entry_of_an_array_file(tmp_path):
     assert np.array_equal(mask.col_idx, full.col_idx)
 
 
+def test_read_matrix_builds_no_mask(tmp_path, monkeypatch):
+    p = tmp_path / "c.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real general\n2 3 2\n2 1 1.5\n1 3 2.0\n")
+    built, post_init = [], ObservedMask.__post_init__
+    monkeypatch.setattr(ObservedMask, "__post_init__", lambda m: built.append(1) or post_init(m))
+    y = read_matrix(p, "mm")
+    assert built == [] and y.tolist() == [[0.0, 0.0, 2.0], [1.5, 0.0, 0.0]]
+    y2, mask = read_coordinate(p)
+    assert built == [1] and np.array_equal(y2, y) and mask.flat.tolist() == [2, 3]
+
+
 def test_unknown_format():
     with pytest.raises(InvalidParameterError):
         read_matrix("whatever", "hdf5")
