@@ -13,6 +13,7 @@ import numpy as np
 
 from .core import (
     FactorPair,
+    HalfStep,
     InvalidParameterError,
     Problem,
     ProblemKind,
@@ -167,6 +168,15 @@ class IterationTrace:
         }
 
 
+def _kept_columns(norms: np.ndarray, threshold: float, floor: float = 0.0) -> list[int]:
+    """Indices of the columns whose joint norm is at least ``threshold`` times
+    the largest, or none when the largest is zero or below ``floor``."""
+    top = norms.max() if norms.size else 0.0
+    if top == 0.0 or top < floor:
+        return []
+    return (norms >= threshold * top).nonzero()[0].tolist()
+
+
 def prune_columns(fp: FactorPair, threshold: float) -> tuple[FactorPair, list[int]]:
     """Drop columns whose joint norm falls below ``threshold`` times the largest.
 
@@ -177,58 +187,45 @@ def prune_columns(fp: FactorPair, threshold: float) -> tuple[FactorPair, list[in
     """
     if not 0.0 < threshold < math.inf:
         raise InvalidParameterError("threshold must be positive and finite")
-    norms = column_pair_norms(fp)
-    top = norms.max() if norms.size else 0.0
-    if top == 0.0:
-        kept_mask = np.zeros(fp.d, dtype=bool)
-    else:
-        kept_mask = norms >= threshold * top
-    kept = [int(i) for i in np.nonzero(kept_mask)[0]]
-    if len(kept) == fp.d:
-        return fp, kept
-    return fp.select(kept), kept
+    kept = _kept_columns(column_pair_norms(fp), threshold)
+    return (fp if len(kept) == fp.d else fp.select(kept)), kept
 
 
-def _padded(fp: FactorPair, d: int) -> FactorPair:
-    """``fp`` with zero columns appended up to width ``d``."""
-    if fp.d == d:
-        return fp
-    return FactorPair(*(np.pad(a, ((0, 0), (0, d - fp.d))) for a in (fp.u, fp.v)))
-
-
-def _product_change_sq(prev: FactorPair, next_: FactorPair) -> tuple[float, float]:
-    """||dU V'^T + U dV^T||_F^2 = ||U' V'^T - U V^T||_F^2, exactly 0 for an unmoved
-    pair, and ||U V^T||_F^2, in O((m + n) d^2): U^T U, V^T V and V'^T V' come
-    from the pairs' ledgers.  A narrower pair is zero-padded."""
-    if next_.shape != prev.shape:
-        raise InvalidParameterError("factor pairs describe different matrix shapes")
-    d = max(prev.d, next_.d)
-    prev, next_ = _padded(prev, d), _padded(next_, d)
-    u, gram_u = prev.u, prev.gram_u
-    du, dv = next_.u - u, next_.v - prev.v
+def _relative_change(prev, next_, du, du_gram, dv, dv_gram) -> float:
+    """||dU V'^T + U dV^T||_F / ||U V^T||_F = ||U' V'^T - U V^T||_F / ||U V^T||_F
+    in O((m + n) d^2) from dU = U' - U, dV = V' - V, their Grams and the pairs'
+    ledgers; exactly 0 for an unmoved pair, and inf for a moved zero U V^T."""
     change = (
-        np.vdot(du.T @ du, next_.gram_v)
-        + 2.0 * np.vdot(du.T @ u, next_.v.T @ dv)
-        + np.vdot(gram_u, dv.T @ dv)
+        np.vdot(du_gram, next_.gram_v)
+        + 2.0 * np.vdot(du.T @ prev.u, next_.v.T @ dv)
+        + np.vdot(prev.gram_u, dv_gram)
     )
-    return max(float(change), 0.0), float(np.vdot(gram_u, prev.gram_v))
-
-
-def relative_change(prev: FactorPair, next_: FactorPair) -> float:
-    """||U_k V_k^T - U_{k+1} V_{k+1}^T||_F / ||U_k V_k^T||_F in O((m + n) d^2)."""
-    change, base = _product_change_sq(prev, next_)
+    change, base = max(float(change), 0.0), float(np.vdot(prev.gram_u, prev.gram_v))
     if base <= 0.0:
-        raise InvalidParameterError("previous factor product is zero")
-    return float(np.sqrt(change / base))
+        return 0.0 if change == 0.0 else math.inf
+    return math.sqrt(change / base)
 
 
 def safe_relative_change(prev: FactorPair, next_: FactorPair) -> float:
     """Like :func:`relative_change` but defined for a zero previous product:
     0.0 for an unmoved pair, else inf."""
-    change, base = _product_change_sq(prev, next_)
-    if base <= 0.0:
-        return 0.0 if change == 0.0 else float("inf")
-    return float(np.sqrt(change / base))
+    if next_.shape != prev.shape:
+        raise InvalidParameterError("factor pairs describe different matrix shapes")
+    d = max(prev.d, next_.d)  # a narrower pair gets zero columns appended
+    prev, next_ = (
+        p if p.d == d else FactorPair(*(np.pad(a, ((0, 0), (0, d - p.d))) for a in (p.u, p.v)))
+        for p in (prev, next_)
+    )
+    du, dv = next_.u - prev.u, next_.v - prev.v
+    return _relative_change(prev, next_, du, du.T @ du, dv, dv.T @ dv)
+
+
+def relative_change(prev: FactorPair, next_: FactorPair) -> float:
+    """||U_k V_k^T - U_{k+1} V_{k+1}^T||_F / ||U_k V_k^T||_F in O((m + n) d^2)."""
+    rel = safe_relative_change(prev, next_)
+    if not np.vdot(prev.gram_u, prev.gram_v) > 0.0:
+        raise InvalidParameterError("previous factor product is zero")
+    return rel
 
 
 def stop_status(trace: IterationTrace, cfg: SolverConfig) -> str | None:
@@ -278,18 +275,18 @@ def init_factors(problem: Problem, d: int, rng: np.random.Generator) -> FactorPa
     return FactorPair(u, v)
 
 
-def _iteration_diagnostics(prev: FactorPair, next_: FactorPair) -> tuple[float, ...]:
-    """displacement_sq, rel_change, gram_min_eig and max_col_sq of pairs of
-    one width, every Gram read from the pairs' ledgers.  Both of ``next_``'s
-    Grams' smallest eigenvalues come from one ``eigvalsh`` over their
-    (2, d, d) stack."""
-    disp = sum(float(np.vdot(x, x)) for x in (next_.u - prev.u, next_.v - prev.v))
-    rel = safe_relative_change(prev, next_)
+def _iteration_diagnostics(prev, next_, steps: tuple[HalfStep, HalfStep]) -> tuple:
+    """displacement_sq, rel_change, gram_min_eig and max_col_sq of the iteration
+    from ``prev`` to ``next_`` by the U and V half-``steps``, from the steps' Grams
+    and the pairs' ledgers, with one ``eigvalsh`` over ``next_``'s two Grams."""
+    (du, du_gram), (dv, dv_gram) = ((s.step, s.step_gram) for s in steps)
+    disp = float(du_gram.trace()) + float(dv_gram.trace())
+    rel = _relative_change(prev, next_, du, du_gram, dv, dv_gram)
     if next_.d == 0:
         return disp, rel, 0.0, 0.0
-    grams = np.stack((next_.gram_u, next_.gram_v))
-    min_eig = float(np.min(np.linalg.eigvalsh(grams)[:, 0]))
-    max_col = float(np.max(np.diagonal(grams, axis1=1, axis2=2)))
+    grams = np.array((next_.gram_u, next_.gram_v))
+    min_eig = float(np.linalg.eigvalsh(grams)[:, 0].min())
+    max_col = float(grams.diagonal(axis1=1, axis2=2).max())
     return disp, rel, min_eig, max_col
 
 
@@ -299,38 +296,29 @@ def finish_iteration(
     k: int,
     prev: FactorPair,
     next_: FactorPair,
-    delta: float,
+    steps: tuple[HalfStep, HalfStep],
     problem: Problem,
     t0: float,
 ) -> FactorPair:
     """Shared post-update bookkeeping: prune, record, return current pair.
 
-    The diagnostics, the column norms and the objective read the Grams of
-    the pairs' ledgers; the objective at the pruned pair fills the
-    problem's data-term slot there, which the next U step reads
-    (:meth:`Problem.objective`).  An unmoved, unpruned
-    pair (``displacement_sq == 0``) takes the previous record's objective
-    exactly, so a stalled record repeats it.
+    The diagnostics read the U and V half-``steps`` that took ``prev`` to
+    ``next_``; they, the column norms and the objective read the pairs' Gram
+    ledgers.  The objective at the pruned pair fills the problem's data-term
+    slot, which the next U step reads.  An unmoved, unpruned pair
+    (``displacement_sq == 0``) repeats the previous record's objective exactly.
     """
-    disp, rel, min_eig, max_col = _iteration_diagnostics(prev, next_)
+    disp, rel, min_eig, max_col = _iteration_diagnostics(prev, next_, steps)
     norms = column_pair_norms(next_)
-    if norms.size and norms.max() < cfg.eta:
-        # Every column sits below the smoothing scale: the factorization
-        # carries no signal the regularizer can distinguish from zero, so
-        # the relative rule (scale invariant by design) would never fire.
-        pruned, kept = next_.select([]), []
-    else:
-        pruned, kept = prune_columns(next_, cfg.prune_tol)
+    # With every column below the smoothing scale eta, the factorization
+    # carries no signal the regularizer can distinguish from zero, and the
+    # relative rule (scale invariant by design) would never fire: prune all.
+    kept = _kept_columns(norms, cfg.prune_tol, floor=cfg.eta)
     unpruned = len(kept) == next_.d
+    pruned = next_ if unpruned else next_.select(kept)
     if not unpruned:
         removed = sorted(set(range(next_.d)).difference(kept))
-        trace.prunes.append(
-            PruneEvent(
-                iteration=k,
-                removed_columns=removed,
-                pair_norms_at_removal=[float(norms[i]) for i in removed],
-            )
-        )
+        trace.prunes.append(PruneEvent(k, removed, [float(norms[i]) for i in removed]))
     if unpruned and disp == 0.0:
         obj = trace.records[-1].objective if trace.records else trace.initial_objective
     else:
@@ -341,7 +329,7 @@ def finish_iteration(
             objective=obj,
             d=pruned.d,
             rel_change=rel,
-            delta=delta,
+            delta=steps[0].drop + steps[1].drop,
             ms=(time.perf_counter() - t0) * 1e3,
             displacement_sq=disp,
             gram_min_eig=min_eig,
@@ -359,9 +347,9 @@ def alternate(
     Starts from :func:`init_factors`.  Each iteration refreshes the
     weight diagonal at (U_k, V_k) and takes the U step, refreshes it at
     (U_{k+1}, V_k) and takes the V step, then prunes, records and tests
-    the stopping rule.  ``step(side, fp, w)`` returns the new factor and
-    the objective drop that half-step certifies; the iteration's
-    guaranteed drop ``delta`` is the sum of the two.  A curvature block
+    the stopping rule.  ``step(side, fp, w)`` returns the half-step it took
+    (:class:`~lowrankmf.core.HalfStep`); the iteration's guaranteed drop
+    ``delta`` is the sum of the two half-steps' drops.  A curvature block
     singular to working precision raises :class:`InvalidParameterError`.
     """
     fp = init_factors(problem, cfg.d_init, np.random.default_rng(cfg.seed))
@@ -374,17 +362,17 @@ def alternate(
         t0 = time.perf_counter()
         side = "U"
         try:
-            u_new, cert_u = step("u", fp, weight_diag(fp, cfg.eta))
-            mid = fp.with_factor("u", u_new)
+            u_step = step("u", fp, weight_diag(fp, cfg.eta))
+            mid = fp.with_factor("u", u_step.factor)
             side = "V"
-            v_new, cert_v = step("v", mid, weight_diag(mid, cfg.eta))
+            v_step = step("v", mid, weight_diag(mid, cfg.eta))
         except np.linalg.LinAlgError as exc:
             raise InvalidParameterError(
                 f"iteration {k}, {side} half-step: the curvature block is singular "
                 f"to working precision at lam={cfg.lam!r}; use a larger lam"
             ) from exc
-        next_fp = mid.with_factor("v", v_new)
-        fp = finish_iteration(trace, cfg, k, fp, next_fp, cert_u + cert_v, problem, t0)
+        next_fp = mid.with_factor("v", v_step.factor)
+        fp = finish_iteration(trace, cfg, k, fp, next_fp, (u_step, v_step), problem, t0)
         status = stop_status(trace, cfg)
         if status is not None:
             trace.status = status

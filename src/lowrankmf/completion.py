@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .common import IterationTrace, SolverConfig, alternate
-from .core import FactorPair, ObservedMask, Problem, ProblemKind, block_step
+from .core import FactorPair, HalfStep, ObservedMask, Problem, ProblemKind, block_step
 
 # Unused here: bench/ traces and checks these bindings of the shared functions.
 from .common import finish_iteration  # noqa: F401
@@ -25,7 +25,7 @@ __all__ = ["update_factor_mc", "solve_mc"]
 
 def update_factor_mc(
     problem: Problem, side: str, fp: FactorPair, w: np.ndarray, lam: float
-) -> tuple[np.ndarray, float]:
+) -> HalfStep:
     """One surrogate-minimizing factor update for a completion ``problem``,
     whose Y and mask were checked when it was built, and the objective drop
     it certifies: :func:`core.block_step`, the softImpute-ALS fill-in step

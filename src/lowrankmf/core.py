@@ -22,6 +22,7 @@ __all__ = [
     "ProblemKind",
     "Problem",
     "FactorPair",
+    "HalfStep",
     "ObservedMask",
     "InvalidParameterError",
     "DimensionMismatchError",
@@ -66,7 +67,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidParameterError(f"{name} contains non-finite entries")
     return arr
 
@@ -147,7 +148,7 @@ class FactorPair:
     @cached_property
     def sq(self) -> np.ndarray:
         """Squared joint column norms diag(U^T U) + diag(V^T V) (read-only)."""
-        return _frozen(np.diagonal(self.gram_u) + np.diagonal(self.gram_v))
+        return _frozen(self.gram_u.diagonal() + self.gram_v.diagonal())
 
     def product(self) -> np.ndarray:
         return self.u @ self.v.T
@@ -268,7 +269,7 @@ def smoothed_regularizer(fp: FactorPair, eta: float) -> float:
     """
     if not 0.0 <= eta < math.inf:
         raise InvalidParameterError("eta must be nonnegative and finite")
-    return float(np.sum(np.sqrt(fp.sq + eta * eta)))
+    return float(np.sqrt(fp.sq + eta * eta).sum())
 
 
 def apply_mask(m, mask: ObservedMask) -> np.ndarray:
@@ -332,7 +333,7 @@ class Problem:
             raise DimensionMismatchError(
                 f"factor product shape {fp.shape} does not match data {self.y.shape}"
             )
-        if self.kind is ProblemKind.NMF and (np.any(fp.u < 0) or np.any(fp.v < 0)):
+        if self.kind is ProblemKind.NMF and ((fp.u < 0).any() or (fp.v < 0).any()):
             raise ConstraintViolationError("NMF factors must be elementwise nonnegative")
         return fp
 
@@ -431,22 +432,37 @@ class Problem:
         )
 
 
+@dataclass(eq=False)
+class HalfStep:
+    """One factor step F -> F': the new factor, the objective drop it certifies,
+    the step F' - F and its Gram.  It unpacks as ``(factor, drop)``."""
+
+    factor: np.ndarray = field(repr=False)
+    drop: float
+    step: np.ndarray = field(repr=False)
+    step_gram: np.ndarray = field(repr=False)
+
+    def __iter__(self):
+        return iter((self.factor, self.drop))
+
+
 def block_step(
     problem: Problem, side: str, fp: FactorPair, w: np.ndarray, lam: float
-) -> tuple[np.ndarray, float]:
+) -> HalfStep:
     """Minimizer of the quadratic surrogate for one factor, and the objective
     drop it certifies: on the U side Z V H^{-1}, Z V from
     :meth:`Problem.filled_product` and H = V^T V + lam D (V^T V from the
     pair's ledger), and the drop 0.5 <dU^T dU, H>, dU = U' - U.  H^{-1} is
     formed once by LU (``LinAlgError`` if singular) and applied by products:
     X = Z V H^{-1}, refined once, X += (Z V - X H) H^{-1}, to a solve's residual."""
-    factor = fp.split(side)[0]
-    h = fp.other_gram(side) + lam * np.diag(np.asarray(w, dtype=float))
+    factor, h = fp.split(side)[0], fp.other_gram(side).copy()
+    h.flat[:: h.shape[0] + 1] += lam * np.asarray(w, dtype=float)
     h_inv, zg = np.linalg.inv(h), problem.filled_product(side, fp)
     new = zg @ h_inv
     new += (zg - new @ h) @ h_inv
     step = new - factor
-    return new, 0.5 * float(np.vdot(step.T @ step, h))
+    sts = step.T @ step
+    return HalfStep(new, 0.5 * float(np.vdot(sts, h)), step, sts)
 
 
 def objective(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .common import IterationTrace, SolverConfig, alternate
-from .core import FactorPair, Problem, ProblemKind, block_step
+from .core import FactorPair, HalfStep, Problem, ProblemKind, block_step
 
 # Unused here: bench/ traces and checks these bindings of the shared functions.
 from .common import finish_iteration  # noqa: F401
@@ -24,7 +24,7 @@ __all__ = ["update_factor_denoise", "solve_denoise"]
 
 def update_factor_denoise(
     problem: Problem, side: str, fp: FactorPair, w: np.ndarray, lam: float
-) -> tuple[np.ndarray, float]:
+) -> HalfStep:
     """Closed-form minimizer of the quadratic surrogate for one factor of a
     denoising ``problem``, whose Y was checked when it was built, and the
     objective drop it certifies: :func:`core.block_step`, Y V H^{-1} on the

@@ -21,6 +21,7 @@ from .common import IterationTrace, SolverConfig, alternate
 from .core import (
     STACK_ENTRIES,
     FactorPair,
+    HalfStep,
     InvalidParameterError,
     Problem,
     ProblemKind,
@@ -42,22 +43,25 @@ __all__ = [
 
 
 @dataclass
-class ArmijoResult:
+class ArmijoResult(HalfStep):
+    """The search's half-step (the unmoved factor if rejected) and last trial."""
+
     m_k: int
     alpha: float
     accepted: bool
     # f0 - f(trial) of the last trial, computed in factored form.
     decrease: float
-    # The half-step's certified drop: the sufficient-decrease threshold at
-    # acceptance, 0 for a rejected search.  It lower-bounds the objective drop
-    # and vanishes exactly at fixed points, as the sublinear rate checks need;
-    # the quadratic-form proximity measure only bounds the drop when the step
-    # length obeys the curvature-ratio cap, which a unit first step ignores.
-    rhs: float
-    factor: np.ndarray = field(repr=False)
     active: np.ndarray = field(repr=False)
     grad: np.ndarray = field(repr=False)
     direction: np.ndarray = field(repr=False)
+
+    @property
+    def rhs(self) -> float:
+        """The certified drop: the sufficient-decrease threshold at acceptance, 0
+        if rejected.  It lower-bounds the objective drop and vanishes exactly at
+        fixed points, as the rate checks need; the quadratic-form proximity
+        measure bounds the drop only under the curvature-ratio cap."""
+        return self.drop
 
 
 def active_set_rows(factor, grad, eps: float) -> np.ndarray:
@@ -72,7 +76,7 @@ def active_set_rows(factor, grad, eps: float) -> np.ndarray:
     grad = np.asarray(grad, dtype=float)
     if factor.shape != grad.shape:
         raise InvalidParameterError("factor and gradient shapes differ")
-    eps_k = min(eps, float(np.sum((factor - grad) ** 2)))
+    eps_k = min(eps, float(((factor - grad) ** 2).sum()))
     return (factor >= 0.0) & (factor <= eps_k) & (grad > 0.0)
 
 
@@ -93,11 +97,14 @@ def partial_diag_block(h_tilde: np.ndarray, active_row: np.ndarray) -> np.ndarra
 
 
 def _partial_diag_blocks(h_tilde: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """:func:`partial_diag_block` of each row of ``active`` (any leading
-    shape), stacked."""
-    eye = np.eye(h_tilde.shape[0], dtype=bool)
-    keep = ~(active[..., :, None] | active[..., None, :]) | eye
-    return np.where(keep, h_tilde, 0.0)
+    """:func:`partial_diag_block` of each row of ``active`` (any leading shape),
+    stacked: H_tilde copied, active rows and columns zeroed, diagonal put back."""
+    d = h_tilde.shape[0]
+    blocks = np.broadcast_to(h_tilde, active.shape + (d,)).copy()
+    blocks[active] = 0.0
+    blocks.swapaxes(-1, -2)[active] = 0.0
+    blocks.reshape(active.shape[:-1] + (d * d,))[..., :: d + 1] = h_tilde.diagonal()
+    return blocks
 
 
 def _newton_directions(
@@ -114,7 +121,7 @@ def _newton_directions(
     pinned = active.any(axis=1)
     if not pinned.all():
         p[~pinned] = np.linalg.solve(h_tilde, grad[~pinned].T).T
-    rows = np.flatnonzero(pinned)
+    rows = pinned.nonzero()[0]
     chunk = max(1, STACK_ENTRIES // h_tilde.size)
     for i in range(0, rows.size, chunk):
         idx = rows[i : i + chunk]
@@ -123,21 +130,20 @@ def _newton_directions(
     return p
 
 
-def _decrease(factor, sq, step, data_grad, gram, lam: float, eta: float) -> float:
+def _decrease(factor, sq, step, sts, data_grad, gram, lam: float, eta: float) -> float:
     """f(factor) - f(factor + step) along one side, exactly, in factored form.
 
     With R the residual at the current point and ``data_grad`` its R V
     (U side) or R^T U (V side), the data term changes by
-    <step, data_grad> + 1/2 <step^T step, gram>, ``gram`` the other
-    factor's Gram.  Column i's regularizer term changes by
+    <step, data_grad> + 1/2 <sts, gram>, ``sts`` = step^T step and ``gram``
+    the other factor's Gram.  Column i's regularizer term changes by
     (s_i' - s_i) / (sqrt(s_i' + eta^2) + sqrt(s_i + eta^2)), s_i its
     squared joint norm (``sq``), with s_i' - s_i = 2 <f_i, step_i> +
     ||step_i||^2: neither difference cancels.
     """
-    sts = step.T @ step
-    ds = 2.0 * np.sum(factor * step, axis=0) + np.diag(sts)
+    ds = 2.0 * (factor * step).sum(axis=0) + sts.diagonal()
     eta_sq = eta * eta
-    reg = np.sum(ds / (np.sqrt(sq + ds + eta_sq) + np.sqrt(sq + eta_sq)))
+    reg = (ds / (np.sqrt(sq + ds + eta_sq) + np.sqrt(sq + eta_sq))).sum()
     fit = np.vdot(step, data_grad) + 0.5 * np.vdot(sts, gram)
     return -float(fit + lam * reg)
 
@@ -171,7 +177,8 @@ def armijo_search(
     data_grad = factor @ gram - problem.filled_product(side, fp)
     grad = data_grad + cfg.lam * factor * w
     # the surrogate block G^T G + lam diag(w), with its Gram kept
-    h_tilde = gram + cfg.lam * np.diag(w)
+    h_tilde = gram.copy()
+    h_tilde.flat[:: h_tilde.shape[0] + 1] += cfg.lam * np.asarray(w, dtype=float)
     active = active_set_rows(factor, grad, cfg.nmf.eps_active)
     direction = _newton_directions(grad, h_tilde, active)
 
@@ -180,20 +187,22 @@ def armijo_search(
     sigma = cfg.nmf.sigma
     cap = cfg.nmf.max_backtracks
     decrease = 0.0
-    inactive = float(np.sum(grad[~active] * direction[~active]))
+    inactive = float((grad[~active] * direction[~active]).sum())
     for m in range(cap + 1):
         alpha = beta**m
         cand = np.maximum(factor - alpha * direction, 0.0)
         step = cand - factor
-        decrease = _decrease(factor, sq, step, data_grad, gram, cfg.lam, cfg.eta)
-        moved = -float(np.sum(grad[active] * step[active]))
+        sts = step.T @ step
+        decrease = _decrease(factor, sq, step, sts, data_grad, gram, cfg.lam, cfg.eta)
+        moved = -float((grad[active] * step[active]).sum())
         rhs = sigma * (alpha * inactive + moved)
         if decrease >= rhs:
             return ArmijoResult(
-                m, alpha, True, decrease, rhs, cand, active, grad, direction
+                cand, rhs, step, sts, m, alpha, True, decrease, active, grad, direction
             )
     return ArmijoResult(
-        cap, beta**cap, False, decrease, 0.0, factor.copy(), active, grad, direction
+        factor.copy(), 0.0, np.zeros_like(factor), np.zeros_like(gram),
+        cap, beta**cap, False, decrease, active, grad, direction,
     )
 
 
@@ -205,9 +214,6 @@ def solve_nmf(y, cfg: SolverConfig) -> tuple[FactorPair, IterationTrace]:
     and stops the solve with status ``stalled``.
     """
     problem = Problem(ProblemKind.NMF, y)
-
-    def step(side, fp, w):
-        res = armijo_search(problem, side, fp, w, cfg)
-        return res.factor, res.rhs
-
-    return alternate(problem, cfg, step)
+    return alternate(
+        problem, cfg, lambda side, fp, w: armijo_search(problem, side, fp, w, cfg)
+    )

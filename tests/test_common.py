@@ -32,7 +32,7 @@ from lowrankmf.common import (
     init_factors,
     stop_status,
 )
-from lowrankmf.core import block_step
+from lowrankmf.core import HalfStep, block_step
 from lowrankmf.data import add_noise_snr, gen_lowrank, sample_mask
 
 
@@ -212,23 +212,28 @@ def test_relative_change_resolves_tiny_changes():
         assert abs(relative_change(prev, next_) - want) <= 1e-6 * want
 
 
-def test_tiny_tol_converges_only_on_a_change_below_it(monkeypatch):
+@pytest.fixture
+def finished(monkeypatch):
+    """(prev, next_, steps) of every iteration ``common.alternate`` finishes."""
+    calls, shared = [], common.finish_iteration
+
+    def recorded(trace, cfg, k, prev, next_, steps, *rest):
+        calls.append((prev, next_, steps))
+        return shared(trace, cfg, k, prev, next_, steps, *rest)
+
+    monkeypatch.setattr(common, "finish_iteration", recorded)
+    return calls
+
+
+def test_tiny_tol_converges_only_on_a_change_below_it(finished):
     # with the Gram-trace difference this solve reported converged at
     # k = 568 with rel_change 0.0 while its last step changed the product
     # by 3.4e-8 relative, above tol
-    pairs = []
-    shared = common.safe_relative_change
-
-    def recorded(prev, next_, *rest):
-        pairs.append((prev, next_))
-        return shared(prev, next_, *rest)
-
-    monkeypatch.setattr(common, "safe_relative_change", recorded)
     x0 = gen_lowrank(100, 100, 3, "gaussian", 1)
     y = add_noise_snr(x0, 20.0, 2)
     cfg = SolverConfig(lam=10.0, d_init=10, tol=1e-8, max_iter=1000)
     _, trace = solve_denoise(y, cfg)
-    prev, next_ = pairs[-1]
+    prev, next_, _ = finished[-1]
     change = (next_.u - prev.u) @ next_.v.T + prev.u @ (next_.v - prev.v).T
     dense = np.linalg.norm(change) / np.linalg.norm(prev.product())
     assert trace.status != STATUS_CONVERGED or dense < cfg.tol
@@ -456,7 +461,7 @@ def test_factored_objective_after_a_rejected_nmf_v_search(driver_objectives):
     def step(side, fp, w):
         res = armijo_search(problem, side, fp, w, cfg if side == "u" else reject)
         accepted.append((side, res.accepted))
-        return res.factor, res.rhs
+        return res
 
     _, trace = common.alternate(problem, cfg, step)
     assert ("u", True) in accepted and ("v", True) not in accepted
@@ -486,7 +491,8 @@ def test_factored_objective_of_a_step_without_filled_product(driver_objectives):
     def step(side, fp, w):
         factor, other = fp.split(side)
         h = other.T @ other + cfg.lam * np.diag(w)
-        return np.linalg.solve(h, other.T @ (y.T if side == "u" else y)).T, 0.0
+        new = np.linalg.solve(h, other.T @ (y.T if side == "u" else y)).T
+        return HalfStep(new, 0.0, new - factor, (new - factor).T @ (new - factor))
 
     _, trace = common.alternate(Problem(ProblemKind.DENOISE, y), cfg, step)
     direct = _check_against_direct(driver_objectives)
@@ -539,17 +545,18 @@ def test_dense_solve_forms_y_v_once_per_pair(data_terms, solve):
 
 
 def _spelled_out_diagnostics(prev, next_):
-    """The diagnostics with every Gram formed here as A^T A, the ledger's
-    formula, in the driver's order of operations, and one ``eigvalsh`` call
-    per Gram."""
+    """The diagnostics with the steps U' - U and V' - V and every Gram formed
+    here as A^T A, the ledger's and the steps' formula, in the order of
+    operations of ``finish_iteration``, and one ``eigvalsh`` call per Gram."""
     du, dv = next_.u - prev.u, next_.v - prev.v
-    disp = float(np.vdot(du, du)) + float(np.vdot(dv, dv))
+    gram_du, gram_dv = du.T @ du, dv.T @ dv
+    disp = float(np.trace(gram_du)) + float(np.trace(gram_dv))
     gram_u, gram_v = prev.u.T @ prev.u, prev.v.T @ prev.v
     gram_un, gram_vn = next_.u.T @ next_.u, next_.v.T @ next_.v
     change = (
-        np.vdot(du.T @ du, gram_vn)
+        np.vdot(gram_du, gram_vn)
         + 2.0 * np.vdot(du.T @ prev.u, next_.v.T @ dv)
-        + np.vdot(gram_u, dv.T @ dv)
+        + np.vdot(gram_u, gram_dv)
     )
     base = float(np.vdot(gram_u, gram_v))
     rel = float(np.sqrt(max(float(change), 0.0) / base))
@@ -567,12 +574,12 @@ def test_iteration_diagnostics_from_the_step_gram_match_bitwise(d):
     y = _noisy(60, 50, 3, 17)
     problem = Problem(ProblemKind.DENOISE, y)
     prev = init_factors(problem, d, np.random.default_rng(d))
-    u_new, _ = block_step(problem, "u", prev, weight_diag(prev, 1e-6), 1.0)
-    mid = prev.with_factor("u", u_new)
-    v_new, _ = block_step(problem, "v", mid, weight_diag(mid, 1e-6), 1.0)
-    next_ = mid.with_factor("v", v_new)
+    u_step = block_step(problem, "u", prev, weight_diag(prev, 1e-6), 1.0)
+    mid = prev.with_factor("u", u_step.factor)
+    v_step = block_step(problem, "v", mid, weight_diag(mid, 1e-6), 1.0)
+    next_ = mid.with_factor("v", v_step.factor)
     assert next_.gram_u is mid.gram_u  # the V step's Gram, carried, not formed again
-    got = common._iteration_diagnostics(prev, next_)
+    got = common._iteration_diagnostics(prev, next_, (u_step, v_step))
     assert got == _spelled_out_diagnostics(prev, next_)
     # against the dense forms, to rounding
     disp = float(np.sum((next_.u - prev.u) ** 2) + np.sum((next_.v - prev.v) ** 2))
@@ -583,12 +590,65 @@ def test_iteration_diagnostics_from_the_step_gram_match_bitwise(d):
     assert abs(got[1] - dense) <= 1e-12 * dense
     # with the factors' roles swapped, the other Gram holds the smaller eigenvalue
     swap = [FactorPair(p.v, p.u) for p in (prev, next_)]
-    assert common._iteration_diagnostics(*swap) == _spelled_out_diagnostics(*swap)
+    got = common._iteration_diagnostics(*swap, (v_step, u_step))
+    assert got == _spelled_out_diagnostics(*swap)
 
 
 def test_iteration_diagnostics_of_an_empty_pair_are_zero():
     empty = FactorPair(np.zeros((4, 0)), np.zeros((3, 0)))
-    assert common._iteration_diagnostics(empty, empty) == (0.0, 0.0, 0.0, 0.0)
+    steps = [HalfStep(f, 0.0, np.zeros_like(f), np.zeros((0, 0))) for f in (empty.u, empty.v)]
+    assert common._iteration_diagnostics(empty, empty, steps) == (0.0, 0.0, 0.0, 0.0)
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("solve", ["denoise", "complete", "nmf"])
+def test_step_diagnostics_match_dense_recomputation(finished, solve):
+    # displacement_sq and rel_change come from the half-steps' records and
+    # the Gram ledger; recompute both from the consecutive pairs, densely
+    m, n = 40, 30
+    y = _noisy(m, n, 3, 23, "uniform01")
+    cfg = SolverConfig(lam=2.0, d_init=8, tol=1e-6)
+    if solve == "denoise":
+        _, trace = solve_denoise(y, cfg)
+    elif solve == "complete":
+        _, trace = solve_mc(y, sample_mask(m, n, 700, 24), cfg)
+    else:
+        _, trace = solve_nmf(np.maximum(y, 0.0), cfg)
+    assert trace.iterations > 10 and trace.prunes
+    assert len(finished) == trace.iterations
+    for record, (prev, next_, steps) in zip(trace.records, finished):
+        du, dv = next_.u - prev.u, next_.v - prev.v
+        for step, delta in zip(steps, (du, dv)):
+            assert np.array_equal(step.step, delta)
+        disp = float(np.sum(du * du) + np.sum(dv * dv))
+        pieces = (du @ next_.v.T, prev.u @ dv.T)
+        change = np.linalg.norm(pieces[0] + pieces[1])
+        rel = change / np.linalg.norm(prev.product())
+        assert abs(record.displacement_sq - disp) <= 1e-12 * disp
+        # The factored form sums <dU^T dU, V'^T V'>, 2 <dU^T U, V'^T dV> and
+        # <U^T U, dV^T dV>, which cancel when the two pieces of the product
+        # change nearly cancel: its relative error is about eps times the
+        # ratio below (up to 1.2e4 here, as a long double recomputation
+        # showed), so the bound grows past 1e-12 with it.
+        ratio = (sum(np.linalg.norm(p) for p in pieces) / change) ** 2
+        assert abs(record.rel_change - rel) <= max(1e-12, 8 * EPS * ratio) * rel
+
+
+def test_step_diagnostics_of_rejected_nmf_searches_are_zero(finished):
+    # Both searches exhaust their backtracking cap: the half-steps hand the
+    # loop zero steps, so the iteration records no change and stalls.
+    y = gen_lowrank(30, 20, 3, "uniform01", 0)
+    cfg = SolverConfig(lam=1.0, d_init=5, nmf=NmfOptions(sigma=1e6, max_backtracks=3))
+    _, trace = solve_nmf(y, cfg)
+    assert trace.status == common.STATUS_STALLED and trace.iterations == 1
+    ((prev, next_, steps),) = finished
+    for step, factor in zip(steps, (prev.u, prev.v)):
+        assert not step.step.any() and not step.step_gram.any() and step.drop == 0.0
+        assert np.array_equal(step.factor, factor)
+    record = trace.records[0]
+    assert record.displacement_sq == 0.0 and record.rel_change == 0.0
 
 
 # ------------------------------------------------------ Gram ledger per iteration
