@@ -2,11 +2,19 @@
 
 Each factor update is the fill-in step :func:`core.block_step`, which
 minimizes the quadratic surrogate with the shared d x d curvature block,
-and takes the solve's :class:`Problem`, which checked Y and the mask.  An
-iteration costs O(m n d) BLAS-3 flops for the observed residual (row
-blocks of U V^T), O(card(Omega) d) for its CSR products and
-O((m + n) d^2 + d^3) for the rest, each step's certified drop included;
-memory is O(card(Omega) + one block).
+and takes the solve's :class:`Problem`, which checked Y and the mask and
+chose one of two data paths from m, n and card(Omega).  Both cost
+O((m + n) d^2 + d^3) per iteration for the steps, each step's certified
+drop included, and the weights and diagnostics.  The data products differ:
+
+* buffer path, at least one entry in ``core.FILL_IN_RATIO`` observed and
+  m n <= ``core.STACK_ENTRIES``: four O(m n d) GEMMs per iteration (U V^T
+  for the objective, reused by the U step as the fill-in, U' V^T for the V
+  step, and Z V and Z^T U'), one residual gather of O(card(Omega)), and
+  one held m x n buffer, at most ``FILL_IN_RATIO`` card(Omega) entries;
+* sparse path, otherwise: two residuals per iteration, each O(m n d) in
+  BLAS-3 row blocks of U V^T, and O(card(Omega) d) for the products of one
+  held CSR matrix and its CSC transpose; memory O(card(Omega) + one block).
 """
 
 from __future__ import annotations

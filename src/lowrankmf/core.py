@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +41,13 @@ __all__ = [
 
 # Entries of one temporary block of a blocked evaluation: 8 MB of float64.
 STACK_ENTRIES = 1 << 20
+
+# A completion Problem that observes at least one entry in FILL_IN_RATIO,
+# on at most STACK_ENTRIES cells, holds an m x n fill-in buffer, at most
+# FILL_IN_RATIO * card(Omega) entries, in place of a sparse operator.  On
+# the grid of BENCH_19.json the buffer was faster per iteration at every
+# point with m n <= 8 card(Omega) and slower at m n = 20 card(Omega).
+FILL_IN_RATIO = 8
 
 
 class InvalidParameterError(ValueError):
@@ -83,6 +89,24 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _gram(a: np.ndarray) -> np.ndarray:
     """A^T A, the one place a factor's Gram is formed."""
     return a.T @ a
+
+
+class _kept:
+    """A property formed on first read and kept in the instance dictionary,
+    where later reads find it without calling the descriptor.  Unlike
+    ``functools.cached_property`` (before Python 3.12) it takes no lock."""
+
+    def __init__(self, form):
+        self.form, self.__doc__ = form, form.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = vars(obj)[self.name] = self.form(obj)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,17 +159,17 @@ class FactorPair:
 
     # The ledger: each entry is formed on first use and kept in the
     # instance dictionary, where :meth:`_carry` also puts carried ones.
-    @cached_property
+    @_kept
     def gram_u(self) -> np.ndarray:
         """U^T U (read-only)."""
         return _frozen(_gram(self.u))
 
-    @cached_property
+    @_kept
     def gram_v(self) -> np.ndarray:
         """V^T V (read-only)."""
         return _frozen(_gram(self.v))
 
-    @cached_property
+    @_kept
     def sq(self) -> np.ndarray:
         """Squared joint column norms diag(U^T U) + diag(V^T V) (read-only)."""
         return _frozen(self.gram_u.diagonal() + self.gram_v.diagonal())
@@ -292,15 +316,24 @@ class Problem:
     ``y_obs`` holds the entries of Y the data term reads: all of ``y``,
     or for completion its values at the mask in the mask's row-major
     order, which is also the CSR order of the mask's ``flat`` and
-    ``indptr``, on which it builds one sparse operator (:meth:`filled_product`).
+    ``indptr``.
+
+    A completion problem picks its data path once, from m, n and
+    card(Omega) alone (:func:`_dense_enough`).  If at least one entry in
+    ``FILL_IN_RATIO`` is observed and m n <= ``STACK_ENTRIES``, it holds one
+    m x n buffer (``fill_in`` is true): each residual writes U V^T into it
+    with one GEMM and reads the observed entries, and :meth:`filled_product`
+    writes Y over those entries of the U V^T it holds.  Otherwise it builds
+    one sparse operator on the mask and reads the residual from row blocks
+    of U V^T of at most ``STACK_ENTRIES`` entries.
 
     One slot, ``_last``, holds the data term at the last pair evaluated,
     keyed by that :class:`FactorPair` object (held, so its identity cannot
-    be reused): for completion the residual at the observed entries, read
-    from row blocks of U V^T of at most ``STACK_ENTRIES`` entries; for
+    be reused): for completion the residual at the observed entries; for
     dense data Y V.  Both are read-only.  The objective at the end of one
     iteration fills it at the pruned pair, and the U step of the next reads
-    it there.  A new pair, even one with equal values, is evaluated afresh.
+    it there, or on the buffer path the U V^T that it left in the buffer.
+    A new pair, even one with equal values, is evaluated afresh.
     With 1/2 ||Y||^2 cached once and both Grams read from the pair's ledger,
     the dense fit term is 1/2 ||Y||^2 - <U, Y V> + 1/2 <U^T U, V^T V>,
     unless it falls below ``CANCELLATION`` times 1/2 ||Y||^2: then it is
@@ -317,12 +350,17 @@ class Problem:
         y = as_matrix(y, "y")
         self.kind, self.y, self.mask, self.y_obs = kind, y, mask, y
         self._last: tuple[FactorPair, np.ndarray] | None = None
+        # the fill-in buffer, and the pairs whose U V^T and whose fill-in it holds
+        self._buffer: np.ndarray | None = None
+        self._product_of = self._filled_of = None
         if kind is ProblemKind.COMPLETE:
             if mask is None:
                 raise InvalidParameterError("completion requires an observed mask")
             if (mask.rows, mask.cols) != y.shape:
                 raise InvalidParameterError("mask shape does not match data")
             self.y_obs = y[mask.row_idx, mask.col_idx]
+            if _dense_enough(mask.rows, mask.cols, mask.card):
+                self._buffer = np.empty(y.shape)
         if kind is ProblemKind.NMF and np.any(y < 0):
             raise ConstraintViolationError("NMF data must be elementwise nonnegative")
         self.half_sq = 0.5 * float(np.vdot(self.y_obs, self.y_obs))
@@ -366,17 +404,44 @@ class Problem:
             raise InvalidParameterError(f"{self.kind.value} data has no observed residual")
         return self._data_term(fp)
 
+    @property
+    def fill_in(self) -> bool:
+        """Whether this completion problem holds the m x n fill-in buffer."""
+        return self._buffer is not None
+
     def _observed_residual(self, fp: FactorPair) -> np.ndarray:
-        m, n = self.y.shape
-        r, step = np.empty(self.mask.card), max(1, STACK_ENTRIES // n)
-        for i in range(0, m, step):
-            s, e = self.mask.indptr[i], self.mask.indptr[min(i + step, m)]
-            block = (fp.u[i : i + step] @ fp.v.T).ravel()
-            # the offsets are in range by construction: "wrap" skips the check
-            np.take(block, self.mask.flat[s:e] - i * n, out=r[s:e], mode="wrap")
+        # the offsets are in range by construction: "wrap" skips the check
+        if self.fill_in:
+            r = self._product(fp).take(self.mask.flat, mode="wrap")
+        else:
+            m, n = self.y.shape
+            r, step = np.empty(self.mask.card), max(1, STACK_ENTRIES // n)
+            for i in range(0, m, step):
+                s, e = self.mask.indptr[i], self.mask.indptr[min(i + step, m)]
+                block = (fp.u[i : i + step] @ fp.v.T).ravel()
+                np.take(block, self.mask.flat[s:e] - i * n, out=r[s:e], mode="wrap")
         r -= self.y_obs
         r.flags.writeable = False
         return r
+
+    def _product(self, fp: FactorPair) -> np.ndarray:
+        """The buffer, overwritten with U V^T at ``fp`` by one GEMM."""
+        # against a contiguous V^T: at d <= 11 the GEMM on the transposed
+        # view took up to 2.7x as long
+        np.matmul(fp.u, np.ascontiguousarray(fp.v.T), out=self._buffer)
+        self._product_of, self._filled_of = fp, None
+        return self._buffer
+
+    def _fill(self, fp: FactorPair) -> np.ndarray:
+        """The buffer as the fill-in P_Omega(Y) + P_Omega^perp(U V^T) at
+        ``fp``: the U V^T it holds at ``fp``, else a new one, with Y written
+        over the observed entries."""
+        if self._filled_of is not fp:
+            if self._product_of is not fp:
+                self._product(fp)
+            self._buffer.reshape(-1)[self.mask.flat] = self.y_obs
+            self._filled_of = fp
+        return self._buffer
 
     def objective(self, fp: FactorPair, lam: float, eta: float) -> float:
         """:func:`objective` at a point :meth:`check` accepts."""
@@ -397,23 +462,31 @@ class Problem:
     def filled_product(self, side: str, fp: FactorPair) -> np.ndarray:
         """Z G for a step that updates ``side``, G the other factor: Z = Y
         for dense data, where the U side's Y V is read from the slot, and
-        for completion the fill-in P_Omega(Y) + P_Omega^perp(U V^T), whose
-        product F G^T G - P_Omega(U V^T - Y) G (F the updated factor, G^T G
-        from the pair's ledger) forms no m x n array: the slot's residual is
-        the data of the problem's one sparse operator, CSR on the U side and
-        its CSC transpose on the V side."""
+        for completion the fill-in Z = P_Omega(Y) + P_Omega^perp(U V^T).
+
+        On the buffer path (``fill_in``) Z is the buffer (:meth:`_fill`)
+        and Z G one GEMM, Z V or Z^T U: the U step fills the U V^T that the
+        last objective left there, and the V step forms U' V^T but no
+        residual.  Otherwise the product is F G^T G - P_Omega(U V^T - Y) G
+        (F the updated factor, G^T G from the pair's ledger) and forms no
+        m x n array: the slot's residual is the data of the problem's one
+        sparse operator, CSR on the U side and its CSC transpose on the V
+        side."""
         factor, other = fp.split(side)
         if self.kind is not ProblemKind.COMPLETE:
             return self._data_term(fp) if side == "u" else self.y.T @ other
+        if self.fill_in:
+            z = self._fill(fp)
+            return z @ other if side == "u" else z.T @ other
         csr, csc = self._operator
         csr.data[:] = self._data_term(fp)
         return factor @ fp.other_gram(side) - (csr if side == "u" else csc) @ other
 
-    @cached_property
+    @_kept
     def _operator(self):
         """The mask's CSR matrix and its CSC transpose, one ``data`` array
         shared by both, built on first use."""
-        # imported here, so that importing the package does not load it
+        # imported here: the package, and a problem on the buffer path, never load it
         import scipy.sparse as sp
 
         csr = sp.csr_matrix(
@@ -463,6 +536,12 @@ def block_step(
     step = new - factor
     sts = step.T @ step
     return HalfStep(new, 0.5 * float(np.vdot(sts, h)), step, sts)
+
+
+def _dense_enough(rows: int, cols: int, card: int) -> bool:
+    """Whether a completion problem of ``card`` observed entries of a rows
+    x cols matrix holds the fill-in buffer rather than the sparse operator."""
+    return FILL_IN_RATIO * card >= rows * cols and rows * cols <= STACK_ENTRIES
 
 
 def objective(

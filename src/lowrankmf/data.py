@@ -8,6 +8,7 @@ dense CSV, and the tab-separated MovieLens ratings format.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ __all__ = [
 
 MM_HEADER_COORD = "%%MatrixMarket matrix coordinate real general"
 MM_HEADER_ARRAY = "%%MatrixMarket matrix array real general"
+# One entry line of a coordinate file: 1-based row and column, value.
+COORDINATE_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 # Above this cell count a ratings grid is refused instead of densified.
 DENSIFY_LIMIT = 10_000_000
@@ -144,7 +147,7 @@ def _from_triples(rows: int, cols: int, ri, ci, vals, path):
     rows x cols file, ``flat`` their sorted distinct offsets ``i * cols + j``:
     a repeated entry keeps its last value.  A file with no
     entries, or a grid too large to densify, is refused before allocating."""
-    if not vals:
+    if len(vals) == 0:
         raise ParseError("no entries found", path)
     _check_densify(rows, cols, path)
     flat = np.asarray(ri, dtype=np.int64) * cols + np.asarray(ci, dtype=np.int64)
@@ -173,6 +176,29 @@ def _parse_float(tok: str, path, lineno: int) -> float:
     return val
 
 
+def _coordinate_table(entries, rows: int, cols: int, count: int):
+    """0-based ``(ri, ci, vals)`` of the coordinate ``entries`` ((line
+    number, text) pairs) parsed in one C pass of ``np.loadtxt``, or None
+    unless there are ``count`` lines, each ``i j value`` with integer
+    indices in bounds and a finite value.  The parser accepts a subset of
+    the tokens ``int`` and ``float`` accept and reads them to the same
+    values, so the triples equal those of the line loop of :func:`_read_mm`."""
+    if count == 0 or len(entries) != count:
+        return None
+    try:
+        # numpy < 2 reads an index "1.0" as 1 with a DeprecationWarning: refuse it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(
+                [entry for _, entry in entries], dtype=COORDINATE_ENTRY, comments=None, ndmin=1
+            )
+    except (ValueError, DeprecationWarning):
+        return None
+    ri, ci, vals = table["i"] - 1, table["j"] - 1, table["v"]
+    in_bounds = min(ri.min(), ci.min()) >= 0 and ri.max() < rows and ci.max() < cols
+    return (ri, ci, vals) if in_bounds and np.isfinite(vals).all() else None
+
+
 def _read_mm(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Parse a MatrixMarket file in one pass: the dense matrix and, for a
     coordinate file, the sorted offsets of its listed entries.  A size line
@@ -198,8 +224,13 @@ def _read_mm(path) -> tuple[np.ndarray, np.ndarray | None]:
     rows, cols = sizes[:2]
     _check_densify(rows, cols, path, size_line_no)
     if coordinate:
+        entries = list(body)
+        triples = _coordinate_table(entries, rows, cols, sizes[2])
+        if triples is not None:
+            return _from_triples(rows, cols, *triples, path)[:2]
+        # the line loop finds the fault and reports it with its line
         ri, ci, vals = [], [], []
-        for lineno, entry in body:
+        for lineno, entry in entries:
             toks = entry.split()
             if len(toks) != 3:
                 raise ParseError("coordinate entry needs i j value", path, lineno)

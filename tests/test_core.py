@@ -481,18 +481,39 @@ def counting_residual(monkeypatch):
     return counts
 
 
-def test_completion_solve_evaluates_two_residuals_per_iteration(monkeypatch):
+def test_the_data_path_is_chosen_by_size_and_density():
+    # at least one entry in FILL_IN_RATIO observed, on at most STACK_ENTRIES
+    # cells: the bench's complete (300^2, 14,750 entries) holds the buffer,
+    # complete-large (1000^2, 5 %) and any grid above the block budget the
+    # sparse operator
+    assert core._dense_enough(300, 300, 14_750)
+    assert core._dense_enough(3, 3, 2) and not core._dense_enough(3, 3, 1)
+    assert not core._dense_enough(1000, 1000, 50_000)
+    assert core._dense_enough(1000, 1000, 125_000)
+    assert not core._dense_enough(2000, 2000, 4_000_000)
+    y = np.zeros((4, 6))
+    for card, fill_in in ((3, True), (2, False)):
+        mask = sample_mask(4, 6, card, 1)
+        assert Problem(ProblemKind.COMPLETE, y, mask).fill_in is fill_in
+
+
+@pytest.mark.parametrize("card, fill_in", [(150, False), (300, True)], ids=["sparse", "buffer"])
+def test_completion_solve_evaluates_residuals_per_iteration(monkeypatch, card, fill_in):
     counts = counting_residual(monkeypatch)
     x0 = gen_lowrank(40, 40, 3, "gaussian", 11)
     y = add_noise_snr(x0, 20.0, 12)
-    mask = sample_mask(40, 40, 300, 13)
+    mask = sample_mask(40, 40, card, 13)
+    assert Problem(ProblemKind.COMPLETE, y, mask).fill_in is fill_in
     _, trace = solve_mc(y, mask, SolverConfig(lam=10.0, d_init=10))
     assert trace.iterations > 5
     # the public objective that checks the start point evaluates it on its
-    # own Problem; the solve's Problem evaluates the start point once and
-    # then the V step and the objective of every iteration, because each
-    # U step reads the residual the last objective computed
-    assert sorted(counts.values()) == [1, 2 * trace.iterations + 1]
+    # own Problem.  On the sparse path the solve's Problem evaluates the
+    # start point once and then the V step and the objective of every
+    # iteration, because each U step reads the residual the last objective
+    # computed.  On the buffer path the steps read the buffer, not the
+    # residual, so only the objectives evaluate one.
+    k = trace.iterations
+    assert sorted(counts.values()) == [1, k if fill_in else 2 * k + 1]
 
 
 def test_residual_memo_never_returns_a_stale_residual(monkeypatch):
@@ -542,9 +563,13 @@ def test_dense_problem_has_no_residual_and_a_read_only_y_v(kind):
 
 
 @st.composite
-def masked_problems(draw):
-    m, n, d = draw(st.integers(1, 30)), draw(st.integers(1, 30)), draw(st.integers(1, 5))
-    card = draw(st.integers(1, m * n))  # a single entry up to the full mask
+def masked_problems(draw, sparse=False):
+    """(y, mask, fp) of up to 30 x 30 with d <= 5 and any card(Omega), or
+    with ``sparse`` below the fill-in cut: 8 card(Omega) < m n."""
+    low = 3 if sparse else 1
+    m, n, d = draw(st.integers(low, 30)), draw(st.integers(low, 30)), draw(st.integers(1, 5))
+    top = (m * n - 1) // core.FILL_IN_RATIO if sparse else m * n
+    card = draw(st.integers(1, top))  # a single entry up to the full mask
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ri, ci = np.divmod(rng.choice(m * n, size=card, replace=False), n)
     fp = FactorPair(rng.standard_normal((m, d)), rng.standard_normal((n, d)))
@@ -552,10 +577,11 @@ def masked_problems(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(masked_problems(), st.integers(1, 1000))
+@given(masked_problems(sparse=True), st.integers(1, 1000))
 def test_blocked_residual_matches_the_dense_masked_formulas(case, block_entries):
-    # budgets below n give one row per block; products of blocks differ
-    # from the full product only at round-off, so compare to a tolerance
+    # on the sparse path, budgets below n give one row per block; products
+    # of blocks differ from the full product only at round-off, so compare
+    # to a tolerance
     y, mask, fp = case
     obs = mask.to_dense_bool()
     res = np.where(obs, fp.product() - y, 0.0)
@@ -563,6 +589,7 @@ def test_blocked_residual_matches_the_dense_masked_formulas(case, block_entries)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "STACK_ENTRIES", block_entries)
         problem = Problem(ProblemKind.COMPLETE, y, mask)
+        assert not problem.fill_in
         r = problem.residual(fp)
         f = problem.objective(fp, lam, eta)
         grads = {side: problem.gradient(side, fp, lam, w) for side in "uv"}
@@ -598,6 +625,28 @@ def test_filled_product_is_the_fill_in_data_times_the_other_factor(side):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def pair_sequence(rng, m, n):
+    """Consecutive pairs on both sides, a pruned pair, and a pair read again
+    after another one, as (side, pair)."""
+    fp = FactorPair(rng.standard_normal((m, 4)), rng.standard_normal((n, 4)))
+    mid = fp.with_factor("u", rng.standard_normal((m, 4)))
+    nxt = mid.with_factor("v", rng.standard_normal((n, 4)))
+    pruned = nxt.select([0, 2, 3])
+    return [("u", fp), ("v", fp), ("v", mid), ("u", nxt), ("v", nxt),
+            ("u", pruned), ("v", mid), ("v", pruned)]
+
+
+def assert_fill_in_products(problem, y, mask, pairs):
+    # each product is the fill-in Z = P_Omega(Y) + P_Omega^perp(U V^T)
+    # times the other factor, with nothing left over from an earlier pair
+    for side, pair in pairs:
+        z = np.where(mask.to_dense_bool(), y, pair.product())
+        other = pair.split(side)[1]
+        want = (z if side == "u" else z.T) @ other
+        got = problem.filled_product(side, pair)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), side
+
+
 def test_completion_problem_holds_one_sparse_operator(monkeypatch):
     import scipy.sparse as sp
 
@@ -605,33 +654,72 @@ def test_completion_problem_holds_one_sparse_operator(monkeypatch):
     monkeypatch.setattr(sp, "csr_matrix", lambda *a, **k: built.append(1) or csr_matrix(*a, **k))
     y = add_noise_snr(gen_lowrank(30, 30, 2, "gaussian", 5), 20.0, 6)
     cfg = SolverConfig(lam=20.0, d_init=8, max_iter=30)
-    _, trace = solve_mc(y, sample_mask(30, 30, 400, 7), cfg)
+    _, trace = solve_mc(y, sample_mask(30, 30, 110, 7), cfg)  # below the cut
     assert trace.iterations > 2 and trace.prunes and len(built) == 1
-    # consecutive pairs on both sides, a pruned pair, and a pair read
-    # again after another one: each product is the fill-in Z = P_Omega(Y)
-    # + P_Omega^perp(U V^T) times the other factor, with no residual left over
     rng = np.random.default_rng(8)
-    mask = sample_mask(12, 9, 50, 9)
+    mask = sample_mask(12, 9, 13, 9)
     y = rng.standard_normal((12, 9))
     problem = Problem(ProblemKind.COMPLETE, y, mask)
-    fp = FactorPair(rng.standard_normal((12, 4)), rng.standard_normal((9, 4)))
-    mid = fp.with_factor("u", rng.standard_normal((12, 4)))
-    nxt = mid.with_factor("v", rng.standard_normal((9, 4)))
-    pruned = nxt.select([0, 2, 3])
-    for side, pair in [("u", fp), ("v", fp), ("v", mid), ("u", nxt), ("v", nxt),
-                       ("u", pruned), ("v", mid), ("v", pruned)]:
-        z = np.where(mask.to_dense_bool(), y, pair.product())
-        other = pair.split(side)[1]
-        want = (z if side == "u" else z.T) @ other
-        got = problem.filled_product(side, pair)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), side
+    assert not problem.fill_in
+    assert_fill_in_products(problem, y, mask, pair_sequence(rng, 12, 9))
     csr, csc = problem._operator
     assert len(built) == 2 and np.shares_memory(csr.data, csc.data)
 
 
+def test_completion_problem_holds_one_fill_in_buffer(monkeypatch):
+    import scipy.sparse as sp
+
+    monkeypatch.setattr(sp, "csr_matrix", None)  # the buffer path never builds one
+    rng = np.random.default_rng(8)
+    mask = sample_mask(12, 9, 50, 9)
+    y = rng.standard_normal((12, 9))
+    problem = Problem(ProblemKind.COMPLETE, y, mask)
+    assert problem.fill_in
+    buffer = problem._buffer
+    pairs = pair_sequence(rng, 12, 9)
+    assert_fill_in_products(problem, y, mask, pairs)
+    # residuals between the products: each reads U V^T afresh, and the next
+    # product at that pair fills the U V^T the residual left
+    for side, pair in pairs:
+        want = (pair.product() - y)[mask.row_idx, mask.col_idx]
+        assert np.max(np.abs(problem.residual(pair) - want)) <= 1e-12 * np.max(np.abs(want))
+        assert_fill_in_products(problem, y, mask, [(side, pair)])
+    assert problem._buffer is buffer and "_operator" not in vars(problem)
+
+
+@settings(max_examples=60, deadline=None)
+@given(masked_problems())
+def test_fill_in_and_sparse_operator_agree(case):
+    # one mask forced onto each data path: the same residual, objective and
+    # Z G on both sides to 1e-12 of the magnitudes that enter them
+    y, mask, fp = case
+    lam, eta = 0.7, 1e-3
+    got = {}
+    for ratio in (0, 10**9):  # the sparse operator, then the buffer
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "FILL_IN_RATIO", ratio)
+            problem = Problem(ProblemKind.COMPLETE, y, mask)
+            assert problem.fill_in is (ratio > 0)
+            got[ratio] = (
+                problem.residual(fp),
+                problem.objective(fp, lam, eta),
+                {side: problem.filled_product(side, fp) for side in "uv"},
+            )
+    (r_s, f_s, zg_s), (r_b, f_b, zg_b) = got[0], got[10**9]
+    scale = np.abs(fp.u) @ np.abs(fp.v).T + np.abs(y)
+    seen = scale[mask.row_idx, mask.col_idx]
+    assert np.all(np.abs(r_b - r_s) <= 1e-12 * seen)
+    assert abs(f_b - f_s) <= 1e-12 * (0.5 * np.sum(seen**2) + lam * smoothed_regularizer(fp, eta))
+    for side in "uv":
+        factor, other = fp.split(side)
+        size = scale if side == "u" else scale.T
+        bound = size @ np.abs(other) + np.abs(factor) @ np.abs(other.T @ other)
+        assert np.all(np.abs(zg_b[side] - zg_s[side]) <= 1e-12 * bound), side
+
+
 def test_import_loads_no_scipy_sparse():
-    # scipy.sparse is imported by the first completion gradient, not by
-    # the package
+    # neither importing the package nor a solve on the buffer path (12 x 10,
+    # half observed) loads scipy.sparse
     script = (
         "import sys, numpy as np, lowrankmf\n"
         "assert 'scipy.sparse' not in sys.modules, 'imported with the package'\n"
@@ -640,6 +728,7 @@ def test_import_loads_no_scipy_sparse():
         "fp, trace = lowrankmf.solve_mc(y, sample_mask(12, 10, 60, 1),\n"
         "                               lowrankmf.SolverConfig(lam=1.0, d_init=3))\n"
         "assert trace.iterations > 0 and np.all(np.isfinite(fp.u))\n"
+        "assert 'scipy.sparse' not in sys.modules, 'imported by a buffer-path solve'\n"
     )
     src = str(Path(lowrankmf.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lowrankmf import InvalidParameterError, ObservedMask
+from lowrankmf import InvalidParameterError, ObservedMask, data
 from lowrankmf.data import (
     ParseError,
     add_noise_snr,
@@ -366,6 +366,68 @@ def test_coordinate_error_names_the_offending_line(tmp_path):
     with pytest.raises(ParseError) as err:
         read_coordinate(p)
     assert err.value.line == 4
+
+
+def _bench_like_coordinate_file(path):
+    # the bench's complete instance: 300 x 300, FR 0.4, 14,750 entries
+    y = add_noise_snr(gen_lowrank(300, 300, 10, "gaussian", 1), 20.0, 2)
+    write_mask_coordinate(path, y, sample_mask(300, 300, 14_750, 3))
+
+
+def _commented_coordinate_file(path):
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n% a comment\n\n3 4 5\n"
+        "1 1 0.5\n%inside the body\n\n   3 4\t-2e-3\n2 1 +7\n\n1 1 1.25\n2 3 .5\n"
+    )
+
+
+@pytest.mark.parametrize("write", [_bench_like_coordinate_file, _commented_coordinate_file])
+def test_coordinate_table_and_line_loop_agree(tmp_path, monkeypatch, write):
+    # the one-pass numpy parse of the entry lines and the line loop it
+    # falls back to give the same (y, mask), a repeated entry included
+    p = tmp_path / "y.mtx"
+    write(p)
+    table = data._coordinate_table
+    used = []
+    monkeypatch.setattr(data, "_coordinate_table", lambda *a: used.append(table(*a)) or used[-1])
+    y_fast, mask_fast = read_coordinate(p)
+    assert used[0] is not None  # the file took the one-pass parse
+    monkeypatch.setattr(data, "_coordinate_table", lambda *a: None)
+    y_loop, mask_loop = read_coordinate(p)
+    assert np.array_equal(y_fast, y_loop)
+    assert np.array_equal(mask_fast.flat, mask_loop.flat) and mask_fast.rows == mask_loop.rows
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("1 2", "coordinate entry needs i j value"),
+        ("1 2 3 4", "coordinate entry needs i j value"),
+        ("1.0 2 3", "non-integer token '1.0'"),
+        ("1 2 nan", "non-finite value 'nan'"),
+        ("1 2 1e400", "non-finite value '1e400'"),
+        ("1 3 1", r"index \(1, 3\) out of bounds"),
+        ("0 1 1", r"index \(0, 1\) out of bounds"),
+        ("1 2 x", "non-numeric token 'x'"),
+    ],
+)
+def test_coordinate_faults_keep_their_message_and_line(tmp_path, entry, message):
+    # a fault the one-pass parse meets sends the file to the line loop
+    p = tmp_path / "bad.mtx"
+    p.write_text(
+        f"%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1\n\n{entry}\n2 2 1\n"
+    )
+    with pytest.raises(ParseError, match=message) as err:
+        read_coordinate(p)
+    assert err.value.line == 5
+
+
+def test_coordinate_declared_count_is_checked_after_the_entries(tmp_path):
+    p = tmp_path / "short.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1\n2 2 1\n")
+    with pytest.raises(ParseError, match="expected 3 entries, found 2") as err:
+        read_coordinate(p)
+    assert err.value.line is None
 
 
 @pytest.mark.parametrize(
