@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -91,35 +92,17 @@ def _gram(a: np.ndarray) -> np.ndarray:
     return a.T @ a
 
 
-class _kept:
-    """A property formed on first read and kept in the instance dictionary,
-    where later reads find it without calling the descriptor.  Unlike
-    ``functools.cached_property`` (before Python 3.12) it takes no lock."""
-
-    def __init__(self, form):
-        self.form, self.__doc__ = form, form.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = vars(obj)[self.name] = self.form(obj)
-        return value
-
-
 @dataclass(frozen=True, eq=False)
 class FactorPair:
     """The current factors U (m x d) and V (n x d) sharing inner dimension d.
 
-    The pair keeps a ledger of its Grams: ``gram_u`` = U^T U and
-    ``gram_v`` = V^T V, each formed on first use and kept, and ``sq``, the
-    squared joint column norms ||u_i||^2 + ||v_i||^2, read from their
-    diagonals.  The weights, the regularizer, pruning, the factor steps,
-    the rate diagnostics and the dense objective all read these.  The
-    ledger stays exact because ``u`` and ``v`` are read-only views (writing
-    through the pair raises) and because the two derivations that keep it,
+    The pair keeps a ledger of its Grams, formed when it is built:
+    ``gram_u`` = U^T U and ``gram_v`` = V^T V, and ``sq``, the squared
+    joint column norms ||u_i||^2 + ||v_i||^2, read from their diagonals
+    (all read-only).  The weights, the regularizer, pruning, the factor
+    steps, the rate diagnostics and the dense objective all read these.
+    The ledger stays exact because ``u`` and ``v`` are read-only views
+    (writing through the pair raises) and because the two derivations,
     :meth:`with_factor` and :meth:`select`, carry only what they do not
     change.  Each factor is checked finite once, when it enters a pair.
     """
@@ -134,20 +117,19 @@ class FactorPair:
             raise DimensionMismatchError(
                 f"factors disagree on inner dimension: {u.shape[1]} vs {v.shape[1]}"
             )
-        object.__setattr__(self, "u", _frozen(u))
-        object.__setattr__(self, "v", _frozen(v))
+        self._hold(_frozen(u), _frozen(v), _gram(u), _gram(v))
+
+    def _hold(self, u, v, gram_u, gram_v) -> "FactorPair":
+        """This pair, set to checked read-only factors and their Grams."""
+        gram_u, gram_v = _frozen(gram_u), _frozen(gram_v)
+        sq = _frozen(gram_u.diagonal() + gram_v.diagonal())
+        vars(self).update(u=u, v=v, gram_u=gram_u, gram_v=gram_v, sq=sq)
+        return self
 
     @classmethod
-    def _carry(cls, u, v, ledger: dict) -> "FactorPair":
-        """A pair of checked read-only factors and the ``ledger`` entries
-        (Grams by name) known for them."""
-        fp = object.__new__(cls)
-        vars(fp).update(u=u, v=v, **ledger)
-        return fp
-
-    def _known(self, *names) -> dict:
-        """The ledger entries among ``names`` that are already formed."""
-        return {name: vars(self)[name] for name in names if name in vars(self)}
+    def _carry(cls, u, v, gram_u, gram_v) -> "FactorPair":
+        """A pair of checked read-only factors and their Grams."""
+        return object.__new__(cls)._hold(u, v, gram_u, gram_v)
 
     @property
     def d(self) -> int:
@@ -156,23 +138,6 @@ class FactorPair:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.u.shape[0], self.v.shape[0])
-
-    # The ledger: each entry is formed on first use and kept in the
-    # instance dictionary, where :meth:`_carry` also puts carried ones.
-    @_kept
-    def gram_u(self) -> np.ndarray:
-        """U^T U (read-only)."""
-        return _frozen(_gram(self.u))
-
-    @_kept
-    def gram_v(self) -> np.ndarray:
-        """V^T V (read-only)."""
-        return _frozen(_gram(self.v))
-
-    @_kept
-    def sq(self) -> np.ndarray:
-        """Squared joint column norms diag(U^T U) + diag(V^T V) (read-only)."""
-        return _frozen(self.gram_u.diagonal() + self.gram_v.diagonal())
 
     def product(self) -> np.ndarray:
         return self.u @ self.v.T
@@ -195,38 +160,39 @@ class FactorPair:
         """This pair with the ``side`` factor replaced by ``new``, which is
         checked; the other factor and its Gram are carried over."""
         is_u = self._is_u(side)
-        old, kept = (self.u, "gram_v") if is_u else (self.v, "gram_u")
+        old = self.u if is_u else self.v
         new = as_matrix(new, side)
         if new.shape != old.shape:
             raise DimensionMismatchError(
                 f"new {side} has shape {new.shape}, the pair's has {old.shape}"
             )
-        new = _frozen(new)
-        u, v = (new, self.v) if is_u else (self.u, new)
-        return self._carry(u, v, self._known(kept))
+        new, gram = _frozen(new), _gram(new)
+        if is_u:
+            return self._carry(new, self.v, gram, self.gram_v)
+        return self._carry(self.u, new, self.gram_u, gram)
 
     def select(self, columns) -> "FactorPair":
         """The pair of the ``columns`` (indices, in order) of both factors,
-        with the matching sub-blocks of the Grams already formed."""
+        with the matching sub-blocks of the Grams."""
         idx = np.asarray(columns, dtype=np.intp)
         block = np.ix_(idx, idx)
-        grams = self._known("gram_u", "gram_v")
-        ledger = {name: _frozen(g[block]) for name, g in grams.items()}
-        return self._carry(_frozen(self.u[:, idx]), _frozen(self.v[:, idx]), ledger)
+        u, v = _frozen(self.u[:, idx]), _frozen(self.v[:, idx])
+        return self._carry(u, v, self.gram_u[block], self.gram_v[block])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservedMask:
     """Index set of observed entries of an m x n matrix, in row-major order,
     which is CSR order: ``flat`` holds the offsets ``i * cols + j`` and row
-    ``i``'s entries are ``indptr[i]:indptr[i + 1]``."""
+    ``i``'s entries are ``indptr[i]:indptr[i + 1]``.  As for a
+    :class:`FactorPair`, a mask equals only itself and hashes by identity."""
 
     rows: int
     cols: int
     row_idx: np.ndarray = field(repr=False)
     col_idx: np.ndarray = field(repr=False)
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-    indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(init=False, repr=False)
+    indptr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ri = np.asarray(self.row_idx, dtype=np.int64).ravel()
@@ -482,7 +448,7 @@ class Problem:
         csr.data[:] = self._data_term(fp)
         return factor @ fp.other_gram(side) - (csr if side == "u" else csc) @ other
 
-    @_kept
+    @cached_property
     def _operator(self):
         """The mask's CSR matrix and its CSC transpose, one ``data`` array
         shared by both, built on first use."""

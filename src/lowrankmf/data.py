@@ -29,8 +29,6 @@ __all__ = [
 
 MM_HEADER_COORD = "%%MatrixMarket matrix coordinate real general"
 MM_HEADER_ARRAY = "%%MatrixMarket matrix array real general"
-# One entry line of a coordinate file: 1-based row and column, value.
-COORDINATE_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 # Above this cell count a ratings grid is refused instead of densified.
 DENSIFY_LIMIT = 10_000_000
@@ -109,21 +107,16 @@ def read_movielens(path) -> MovielensData:
     pairs the last rating wins.  Timestamps are discarded.  A grid of more
     than ``DENSIFY_LIMIT`` cells is a :class:`ParseError`.
     """
-    users, items, ratings = [], [], []
-    for lineno, line in _lines(path):
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ParseError(f"expected 4 tab-separated fields, got {len(parts)}", path, lineno)
-        user, item, rating, _ = (_parse_int(t, path, lineno) for t in parts)
-        if not 1 <= rating <= 5:
-            raise ParseError(f"rating {rating} outside 1..5", path, lineno)
-        if user < 1 or item < 1:
-            raise ParseError("user/item ids must be >= 1", path, lineno)
-        users.append(user - 1)
-        items.append(item - 1)
-        ratings.append(rating)
-    rows, cols = max(users, default=-1) + 1, max(items, default=-1) + 1
-    y, flat, duplicates = _from_triples(rows, cols, users, items, ratings, path)
+    entries = list(_lines(path))
+    table = _table(path, entries, "i8,i8,i8,i8", "\t", "expected 4 tab-separated fields, got {}")
+    users, items, ratings, _ = (table[name] for name in table.dtype.names)
+    checks = [
+        ((ratings < 1) | (ratings > 5), lambda f: f"rating {int(f[2])} outside 1..5"),
+        ((users < 1) | (items < 1), lambda f: "user/item ids must be >= 1"),
+    ]
+    _refuse_first(path, entries, "\t", checks)
+    rows, cols = int(users.max(initial=0)), int(items.max(initial=0))
+    y, flat, duplicates = _from_triples(rows, cols, users - 1, items - 1, ratings, path)
     return MovielensData(y, ObservedMask(rows, cols, *np.divmod(flat, cols)), duplicates)
 
 
@@ -176,27 +169,57 @@ def _parse_float(tok: str, path, lineno: int) -> float:
     return val
 
 
-def _coordinate_table(entries, rows: int, cols: int, count: int):
-    """0-based ``(ri, ci, vals)`` of the coordinate ``entries`` ((line
-    number, text) pairs) parsed in one C pass of ``np.loadtxt``, or None
-    unless there are ``count`` lines, each ``i j value`` with integer
-    indices in bounds and a finite value.  The parser accepts a subset of
-    the tokens ``int`` and ``float`` accept and reads them to the same
-    values, so the triples equal those of the line loop of :func:`_read_mm`."""
-    if count == 0 or len(entries) != count:
-        return None
-    try:
-        # numpy < 2 reads an index "1.0" as 1 with a DeprecationWarning: refuse it
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(
-                [entry for _, entry in entries], dtype=COORDINATE_ENTRY, comments=None, ndmin=1
-            )
-    except (ValueError, DeprecationWarning):
-        return None
-    ri, ci, vals = table["i"] - 1, table["j"] - 1, table["v"]
-    in_bounds = min(ri.min(), ci.min()) >= 0 and ri.max() < rows and ci.max() < cols
-    return (ri, ci, vals) if in_bounds and np.isfinite(vals).all() else None
+def _table(path, entries, dtype, sep, width_message: str) -> np.ndarray:
+    """The finite fields of ``entries``, (line number, text) pairs, split at
+    ``sep`` (None: at whitespace): a record per line for a structured
+    ``dtype``, else a row per line as wide as the first.
+
+    One C pass of ``np.loadtxt`` reads them.  Only if it refuses a line or
+    reads a non-finite value does a walk with ``int`` and ``float``, which
+    accept a superset of its tokens and read them to the same values, raise
+    the fault at its line; a line of another width gets ``width_message``
+    with its field count and the table's.  The walk clamps integers to the
+    int64 range, which holds every index and id of a densifiable grid, so
+    the caller's range checks still refuse them."""
+    dtype = np.dtype(dtype)
+    if entries:  # np.loadtxt warns on an empty input
+        try:
+            # numpy < 2 reads an integer "1.0" as 1 with a DeprecationWarning: refuse it
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                texts, ndmin = [text for _, text in entries], 1 if dtype.names else 2
+                table = np.loadtxt(texts, dtype, delimiter=sep, comments=None, ndmin=ndmin)
+            fields = [table[name] for name in dtype.names] if dtype.names else [table]
+            if all(np.isfinite(field).all() for field in fields):
+                return table
+        except (ValueError, DeprecationWarning):
+            pass
+    int64 = np.iinfo(np.int64)
+    parse = {
+        "i": lambda tok, lineno: min(max(_parse_int(tok, path, lineno), int64.min), int64.max),
+        "f": lambda tok, lineno: _parse_float(tok, path, lineno),
+    }
+    width = len(dtype) or len(entries[0][1].split(sep))  # a plain table: its first line's
+    kinds = [(dtype[k] if dtype.names else dtype).kind for k in range(width)]
+    rows = []
+    for lineno, text in entries:
+        toks = text.split(sep)
+        if len(toks) != width:
+            raise ParseError(width_message.format(len(toks), width), path, lineno)
+        rows.append(tuple(parse[kind](tok, lineno) for kind, tok in zip(kinds, toks)))
+    return np.array(rows, dtype)
+
+
+def _refuse_first(path, entries, sep, checks) -> None:
+    """Raise a :class:`ParseError` at the first of ``entries`` that one of
+    ``checks``, pairs of (bad-line mask, message from the line's fields),
+    marks, with the message of the first check that marks it."""
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        k = int(bad.argmax())
+        lineno, text = entries[k]
+        message = next(message for mask, message in checks if mask[k])
+        raise ParseError(message(text.split(sep)), path, lineno)
 
 
 def _read_mm(path) -> tuple[np.ndarray, np.ndarray | None]:
@@ -225,25 +248,14 @@ def _read_mm(path) -> tuple[np.ndarray, np.ndarray | None]:
     _check_densify(rows, cols, path, size_line_no)
     if coordinate:
         entries = list(body)
-        triples = _coordinate_table(entries, rows, cols, sizes[2])
-        if triples is not None:
-            return _from_triples(rows, cols, *triples, path)[:2]
-        # the line loop finds the fault and reports it with its line
-        ri, ci, vals = [], [], []
-        for lineno, entry in entries:
-            toks = entry.split()
-            if len(toks) != 3:
-                raise ParseError("coordinate entry needs i j value", path, lineno)
-            i, j = _parse_int(toks[0], path, lineno), _parse_int(toks[1], path, lineno)
-            val = _parse_float(toks[2], path, lineno)
-            if not (1 <= i <= rows and 1 <= j <= cols):
-                raise ParseError(f"index ({i}, {j}) out of bounds", path, lineno)
-            ri.append(i - 1)
-            ci.append(j - 1)
-            vals.append(val)
-        if len(vals) != sizes[2]:
-            raise ParseError(f"expected {sizes[2]} entries, found {len(vals)}", path)
-        return _from_triples(rows, cols, ri, ci, vals, path)[:2]
+        table = _table(path, entries, "i8,i8,f8", None, "coordinate entry needs i j value")
+        i, j, vals = (table[name] for name in table.dtype.names)
+        out = (i < 1) | (i > rows) | (j < 1) | (j > cols)
+        checks = [(out, lambda f: f"index ({int(f[0])}, {int(f[1])}) out of bounds")]
+        _refuse_first(path, entries, None, checks)
+        if len(entries) != sizes[2]:
+            raise ParseError(f"expected {sizes[2]} entries, found {len(entries)}", path)
+        return _from_triples(rows, cols, i - 1, j - 1, vals, path)[:2]
     values = [_parse_float(tok, path, lineno) for lineno, entry in body for tok in entry.split()]
     if len(values) != rows * cols:
         raise ParseError(f"expected {rows * cols} values, found {len(values)}", path)
@@ -252,18 +264,10 @@ def _read_mm(path) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _read_csv(path):
-    rows = []
-    width = None
-    for lineno, line in _lines(path):
-        toks = line.split(",")
-        if width is None:
-            width = len(toks)
-        elif len(toks) != width:
-            raise ParseError(f"ragged row ({len(toks)} vs {width} columns)", path, lineno)
-        rows.append([_parse_float(t, path, lineno) for t in toks])
-    if not rows:
+    entries = list(_lines(path))
+    if not entries:
         raise ParseError("empty file", path)
-    return np.array(rows)
+    return _table(path, entries, np.float64, ",", "ragged row ({} vs {} columns)")
 
 
 def read_coordinate(path) -> tuple[np.ndarray, ObservedMask]:
@@ -289,18 +293,11 @@ def read_matrix(path, fmt: str) -> np.ndarray:
 def write_matrix(path, a, fmt: str) -> None:
     """Write a dense matrix with full round-trip precision."""
     a = as_matrix(a)
-    rows, cols = a.shape
     if fmt == "mm":
-        with open(path, "w") as fh:
-            fh.write(MM_HEADER_ARRAY + "\n")
-            fh.write(f"{rows} {cols}\n")
-            for j in range(cols):
-                for i in range(rows):
-                    fh.write(f"{a[i, j]:.17g}\n")
+        header = f"{MM_HEADER_ARRAY}\n{a.shape[0]} {a.shape[1]}"
+        np.savetxt(path, a.ravel(order="F"), "%.17g", header=header, comments="")
     elif fmt == "csv":
-        with open(path, "w") as fh:
-            for i in range(rows):
-                fh.write(",".join(f"{x:.17g}" for x in a[i]) + "\n")
+        np.savetxt(path, a, "%.17g", delimiter=",")
     else:
         raise InvalidParameterError(f"unknown format {fmt!r}")
 
@@ -308,8 +305,6 @@ def write_matrix(path, a, fmt: str) -> None:
 def write_mask_coordinate(path, y, mask: ObservedMask) -> None:
     """Write observed entries as a MatrixMarket coordinate file."""
     y = as_matrix(y, "y")
-    with open(path, "w") as fh:
-        fh.write(MM_HEADER_COORD + "\n")
-        fh.write(f"{mask.rows} {mask.cols} {mask.card}\n")
-        for i, j in zip(mask.row_idx, mask.col_idx):
-            fh.write(f"{i + 1} {j + 1} {y[i, j]:.17g}\n")
+    entries = np.rec.fromarrays((mask.row_idx + 1, mask.col_idx + 1, y.flat[mask.flat]))
+    header = f"{MM_HEADER_COORD}\n{mask.rows} {mask.cols} {mask.card}"
+    np.savetxt(path, entries, "%d %d %.17g", header=header, comments="")

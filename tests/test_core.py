@@ -84,6 +84,13 @@ def test_factor_pair_equality_is_identity():
     assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
+def test_observed_mask_equality_is_identity():
+    # as for FactorPair: a mask equals only itself and hashes by identity
+    a, b = ObservedMask.full(2, 2), ObservedMask.full(2, 2)
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and a in {a} and b not in {a} and len({a, b, a}) == 2
+
+
 def test_factor_pair_ledger_cannot_go_stale():
     # the factors and the Grams are read-only, so writing through the pair
     # raises instead of leaving a Gram that no longer matches its factor
@@ -113,8 +120,7 @@ def test_factor_pair_with_factor_checks_only_the_new_factor():
 @st.composite
 def ledger_walks(draw):
     """A start pair (d = 0 to 4) and a sequence of derivations: a new factor
-    on one side, a column selection, or a read of one ledger entry, which
-    forms it if it is not yet known."""
+    on one side, a column selection, or a read of one ledger entry."""
     m, n, d = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(0, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     steps = st.sampled_from(["u", "v", "select", "gram_u", "gram_v", "sq"])

@@ -1,9 +1,11 @@
 """Tests for synthetic instance generation and file formats."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from lowrankmf import InvalidParameterError, ObservedMask, data
+from lowrankmf import InvalidParameterError, ObservedMask
 from lowrankmf.data import (
     ParseError,
     add_noise_snr,
@@ -164,6 +166,15 @@ def test_read_movielens_error_names_the_offending_line(tmp_path, bad, message):
     assert err.value.line == 3 and err.value.path == p
 
 
+def test_read_movielens_range_checks_name_the_first_offending_line(tmp_path):
+    # the checks run over the whole table; the earliest line any fails is named
+    p = tmp_path / "u.data"
+    p.write_text("1\t1\t3\t0\n0\t1\t3\t0\n1\t2\t9\t0\n")
+    with pytest.raises(ParseError, match="user/item ids must be >= 1") as err:
+        read_movielens(p)
+    assert err.value.line == 2
+
+
 def test_read_movielens_refuses_a_grid_too_large_to_densify(tmp_path):
     # Two ratings span a 4000 x 3000 grid: 12 M cells, over DENSIFY_LIMIT.
     p = tmp_path / "u.data"
@@ -184,6 +195,26 @@ def test_matrix_roundtrip(tmp_path, fmt):
     b = read_matrix(p, fmt)
     assert b.shape == a.shape
     assert np.max(np.abs(a - b)) < 1e-15 * np.max(np.abs(a))
+
+
+def test_writers_write_the_exact_text(tmp_path):
+    # 17 significant digits, MatrixMarket arrays column-major, and a d = 0
+    # factor as its size line alone (mm) or one empty line per row (csv)
+    a, p = np.array([[1.0, -0.0], [0.1, 1e300]]), tmp_path / "a"
+    mm = "%%MatrixMarket matrix array real general\n"
+    cases = [
+        (a, "mm", mm + "2 2\n1\n0.10000000000000001\n-0\n1.0000000000000001e+300\n"),
+        (a, "csv", "1,-0\n0.10000000000000001,1.0000000000000001e+300\n"),
+        (np.zeros((3, 0)), "mm", mm + "3 0\n"),
+        (np.zeros((3, 0)), "csv", "\n\n\n"),
+    ]
+    for matrix, fmt, text in cases:
+        write_matrix(p, matrix, fmt)
+        assert p.read_bytes() == text.encode()
+    write_mask_coordinate(p, a, ObservedMask(2, 2, [1, 0], [0, 1]))
+    assert p.read_bytes() == (
+        b"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 -0\n2 1 0.10000000000000001\n"
+    )
 
 
 def test_array_format_identity_example(tmp_path):
@@ -381,21 +412,102 @@ def _commented_coordinate_file(path):
     )
 
 
-@pytest.mark.parametrize("write", [_bench_like_coordinate_file, _commented_coordinate_file])
-def test_coordinate_table_and_line_loop_agree(tmp_path, monkeypatch, write):
-    # the one-pass numpy parse of the entry lines and the line loop it
-    # falls back to give the same (y, mask), a repeated entry included
-    p = tmp_path / "y.mtx"
+def _csv_file(path):
+    rng = np.random.default_rng(13)
+    y = rng.standard_normal((40, 30)) * np.exp(rng.standard_normal((40, 30)) * 5)
+    y[0, 0], y[1, 1], y[2, 2] = -0.0, 1e300, 5e-324
+    write_matrix(path, y, "csv")
+    with open(path, "a") as fh:
+        fh.write("\n +1, " + ",".join(["-2.5E-3 "] * 29) + "\n")
+
+
+def _movielens_file(path):
+    rng = np.random.default_rng(14)
+    lines = [
+        f"{rng.integers(1, 60)}\t{rng.integers(1, 80)}\t{rng.integers(1, 6)}\t{rng.integers(10**9)}"
+        for _ in range(900)
+    ]
+    path.write_text("\n".join(lines) + "\n\n+7\t 3\t5\t0\n")
+
+
+def _read_csv(path):
+    return read_matrix(path, "csv"), None
+
+
+def _read_movielens(path):
+    ratings = read_movielens(path)
+    return ratings.y, ratings.mask
+
+
+@pytest.mark.parametrize(
+    "write, read",
+    [
+        pytest.param(write, read, id=write.__name__)
+        for write, read in [
+            (_bench_like_coordinate_file, read_coordinate),
+            (_commented_coordinate_file, read_coordinate),
+            (_csv_file, _read_csv),
+            (_movielens_file, _read_movielens),
+        ]
+    ],
+)
+def test_table_pass_and_walk_agree(tmp_path, monkeypatch, write, read):
+    # the one np.loadtxt pass over a table and the walk it falls back to
+    # give bit-identical (y, mask), a repeated entry included
+    p = tmp_path / "y.txt"
     write(p)
-    table = data._coordinate_table
-    used = []
-    monkeypatch.setattr(data, "_coordinate_table", lambda *a: used.append(table(*a)) or used[-1])
-    y_fast, mask_fast = read_coordinate(p)
-    assert used[0] is not None  # the file took the one-pass parse
-    monkeypatch.setattr(data, "_coordinate_table", lambda *a: None)
-    y_loop, mask_loop = read_coordinate(p)
-    assert np.array_equal(y_fast, y_loop)
-    assert np.array_equal(mask_fast.flat, mask_loop.flat) and mask_fast.rows == mask_loop.rows
+    loadtxt, tables = np.loadtxt, []
+
+    def record(*args, **kwargs):
+        tables.append(loadtxt(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(np, "loadtxt", record)
+    y_fast, mask_fast = read(p)
+    assert len(tables) == 1  # the file took the one pass
+
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    y_walk, mask_walk = read(p)
+    assert y_fast.shape == y_walk.shape and y_fast.tobytes() == y_walk.tobytes()
+    if mask_fast is not None:
+        assert (mask_fast.rows, mask_fast.cols) == (mask_walk.rows, mask_walk.cols)
+        assert np.array_equal(mask_fast.flat, mask_walk.flat)
+
+
+def test_an_integer_beyond_int64_is_a_located_parse_error(tmp_path):
+    big = "99999999999999999999"
+    p = tmp_path / "big.mtx"
+    p.write_text(f"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n{big} 1 1\n")
+    with pytest.raises(ParseError, match=rf"index \({big}, 1\) out of bounds") as err:
+        read_coordinate(p)
+    assert err.value.line == 4
+    p = tmp_path / "u.data"
+    p.write_text(f"1\t1\t3\t0\n{big}\t1\t3\t0\n")
+    with pytest.raises(ParseError):
+        read_movielens(p)
+
+
+@pytest.mark.parametrize(
+    "name, text, read",
+    [
+        ("c.mtx", "%%MatrixMarket matrix coordinate real general\n3 3 0\n% none\n\n",
+         read_coordinate),
+        ("c.mtx", "%%MatrixMarket matrix coordinate real general\n3 3 2\n", read_coordinate),
+        ("y.csv", "\n\n", lambda p: read_matrix(p, "csv")),
+        ("u.data", "", read_movielens),
+    ],
+    ids=["coordinate-none-declared", "coordinate-two-declared", "csv", "movielens"],
+)
+def test_an_empty_body_is_a_parse_error_without_a_warning(tmp_path, name, text, read):
+    p = tmp_path / name
+    p.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError):
+            read(p)
 
 
 @pytest.mark.parametrize(
