@@ -13,7 +13,6 @@ from .common import (
     SolverConfig,
     prune_columns,
     relative_change,
-    should_stop,
 )
 from .completion import solve_mc, update_factor_mc
 from .core import (
@@ -59,7 +58,6 @@ __all__ = [
     "objective",
     "prune_columns",
     "relative_change",
-    "should_stop",
     "smoothed_regularizer",
     "solve_denoise",
     "solve_mc",

@@ -35,7 +35,6 @@ __all__ = [
     "prune_columns",
     "relative_change",
     "stop_status",
-    "should_stop",
     "init_factors",
 ]
 
@@ -168,26 +167,19 @@ class IterationTrace:
         }
 
 
-def _kept_columns(norms: np.ndarray, threshold: float, floor: float = 0.0) -> list[int]:
-    """Indices of the columns whose joint norm is at least ``threshold`` times
-    the largest, or none when the largest is zero or below ``floor``."""
-    top = norms.max() if norms.size else 0.0
-    if top == 0.0 or top < floor:
-        return []
-    return (norms >= threshold * top).nonzero()[0].tolist()
-
-
 def prune_columns(fp: FactorPair, threshold: float) -> tuple[FactorPair, list[int]]:
     """Drop columns whose joint norm falls below ``threshold`` times the largest.
 
     Returns the pruned pair, a column selection that carries the Grams
     (:meth:`FactorPair.select`), and the list of surviving column indices
-    (order preserved).  An all-zero pair yields a d = 0 pair, the caller's
-    degenerate terminal state.
+    (order preserved).  The driver prunes with it; an all-zero pair yields a
+    d = 0 pair, its degenerate terminal state.
     """
     if not 0.0 < threshold < math.inf:
         raise InvalidParameterError("threshold must be positive and finite")
-    kept = _kept_columns(column_pair_norms(fp), threshold)
+    norms = column_pair_norms(fp)
+    top = norms.max() if norms.size else 0.0
+    kept = [] if top == 0.0 else (norms >= threshold * top).nonzero()[0].tolist()
     return (fp if len(kept) == fp.d else fp.select(kept)), kept
 
 
@@ -206,26 +198,20 @@ def _relative_change(prev, next_, du, du_gram, dv, dv_gram) -> float:
     return math.sqrt(change / base)
 
 
-def safe_relative_change(prev: FactorPair, next_: FactorPair) -> float:
-    """Like :func:`relative_change` but defined for a zero previous product:
-    0.0 for an unmoved pair, else inf."""
+def relative_change(prev: FactorPair, next_: FactorPair) -> float:
+    """||U_k V_k^T - U_{k+1} V_{k+1}^T||_F / ||U_k V_k^T||_F in O((m + n) d^2), the
+    narrower pair padded with zero columns; a zero U_k V_k^T is refused."""
     if next_.shape != prev.shape:
         raise InvalidParameterError("factor pairs describe different matrix shapes")
-    d = max(prev.d, next_.d)  # a narrower pair gets zero columns appended
+    if not np.vdot(prev.gram_u, prev.gram_v) > 0.0:
+        raise InvalidParameterError("previous factor product is zero")
+    d = max(prev.d, next_.d)
     prev, next_ = (
         p if p.d == d else FactorPair(*(np.pad(a, ((0, 0), (0, d - p.d))) for a in (p.u, p.v)))
         for p in (prev, next_)
     )
     du, dv = next_.u - prev.u, next_.v - prev.v
     return _relative_change(prev, next_, du, du.T @ du, dv, dv.T @ dv)
-
-
-def relative_change(prev: FactorPair, next_: FactorPair) -> float:
-    """||U_k V_k^T - U_{k+1} V_{k+1}^T||_F / ||U_k V_k^T||_F in O((m + n) d^2)."""
-    rel = safe_relative_change(prev, next_)
-    if not np.vdot(prev.gram_u, prev.gram_v) > 0.0:
-        raise InvalidParameterError("previous factor product is zero")
-    return rel
 
 
 def stop_status(trace: IterationTrace, cfg: SolverConfig) -> str | None:
@@ -251,11 +237,6 @@ def stop_status(trace: IterationTrace, cfg: SolverConfig) -> str | None:
     if last.k >= cfg.max_iter:
         return STATUS_MAX_ITER
     return None
-
-
-def should_stop(trace: IterationTrace, cfg: SolverConfig) -> bool:
-    """True when :func:`stop_status` names a reason to stop."""
-    return stop_status(trace, cfg) is not None
 
 
 def init_factors(problem: Problem, d: int, rng: np.random.Generator) -> FactorPair:
@@ -309,13 +290,14 @@ def finish_iteration(
     (``displacement_sq == 0``) repeats the previous record's objective exactly.
     """
     disp, rel, min_eig, max_col = _iteration_diagnostics(prev, next_, steps)
+    pruned, kept = prune_columns(next_, cfg.prune_tol)
     norms = column_pair_norms(next_)
     # With every column below the smoothing scale eta, the factorization
     # carries no signal the regularizer can distinguish from zero, and the
     # relative rule (scale invariant by design) would never fire: prune all.
-    kept = _kept_columns(norms, cfg.prune_tol, floor=cfg.eta)
+    if kept and norms.max() < cfg.eta:
+        pruned, kept = next_.select([]), []
     unpruned = len(kept) == next_.d
-    pruned = next_ if unpruned else next_.select(kept)
     if not unpruned:
         removed = sorted(set(range(next_.d)).difference(kept))
         trace.prunes.append(PruneEvent(k, removed, [float(norms[i]) for i in removed]))

@@ -32,6 +32,7 @@ __all__ = [
     "weight_diag",
     "smoothed_regularizer",
     "apply_mask",
+    "curvature_block",
     "block_step",
     "objective",
     "gradient",
@@ -485,6 +486,14 @@ class HalfStep:
         return iter((self.factor, self.drop))
 
 
+def curvature_block(fp: FactorPair, side: str, w: np.ndarray, lam: float) -> np.ndarray:
+    """The surrogate's d x d curvature block H = G^T G + lam diag(w) of a step
+    that updates ``side``, G the other factor, G^T G from the pair's ledger."""
+    h = fp.other_gram(side).copy()
+    h.flat[:: h.shape[0] + 1] += lam * np.asarray(w, dtype=float)
+    return h
+
+
 def block_step(
     problem: Problem, side: str, fp: FactorPair, w: np.ndarray, lam: float
 ) -> HalfStep:
@@ -494,8 +503,7 @@ def block_step(
     pair's ledger), and the drop 0.5 <dU^T dU, H>, dU = U' - U.  H^{-1} is
     formed once by LU (``LinAlgError`` if singular) and applied by products:
     X = Z V H^{-1}, refined once, X += (Z V - X H) H^{-1}, to a solve's residual."""
-    factor, h = fp.split(side)[0], fp.other_gram(side).copy()
-    h.flat[:: h.shape[0] + 1] += lam * np.asarray(w, dtype=float)
+    factor, h = fp.split(side)[0], curvature_block(fp, side, w, lam)
     h_inv, zg = np.linalg.inv(h), problem.filled_product(side, fp)
     new = zg @ h_inv
     new += (zg - new @ h) @ h_inv

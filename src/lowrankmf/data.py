@@ -256,11 +256,12 @@ def _read_mm(path) -> tuple[np.ndarray, np.ndarray | None]:
         if len(entries) != sizes[2]:
             raise ParseError(f"expected {sizes[2]} entries, found {len(entries)}", path)
         return _from_triples(rows, cols, i - 1, j - 1, vals, path)[:2]
-    values = [_parse_float(tok, path, lineno) for lineno, entry in body for tok in entry.split()]
+    entries, ragged = list(body), "ragged array body ({} vs {} values per line)"
+    values = _table(path, entries, np.float64, None, ragged).ravel() if entries else []
     if len(values) != rows * cols:
         raise ParseError(f"expected {rows * cols} values, found {len(values)}", path)
     # MatrixMarket array format is column-major.
-    return np.array(values).reshape((cols, rows)).T, None
+    return np.reshape(values, (cols, rows)).T, None
 
 
 def _read_csv(path):

@@ -25,6 +25,7 @@ from .core import (
     InvalidParameterError,
     Problem,
     ProblemKind,
+    curvature_block,
 )
 
 # Unused here: bench/ traces and checks these bindings of the shared functions.
@@ -35,7 +36,7 @@ __all__ = [
     "ArmijoResult",
     "active_set_rows",
     "check_active_mask",
-    "partial_diag_block",
+    "partial_diag_blocks",
     "projected_newton_step",
     "armijo_search",
     "solve_nmf",
@@ -44,7 +45,9 @@ __all__ = [
 
 @dataclass
 class ArmijoResult(HalfStep):
-    """The search's half-step (the unmoved factor if rejected) and last trial."""
+    """The search's half-step (the unmoved factor if rejected) and last trial.
+    ``drop`` is the sufficient-decrease threshold at acceptance, 0 if rejected:
+    a lower bound on the objective drop, exactly 0 at fixed points."""
 
     m_k: int
     alpha: float
@@ -54,14 +57,6 @@ class ArmijoResult(HalfStep):
     active: np.ndarray = field(repr=False)
     grad: np.ndarray = field(repr=False)
     direction: np.ndarray = field(repr=False)
-
-    @property
-    def rhs(self) -> float:
-        """The certified drop: the sufficient-decrease threshold at acceptance, 0
-        if rejected.  It lower-bounds the objective drop and vanishes exactly at
-        fixed points, as the rate checks need; the quadratic-form proximity
-        measure bounds the drop only under the curvature-ratio cap."""
-        return self.drop
 
 
 def active_set_rows(factor, grad, eps: float) -> np.ndarray:
@@ -89,21 +84,17 @@ def check_active_mask(active, shape) -> np.ndarray:
     return active
 
 
-def partial_diag_block(h_tilde: np.ndarray, active_row: np.ndarray) -> np.ndarray:
-    """Zero the off-diagonal entries of an SPD block in the rows and
-    columns that the boolean ``active_row`` marks."""
+def partial_diag_blocks(h_tilde: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """One partially diagonalized block per row of the boolean (rows, d)
+    ``active``, stacked: the SPD block H_tilde copied, the off-diagonal
+    entries of the row's active rows and columns zeroed."""
     h_tilde = np.asarray(h_tilde, dtype=float)
-    return _partial_diag_blocks(h_tilde, check_active_mask(active_row, h_tilde.shape[:1]))
-
-
-def _partial_diag_blocks(h_tilde: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """:func:`partial_diag_block` of each row of ``active`` (any leading shape),
-    stacked: H_tilde copied, active rows and columns zeroed, diagonal put back."""
     d = h_tilde.shape[0]
+    active = check_active_mask(active, np.shape(active)[:1] + (d,))
     blocks = np.broadcast_to(h_tilde, active.shape + (d,)).copy()
     blocks[active] = 0.0
-    blocks.swapaxes(-1, -2)[active] = 0.0
-    blocks.reshape(active.shape[:-1] + (d * d,))[..., :: d + 1] = h_tilde.diagonal()
+    blocks.swapaxes(1, 2)[active] = 0.0
+    blocks.reshape(len(active), d * d)[:, :: d + 1] = h_tilde.diagonal()
     return blocks
 
 
@@ -125,7 +116,7 @@ def _newton_directions(
     chunk = max(1, STACK_ENTRIES // h_tilde.size)
     for i in range(0, rows.size, chunk):
         idx = rows[i : i + chunk]
-        blocks = _partial_diag_blocks(h_tilde, active[idx])
+        blocks = partial_diag_blocks(h_tilde, active[idx])
         p[idx] = np.linalg.solve(blocks, grad[idx, :, None])[..., 0]
     return p
 
@@ -176,9 +167,7 @@ def armijo_search(
     gram = fp.other_gram(side)
     data_grad = factor @ gram - problem.filled_product(side, fp)
     grad = data_grad + cfg.lam * factor * w
-    # the surrogate block G^T G + lam diag(w), with its Gram kept
-    h_tilde = gram.copy()
-    h_tilde.flat[:: h_tilde.shape[0] + 1] += cfg.lam * np.asarray(w, dtype=float)
+    h_tilde = curvature_block(fp, side, w, cfg.lam)
     active = active_set_rows(factor, grad, cfg.nmf.eps_active)
     direction = _newton_directions(grad, h_tilde, active)
 

@@ -24,7 +24,7 @@ from .core import (
     objective,
     weight_diag,
 )
-from .nmf import check_active_mask, partial_diag_block
+from .nmf import check_active_mask, partial_diag_blocks
 
 __all__ = [
     "HESSIAN_SIZE_GUARD",
@@ -167,10 +167,7 @@ def nmf_surrogate_value(
     g = gradient(ProblemKind.DENOISE, side, y, None, fp, lam, eta)
     h_tilde = surrogate_hessian(side, fp, lam, eta)
     diff = cand - factor
-    quad = 0.0
-    for i in range(factor.shape[0]):
-        block = partial_diag_block(h_tilde, active[i])
-        quad += float(diff[i] @ block @ diff[i])
+    quad = float(np.einsum("ri,rij,rj->", diff, partial_diag_blocks(h_tilde, active), diff))
     return f0 + float(np.sum(diff * g)) + quad / (2.0 * alpha)
 
 
@@ -182,10 +179,7 @@ def nmf_alpha_bound(
     check_active_mask(active, factor.shape)
     h = exact_hessian(ProblemKind.DENOISE, side, None, fp, lam, eta)
     h_tilde = surrogate_hessian(side, fp, lam, eta)
-    lam_min = min(
-        float(np.linalg.eigvalsh(partial_diag_block(h_tilde, active[i]))[0])
-        for i in range(factor.shape[0])
-    )
+    lam_min = float(np.linalg.eigvalsh(partial_diag_blocks(h_tilde, active))[:, 0].min())
     lam_max = float(np.linalg.eigvalsh(h)[-1])
     return lam_min / lam_max
 
@@ -242,11 +236,10 @@ def proximity_delta_b(
     gram_u = next_.u.T @ next_.u
     act_u = check_active_mask(active_sets[0], prev.u.shape)
     act_v = check_active_mask(active_sets[1], prev.v.shape)
-    quad = 0.0
-    for i in range(prev.u.shape[0]):
-        quad += float(du[i] @ partial_diag_block(gram_v, act_u[i]) @ du[i])
-    for i in range(prev.v.shape[0]):
-        quad += float(dv[i] @ partial_diag_block(gram_u, act_v[i]) @ dv[i])
+    quad = sum(
+        float(np.einsum("ri,rij,rj->", diff, partial_diag_blocks(gram, act), diff))
+        for diff, gram, act in ((du, gram_v, act_u), (dv, gram_u, act_v))
+    )
     w_prev = weight_diag(prev, eta)
     w_mid = weight_diag(FactorPair(next_.u, prev.v), eta)
     val = 0.5 * quad

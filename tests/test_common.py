@@ -16,7 +16,6 @@ from lowrankmf import (
     objective,
     prune_columns,
     relative_change,
-    should_stop,
     smoothed_regularizer,
     solve_denoise,
     solve_mc,
@@ -261,22 +260,22 @@ def make_trace(rel_change, k, d=3):
 
 def test_should_stop_on_tolerance():
     trace, cfg = make_trace(5e-5, k=10)
-    assert should_stop(trace, cfg)
+    assert stop_status(trace, cfg) is not None
 
 
 def test_should_stop_on_cap():
     trace, cfg = make_trace(2e-4, k=500)
-    assert should_stop(trace, cfg)
+    assert stop_status(trace, cfg) is not None
 
 
 def test_should_continue():
     trace, cfg = make_trace(2e-4, k=10)
-    assert not should_stop(trace, cfg)
+    assert stop_status(trace, cfg) is None
 
 
 def test_should_stop_degenerate():
     trace, cfg = make_trace(1.0, k=1, d=0)
-    assert should_stop(trace, cfg)
+    assert stop_status(trace, cfg) is not None
 
 
 @pytest.mark.parametrize("prune_at_k, want", [(False, "stalled"), (True, "converged")])
@@ -290,7 +289,7 @@ def test_stop_status_stall_is_an_unmoved_unpruned_iterate(prune_at_k, want):
 def test_should_stop_needs_an_iteration():
     cfg = SolverConfig(lam=1.0, d_init=5)
     with pytest.raises(InvalidParameterError):
-        should_stop(IterationTrace(config=cfg), cfg)
+        stop_status(IterationTrace(config=cfg), cfg)
 
 
 # ------------------------------------------------------- initialization
@@ -603,10 +602,8 @@ def test_iteration_diagnostics_of_an_empty_pair_are_zero():
 EPS = np.finfo(float).eps
 
 
-@pytest.mark.parametrize("solve", ["denoise", "complete", "nmf"])
-def test_step_diagnostics_match_dense_recomputation(finished, solve):
-    # displacement_sq and rel_change come from the half-steps' records and
-    # the Gram ledger; recompute both from the consecutive pairs, densely
+def _pruning_solve(solve):
+    """(cfg, trace) of a 40 x 30 ``solve`` that prunes as it goes."""
     m, n = 40, 30
     y = _noisy(m, n, 3, 23, "uniform01")
     cfg = SolverConfig(lam=2.0, d_init=8, tol=1e-6)
@@ -617,6 +614,14 @@ def test_step_diagnostics_match_dense_recomputation(finished, solve):
     else:
         _, trace = solve_nmf(np.maximum(y, 0.0), cfg)
     assert trace.iterations > 10 and trace.prunes
+    return cfg, trace
+
+
+@pytest.mark.parametrize("solve", ["denoise", "complete", "nmf"])
+def test_step_diagnostics_match_dense_recomputation(finished, solve):
+    # displacement_sq and rel_change come from the half-steps' records and
+    # the Gram ledger; recompute both from the consecutive pairs, densely
+    _, trace = _pruning_solve(solve)
     assert len(finished) == trace.iterations
     for record, (prev, next_, steps) in zip(trace.records, finished):
         du, dv = next_.u - prev.u, next_.v - prev.v
@@ -634,6 +639,18 @@ def test_step_diagnostics_match_dense_recomputation(finished, solve):
         # showed), so the bound grows past 1e-12 with it.
         ratio = (sum(np.linalg.norm(p) for p in pieces) / change) ** 2
         assert abs(record.rel_change - rel) <= max(1e-12, 8 * EPS * ratio) * rel
+
+
+@pytest.mark.parametrize("solve", ["denoise", "complete", "nmf"])
+def test_each_iteration_keeps_the_columns_prune_columns_keeps(finished, solve):
+    # the driver prunes through prune_columns, once per iteration, at the
+    # pair its two half-steps reached
+    cfg, trace = _pruning_solve(solve)
+    removed = {p.iteration: p.removed_columns for p in trace.prunes}
+    for record, (_, next_, _) in zip(trace.records, finished, strict=True):
+        kept = [j for j in range(next_.d) if j not in removed.get(record.k, [])]
+        assert prune_columns(next_, cfg.prune_tol)[1] == kept
+        assert record.d == len(kept)
 
 
 def test_step_diagnostics_of_rejected_nmf_searches_are_zero(finished):

@@ -195,6 +195,9 @@ def test_matrix_roundtrip(tmp_path, fmt):
     b = read_matrix(p, fmt)
     assert b.shape == a.shape
     assert np.max(np.abs(a - b)) < 1e-15 * np.max(np.abs(a))
+    if fmt == "mm":  # a d = 0 factor as --output writes it; CSV skips blank lines
+        write_matrix(p, np.zeros((3, 0)), fmt)
+        assert read_matrix(p, fmt).shape == (3, 0)
 
 
 def test_writers_write_the_exact_text(tmp_path):
@@ -276,6 +279,11 @@ def test_mm_token_errors(tmp_path):
     p.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n0\n1\n")
     with pytest.raises(ParseError):
         read_matrix(p, "mm")
+    # a ragged body is refused at its first line of another width
+    p.write_text("%%MatrixMarket matrix array real general\n2 2\n1 0\n% c\n1\n1\n")
+    with pytest.raises(ParseError, match=r"ragged array body \(1 vs 2 values per line\)") as err:
+        read_matrix(p, "mm")
+    assert err.value.line == 5
 
 
 def test_mm_comments_skipped(tmp_path):

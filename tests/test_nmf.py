@@ -22,7 +22,7 @@ from lowrankmf import nmf
 from lowrankmf.data import add_noise_snr, gen_lowrank
 from lowrankmf.nmf import (
     active_set_rows,
-    partial_diag_block,
+    partial_diag_blocks,
     projected_newton_step,
 )
 
@@ -79,19 +79,19 @@ def test_active_set_matches_definition_scan():
 
 def test_partial_diag_empty_set():
     h = spd(3, 1)
-    assert np.array_equal(partial_diag_block(h, np.zeros(3, dtype=bool)), h)
+    assert np.array_equal(partial_diag_blocks(h, np.zeros((1, 3), dtype=bool))[0], h)
 
 
 def test_partial_diag_all_indices():
     h = spd(3, 2)
     assert np.array_equal(
-        partial_diag_block(h, np.ones(3, dtype=bool)), np.diag(np.diag(h))
+        partial_diag_blocks(h, np.ones((1, 3), dtype=bool))[0], np.diag(np.diag(h))
     )
 
 
 def test_partial_diag_single_index():
     h = spd(3, 3)
-    out = partial_diag_block(h, np.array([False, True, False]))
+    out = partial_diag_blocks(h, np.array([[False, True, False]]))[0]
     for p in range(3):
         for q in range(3):
             if p == q:
@@ -107,9 +107,9 @@ def test_partial_diag_single_index():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda h: partial_diag_block(h, [0, 1, 2]),
-        lambda h: partial_diag_block(h, np.array([0, 1, 2])),
-        lambda h: partial_diag_block(h, np.ones(2, dtype=bool)),
+        lambda h: partial_diag_blocks(h, [0, 1, 2]),
+        lambda h: partial_diag_blocks(h, np.array([0, 1, 2])),
+        lambda h: partial_diag_blocks(h, np.ones(2, dtype=bool)),
         lambda h: projected_newton_step(
             np.ones((4, 3)), np.ones((4, 3)), h, [np.array([], dtype=int)] * 4, 1.0
         ),
@@ -168,7 +168,7 @@ def test_projected_step_matches_rowwise_oracle():
     alpha = 0.3
     got = projected_newton_step(factor, grad, h, active, alpha)
     for i in range(8):
-        block = partial_diag_block(h, active[i])
+        block = partial_diag_blocks(h, active[i : i + 1])[0]
         row = factor[i] - alpha * np.linalg.solve(block, grad[i])
         assert np.max(np.abs(got[i] - np.maximum(row, 0.0))) < 1e-10
         # the batched solve must give exactly the per-row solve
@@ -197,13 +197,13 @@ def test_shared_block_rows_skip_the_stack(monkeypatch):
     active[:3] = False
     active[3, 0] = True
     built = []
-    real = nmf._partial_diag_blocks
+    real = nmf.partial_diag_blocks
 
     def record(h_tilde, act):
         built.append(act.copy())
         return real(h_tilde, act)
 
-    monkeypatch.setattr(nmf, "_partial_diag_blocks", record)
+    monkeypatch.setattr(nmf, "partial_diag_blocks", record)
     nmf._newton_directions(grad, h, active)
     pinned = active.any(axis=1)
     assert 0 < pinned.sum() < 40
@@ -220,7 +220,7 @@ def test_mixed_patterns_match_rowwise_solves_at_d12():
     assert 0 < active.any(axis=1).sum() < 60
     p = nmf._newton_directions(grad, h, active)
     for i in range(60):
-        want = np.linalg.solve(partial_diag_block(h, active[i]), grad[i])
+        want = np.linalg.solve(partial_diag_blocks(h, active[i : i + 1])[0], grad[i])
         assert np.linalg.norm(p[i] - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -292,7 +292,7 @@ def test_armijo_accepted_step_reverifies():
         )
         rhs = cfg.nmf.sigma * (res.alpha * inactive + moved)
         assert f0 - f1 >= rhs - 1e-12
-        assert abs(rhs - res.rhs) < 1e-12
+        assert abs(rhs - res.drop) < 1e-12
 
 
 def _decrease_case(name):

@@ -229,6 +229,50 @@ def test_nmf_oracles_reject_index_list_active_sets():
         nmf_alpha_bound("u", fp, 1.0, 1e-3, np.zeros((3, 2), dtype=bool))
 
 
+def _rowwise_block(h, active_row):
+    """``h`` with the off-diagonal entries of the active rows and columns
+    zeroed, entry by entry: the definition the stacked blocks follow."""
+    d = h.shape[0]
+    keep = [[p == q or not (active_row[p] or active_row[q]) for q in range(d)] for p in range(d)]
+    return np.where(keep, h, 0.0)
+
+
+def test_nmf_oracles_match_rowwise_blocks():
+    # the stacked partially diagonalized blocks, contracted by einsum and by
+    # one batched eigvalsh, against a loop over rows of per-row blocks
+    lam, eta, alpha = 0.5, 1e-3, 0.7
+    rng = np.random.default_rng(150)
+    y = np.abs(rng.standard_normal((6, 5)))
+    fp = FactorPair(np.abs(rng.standard_normal((6, 3))), np.abs(rng.standard_normal((5, 3))))
+    nxt = FactorPair(np.abs(rng.standard_normal((6, 3))), np.abs(rng.standard_normal((5, 3))))
+    act_u, act_v = rng.random((6, 3)) < 0.4, rng.random((5, 3)) < 0.4
+    act_u[0] = False  # a free row shares the block itself
+    assert 0 < act_u.any(axis=1).sum() < 6 and act_v.any()
+    h = surrogate_hessian("u", fp, lam, eta)
+    blocks = [_rowwise_block(h, row) for row in act_u]
+    diff = nxt.u - fp.u
+    quad = sum(diff[i] @ block @ diff[i] for i, block in enumerate(blocks))
+    f0 = objective(ProblemKind.DENOISE, y, None, fp, lam, eta)
+    g = gradient(ProblemKind.DENOISE, "u", y, None, fp, lam, eta)
+    want = f0 + np.sum(diff * g) + quad / (2.0 * alpha)
+    got = nmf_surrogate_value(y, "u", fp, lam, eta, nxt.u, act_u, alpha)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    lam_max = np.linalg.eigvalsh(exact_hessian(ProblemKind.DENOISE, "u", None, fp, lam, eta))[-1]
+    want = min(np.linalg.eigvalsh(block)[0] for block in blocks) / lam_max
+    assert abs(nmf_alpha_bound("u", fp, lam, eta, act_u) - want) <= 1e-12 * want
+    # delta^b at lam = 0: the rows' quadratic forms and the active gradient terms
+    grads = (rng.standard_normal((6, 3)), rng.standard_normal((5, 3)))
+    du, dv = fp.u - nxt.u, fp.v - nxt.v
+    want = 0.0
+    for d_f, gram, act, grad in ((du, fp.v.T @ fp.v, act_u, grads[0]),
+                                 (dv, nxt.u.T @ nxt.u, act_v, grads[1])):
+        for i in range(d_f.shape[0]):
+            want += 0.5 * d_f[i] @ _rowwise_block(gram, act[i]) @ d_f[i]
+            want += sum(d_f[i, j] * grad[i, j] for j in range(3) if act[i, j])
+    got = proximity_delta_b(fp, nxt, grads, (act_u, act_v), 0.0, eta)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def nmf_capped_iteration(y, fp, lam, eta, eps):
     """One projected Newton sweep with the step capped at the
     curvature-ratio bound, the regime where the descent lemma is valid."""
