@@ -97,6 +97,8 @@ class SolverConfig:
             ("lam", "eta", "tol", "prune_tol"),
             {"d_init": 1, "max_iter": 1, "seed": 0},
         )
+        if not isinstance(self.nmf, NmfOptions):
+            raise InvalidParameterError(f"nmf must be NmfOptions, got {type(self.nmf).__name__}")
         self.nmf.validate()
 
 
@@ -214,15 +216,15 @@ def relative_change(prev: FactorPair, next_: FactorPair) -> float:
     return _relative_change(prev, next_, du, du.T @ du, dv, dv.T @ dv)
 
 
-def stop_status(trace: IterationTrace, cfg: SolverConfig) -> str | None:
+def stop_status(trace: IterationTrace) -> str | None:
     """Why the solve stops after its last iteration, or None to go on.
 
     Degenerate when every column has been pruned; stalled when the
     iteration returned its own input (neither the factors nor their
     product moved and no column was pruned, e.g. both Armijo searches
     exhausted their backtracking cap), so no later iteration can move it
-    either; converged when the relative product change drops below tol;
-    max_iter at the iteration cap.
+    either; converged when the relative product change drops below the
+    trace's ``config.tol``; max_iter at its ``config.max_iter``.
     """
     if not trace.records:
         raise InvalidParameterError("need at least one completed iteration")
@@ -232,9 +234,9 @@ def stop_status(trace: IterationTrace, cfg: SolverConfig) -> str | None:
     pruned = bool(trace.prunes) and trace.prunes[-1].iteration == last.k
     if last.rel_change == 0.0 and last.displacement_sq == 0.0 and not pruned:
         return STATUS_STALLED
-    if last.rel_change < cfg.tol:
+    if last.rel_change < trace.config.tol:
         return STATUS_CONVERGED
-    if last.k >= cfg.max_iter:
+    if last.k >= trace.config.max_iter:
         return STATUS_MAX_ITER
     return None
 
@@ -273,7 +275,6 @@ def _iteration_diagnostics(prev, next_, steps: tuple[HalfStep, HalfStep]) -> tup
 
 def finish_iteration(
     trace: IterationTrace,
-    cfg: SolverConfig,
     k: int,
     prev: FactorPair,
     next_: FactorPair,
@@ -281,7 +282,7 @@ def finish_iteration(
     problem: Problem,
     t0: float,
 ) -> FactorPair:
-    """Shared post-update bookkeeping: prune, record, return current pair.
+    """Shared post-update bookkeeping under ``trace.config``: prune, record, return the pair.
 
     The diagnostics read the U and V half-``steps`` that took ``prev`` to
     ``next_``; they, the column norms and the objective read the pairs' Gram
@@ -289,6 +290,7 @@ def finish_iteration(
     slot, which the next U step reads.  An unmoved, unpruned pair
     (``displacement_sq == 0``) repeats the previous record's objective exactly.
     """
+    cfg = trace.config
     disp, rel, min_eig, max_col = _iteration_diagnostics(prev, next_, steps)
     pruned, kept = prune_columns(next_, cfg.prune_tol)
     norms = column_pair_norms(next_)
@@ -354,8 +356,8 @@ def alternate(
                 f"to working precision at lam={cfg.lam!r}; use a larger lam"
             ) from exc
         next_fp = mid.with_factor("v", v_step.factor)
-        fp = finish_iteration(trace, cfg, k, fp, next_fp, (u_step, v_step), problem, t0)
-        status = stop_status(trace, cfg)
+        fp = finish_iteration(trace, k, fp, next_fp, (u_step, v_step), problem, t0)
+        status = stop_status(trace)
         if status is not None:
             trace.status = status
             break

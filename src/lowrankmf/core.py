@@ -216,13 +216,6 @@ class ObservedMask:
         object.__setattr__(self, "indptr", np.searchsorted(ri, np.arange(self.rows + 1)))
 
     @classmethod
-    def from_pairs(cls, rows: int, cols: int, pairs) -> "ObservedMask":
-        pairs = list(pairs)
-        ri = np.array([p[0] for p in pairs], dtype=np.int64)
-        ci = np.array([p[1] for p in pairs], dtype=np.int64)
-        return cls(rows, cols, ri, ci)
-
-    @classmethod
     def full(cls, rows: int, cols: int) -> "ObservedMask":
         ri, ci = np.divmod(np.arange(rows * cols, dtype=np.int64), cols)
         return cls(rows, cols, ri, ci)
@@ -317,9 +310,9 @@ class Problem:
         y = as_matrix(y, "y")
         self.kind, self.y, self.mask, self.y_obs = kind, y, mask, y
         self._last: tuple[FactorPair, np.ndarray] | None = None
-        # the fill-in buffer, and the pairs whose U V^T and whose fill-in it holds
+        # the fill-in buffer, and the pair whose U V^T it holds off the mask
         self._buffer: np.ndarray | None = None
-        self._product_of = self._filled_of = None
+        self._product_of = None
         if kind is ProblemKind.COMPLETE:
             if mask is None:
                 raise InvalidParameterError("completion requires an observed mask")
@@ -396,18 +389,7 @@ class Problem:
         # against a contiguous V^T: at d <= 11 the GEMM on the transposed
         # view took up to 2.7x as long
         np.matmul(fp.u, np.ascontiguousarray(fp.v.T), out=self._buffer)
-        self._product_of, self._filled_of = fp, None
-        return self._buffer
-
-    def _fill(self, fp: FactorPair) -> np.ndarray:
-        """The buffer as the fill-in P_Omega(Y) + P_Omega^perp(U V^T) at
-        ``fp``: the U V^T it holds at ``fp``, else a new one, with Y written
-        over the observed entries."""
-        if self._filled_of is not fp:
-            if self._product_of is not fp:
-                self._product(fp)
-            self._buffer.reshape(-1)[self.mask.flat] = self.y_obs
-            self._filled_of = fp
+        self._product_of = fp
         return self._buffer
 
     def objective(self, fp: FactorPair, lam: float, eta: float) -> float:
@@ -431,19 +413,21 @@ class Problem:
         for dense data, where the U side's Y V is read from the slot, and
         for completion the fill-in Z = P_Omega(Y) + P_Omega^perp(U V^T).
 
-        On the buffer path (``fill_in``) Z is the buffer (:meth:`_fill`)
-        and Z G one GEMM, Z V or Z^T U: the U step fills the U V^T that the
-        last objective left there, and the V step forms U' V^T but no
-        residual.  Otherwise the product is F G^T G - P_Omega(U V^T - Y) G
-        (F the updated factor, G^T G from the pair's ledger) and forms no
-        m x n array: the slot's residual is the data of the problem's one
-        sparse operator, CSR on the U side and its CSC transpose on the V
-        side."""
+        On the buffer path (``fill_in``) Z is the buffer: the U V^T it holds
+        off the mask at ``fp``, else a new one, with Y written over the
+        observed entries on every call; Z G is one GEMM, Z V or Z^T U.  The
+        U step fills the U V^T that the last objective left there, and the
+        V step forms U' V^T but no residual.  Otherwise the product is
+        F G^T G - P_Omega(U V^T - Y) G (F the updated factor, G^T G from the
+        pair's ledger) and forms no m x n array: the slot's residual is the
+        data of the problem's one sparse operator, CSR on the U side and its
+        CSC transpose on the V side."""
         factor, other = fp.split(side)
         if self.kind is not ProblemKind.COMPLETE:
             return self._data_term(fp) if side == "u" else self.y.T @ other
         if self.fill_in:
-            z = self._fill(fp)
+            z = self._buffer if self._product_of is fp else self._product(fp)
+            z.reshape(-1)[self.mask.flat] = self.y_obs
             return z @ other if side == "u" else z.T @ other
         csr, csc = self._operator
         csr.data[:] = self._data_term(fp)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidParameterError, ObservedMask, as_matrix
+from .core import DimensionMismatchError, InvalidParameterError, ObservedMask, as_matrix
 
 __all__ = [
     "ParseError",
@@ -292,12 +292,15 @@ def read_matrix(path, fmt: str) -> np.ndarray:
 
 
 def write_matrix(path, a, fmt: str) -> None:
-    """Write a dense matrix with full round-trip precision."""
+    """Write a dense matrix with full round-trip precision.  CSV has no line
+    for a matrix without entries, so one with a zero dimension needs ``mm``."""
     a = as_matrix(a)
     if fmt == "mm":
         header = f"{MM_HEADER_ARRAY}\n{a.shape[0]} {a.shape[1]}"
         np.savetxt(path, a.ravel(order="F"), "%.17g", header=header, comments="")
     elif fmt == "csv":
+        if a.size == 0:
+            raise InvalidParameterError(f"csv cannot hold a {a.shape} matrix; write it as mm")
         np.savetxt(path, a, "%.17g", delimiter=",")
     else:
         raise InvalidParameterError(f"unknown format {fmt!r}")
@@ -306,6 +309,9 @@ def write_matrix(path, a, fmt: str) -> None:
 def write_mask_coordinate(path, y, mask: ObservedMask) -> None:
     """Write observed entries as a MatrixMarket coordinate file."""
     y = as_matrix(y, "y")
+    shape = (mask.rows, mask.cols)
+    if y.shape != shape:
+        raise DimensionMismatchError(f"y shape {y.shape} does not match mask {shape}")
     entries = np.rec.fromarrays((mask.row_idx + 1, mask.col_idx + 1, y.flat[mask.flat]))
     header = f"{MM_HEADER_COORD}\n{mask.rows} {mask.cols} {mask.card}"
     np.savetxt(path, entries, "%d %d %.17g", header=header, comments="")

@@ -37,7 +37,6 @@ __all__ = [
     "active_set_rows",
     "check_active_mask",
     "partial_diag_blocks",
-    "projected_newton_step",
     "armijo_search",
     "solve_nmf",
 ]
@@ -137,18 +136,6 @@ def _decrease(factor, sq, step, sts, data_grad, gram, lam: float, eta: float) ->
     reg = (ds / (np.sqrt(sq + ds + eta_sq) + np.sqrt(sq + eta_sq))).sum()
     fit = np.vdot(step, data_grad) + 0.5 * np.vdot(sts, gram)
     return -float(fit + lam * reg)
-
-
-def projected_newton_step(
-    factor, grad, h_tilde: np.ndarray, active: np.ndarray, alpha: float
-) -> np.ndarray:
-    """Per-row damped Newton step clipped to the nonnegative orthant."""
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidParameterError("alpha must lie in (0, 1]")
-    factor = np.asarray(factor, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    p = _newton_directions(grad, h_tilde, check_active_mask(active, factor.shape))
-    return np.maximum(factor - alpha * p, 0.0)
 
 
 def armijo_search(

@@ -90,12 +90,14 @@ def test_config_defaults():
         {"lam": 1.0, "d_init": 5, "nmf": {"sigma": float("nan")}},
         {"lam": 1.0, "d_init": 5, "nmf": {"eps_active": float("nan")}},
         {"lam": 1.0, "d_init": 5, "nmf": {"max_backtracks": 2.5}},
+        # not an NmfOptions at all: refused, not an AttributeError
+        {"lam": 1.0, "d_init": 5, "nmf": None},
     ],
 )
 def test_config_validation_rejects(kwargs):
     # building the config raises, so no invalid config reaches a solver
     with pytest.raises(InvalidParameterError):
-        if "nmf" in kwargs:
+        if isinstance(kwargs.get("nmf"), dict):
             kwargs = {**kwargs, "nmf": NmfOptions(**kwargs["nmf"])}
         SolverConfig(**kwargs)
 
@@ -216,9 +218,9 @@ def finished(monkeypatch):
     """(prev, next_, steps) of every iteration ``common.alternate`` finishes."""
     calls, shared = [], common.finish_iteration
 
-    def recorded(trace, cfg, k, prev, next_, steps, *rest):
+    def recorded(trace, k, prev, next_, steps, *rest):
         calls.append((prev, next_, steps))
-        return shared(trace, cfg, k, prev, next_, steps, *rest)
+        return shared(trace, k, prev, next_, steps, *rest)
 
     monkeypatch.setattr(common, "finish_iteration", recorded)
     return calls
@@ -250,46 +252,45 @@ def test_relative_change_zero_previous_product():
 
 
 def make_trace(rel_change, k, d=3):
-    cfg = SolverConfig(lam=1.0, d_init=5)
-    trace = IterationTrace(config=cfg)
+    trace = IterationTrace(config=SolverConfig(lam=1.0, d_init=5))
     trace.records.append(
         IterationRecord(k=k, objective=1.0, d=d, rel_change=rel_change, delta=0.0, ms=0.0)
     )
-    return trace, cfg
+    return trace
 
 
 def test_should_stop_on_tolerance():
-    trace, cfg = make_trace(5e-5, k=10)
-    assert stop_status(trace, cfg) is not None
+    trace = make_trace(5e-5, k=10)
+    assert stop_status(trace) is not None
 
 
 def test_should_stop_on_cap():
-    trace, cfg = make_trace(2e-4, k=500)
-    assert stop_status(trace, cfg) is not None
+    trace = make_trace(2e-4, k=500)
+    assert stop_status(trace) is not None
 
 
 def test_should_continue():
-    trace, cfg = make_trace(2e-4, k=10)
-    assert stop_status(trace, cfg) is None
+    trace = make_trace(2e-4, k=10)
+    assert stop_status(trace) is None
 
 
 def test_should_stop_degenerate():
-    trace, cfg = make_trace(1.0, k=1, d=0)
-    assert stop_status(trace, cfg) is not None
+    trace = make_trace(1.0, k=1, d=0)
+    assert stop_status(trace) is not None
 
 
 @pytest.mark.parametrize("prune_at_k, want", [(False, "stalled"), (True, "converged")])
 def test_stop_status_stall_is_an_unmoved_unpruned_iterate(prune_at_k, want):
-    trace, cfg = make_trace(0.0, k=10)
+    trace = make_trace(0.0, k=10)
     if prune_at_k:
         trace.prunes.append(PruneEvent(10, [3], [0.0]))
-    assert stop_status(trace, cfg) == want
+    assert stop_status(trace) == want
 
 
 def test_should_stop_needs_an_iteration():
     cfg = SolverConfig(lam=1.0, d_init=5)
     with pytest.raises(InvalidParameterError):
-        stop_status(IterationTrace(config=cfg), cfg)
+        stop_status(IterationTrace(config=cfg))
 
 
 # ------------------------------------------------------- initialization
@@ -384,7 +385,7 @@ def test_every_solve_descends_by_its_certificate_and_stops_as_reported(
             prunes=[p for p in trace.prunes if p.iteration <= r.k],
         )
         last = i + 1 == trace.iterations
-        assert stop_status(prefix, cfg) == (trace.status if last else None)
+        assert stop_status(prefix) == (trace.status if last else None)
         prev = r.objective
 
 

@@ -1,9 +1,12 @@
 """Tests for the domain types, objectives, gradients and metrics."""
 
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -163,6 +166,48 @@ def test_mask_validation():
         ObservedMask(2, 2, np.array([2]), np.array([0]))  # out of range
     with pytest.raises(InvalidParameterError):
         ObservedMask(2, 2, np.array([], dtype=int), np.array([], dtype=int))
+    message = "^row and column index arrays differ in length$"
+    with pytest.raises(DimensionMismatchError, match=message):
+        ObservedMask(2, 2, np.array([0, 1]), np.array([0]))
+
+
+@pytest.mark.parametrize("a", [np.ones(3), np.ones((2, 2, 2)), 1.0], ids=["1d", "3d", "scalar"])
+def test_as_matrix_refuses_an_array_that_is_not_2d(a):
+    message = f"^y must be 2-D, got shape {re.escape(str(np.shape(a)))}$"
+    with pytest.raises(DimensionMismatchError, match=message):
+        core.as_matrix(a, "y")
+    with pytest.raises(DimensionMismatchError, match="^y must be 2-D"):
+        Problem(ProblemKind.DENOISE, a)
+
+
+def config_with_lam(lam):
+    """A valid config's fields with ``lam`` in place of its own: SolverConfig
+    refuses lam <= 0 when built, and the NMF search checks the lam it reads."""
+    return SimpleNamespace(**{**vars(SolverConfig(lam=1.0, d_init=1)), "lam": lam})
+
+
+# Each factor step entry point, taking a step from ``fp`` with weight ``lam``.
+FACTOR_STEPS = {
+    ProblemKind.DENOISE: lambda p, fp, lam: update_factor_denoise(p, "u", fp, np.ones(fp.d), lam),
+    ProblemKind.COMPLETE: lambda p, fp, lam: update_factor_mc(p, "u", fp, np.ones(fp.d), lam),
+    ProblemKind.NMF: lambda p, fp, lam: armijo_search(
+        p, "u", fp, np.ones(fp.d), config_with_lam(lam)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(FACTOR_STEPS), ids=lambda k: k.value)
+def test_factor_steps_refuse_an_empty_pair_and_a_lam_that_is_not_positive(kind):
+    y = np.abs(np.random.default_rng(50).standard_normal((4, 3)))
+    mask = ObservedMask.full(4, 3) if kind is ProblemKind.COMPLETE else None
+    problem, step = Problem(kind, y, mask), FACTOR_STEPS[kind]
+    with pytest.raises(InvalidParameterError, match="^factor pair has no columns$"):
+        step(problem, FactorPair(np.zeros((4, 0)), np.zeros((3, 0))), 1.0)
+    fp = FactorPair(np.ones((4, 2)), np.ones((3, 2)))
+    for lam in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidParameterError, match="^lam must be positive$"):
+            step(problem, fp, lam)
+    step(problem, fp, 1.0)  # the same call with a positive lam runs
 
 
 def test_mask_sorts_only_offsets_that_are_not_strictly_increasing(monkeypatch):
@@ -526,7 +571,7 @@ def test_residual_memo_never_returns_a_stale_residual(monkeypatch):
     counts = counting_residual(monkeypatch)
     rng = np.random.default_rng(40)
     y = rng.standard_normal((8, 7))
-    mask = ObservedMask.from_pairs(8, 7, [(0, 0), (2, 3), (5, 6), (7, 1)])
+    mask = ObservedMask(8, 7, [0, 2, 5, 7], [0, 3, 6, 1])
     problem = Problem(ProblemKind.COMPLETE, y, mask)
     fp = FactorPair(rng.standard_normal((8, 3)), rng.standard_normal((7, 3)))
     fp = FactorPair(fp.u * [1, 1, 0], fp.v * [1, 1, 0])  # column 2 is prunable

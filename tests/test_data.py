@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lowrankmf import InvalidParameterError, ObservedMask
+from lowrankmf import DimensionMismatchError, InvalidParameterError, ObservedMask
 from lowrankmf.data import (
     ParseError,
     add_noise_snr,
@@ -195,29 +195,45 @@ def test_matrix_roundtrip(tmp_path, fmt):
     b = read_matrix(p, fmt)
     assert b.shape == a.shape
     assert np.max(np.abs(a - b)) < 1e-15 * np.max(np.abs(a))
-    if fmt == "mm":  # a d = 0 factor as --output writes it; CSV skips blank lines
-        write_matrix(p, np.zeros((3, 0)), fmt)
-        assert read_matrix(p, fmt).shape == (3, 0)
+    if fmt == "mm":  # a d = 0 factor as --output writes it; CSV refuses it
+        for shape in ((3, 0), (0, 3), (0, 0)):
+            write_matrix(p, np.zeros(shape), fmt)
+            assert read_matrix(p, fmt).shape == shape
 
 
 def test_writers_write_the_exact_text(tmp_path):
     # 17 significant digits, MatrixMarket arrays column-major, and a d = 0
-    # factor as its size line alone (mm) or one empty line per row (csv)
+    # factor as its size line alone (mm)
     a, p = np.array([[1.0, -0.0], [0.1, 1e300]]), tmp_path / "a"
     mm = "%%MatrixMarket matrix array real general\n"
     cases = [
         (a, "mm", mm + "2 2\n1\n0.10000000000000001\n-0\n1.0000000000000001e+300\n"),
         (a, "csv", "1,-0\n0.10000000000000001,1.0000000000000001e+300\n"),
         (np.zeros((3, 0)), "mm", mm + "3 0\n"),
-        (np.zeros((3, 0)), "csv", "\n\n\n"),
     ]
     for matrix, fmt, text in cases:
         write_matrix(p, matrix, fmt)
         assert p.read_bytes() == text.encode()
+    # CSV has no line for a matrix without entries (blank lines read back as
+    # an empty file), so one is refused before the file is touched
+    for shape in ((3, 0), (0, 3), (0, 0)):
+        with pytest.raises(InvalidParameterError, match=r"csv cannot hold a .* write it as mm"):
+            write_matrix(p, np.zeros(shape), "csv")
+        assert p.read_bytes() == (mm + "3 0\n").encode()
     write_mask_coordinate(p, a, ObservedMask(2, 2, [1, 0], [0, 1]))
     assert p.read_bytes() == (
         b"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 -0\n2 1 0.10000000000000001\n"
     )
+
+
+def test_mask_writer_refuses_y_of_another_shape(tmp_path):
+    # a 3 x 4 y would have its entry (0, 2) written as entry (2, 1) of the
+    # 2 x 2 mask, and a 1 x 1 y would be indexed past its end
+    p, mask = tmp_path / "m.mtx", ObservedMask(2, 2, [0, 1], [1, 0])
+    for y in (np.arange(12.0).reshape(3, 4), np.ones((1, 1))):
+        with pytest.raises(DimensionMismatchError, match=r"does not match mask \(2, 2\)"):
+            write_mask_coordinate(p, y, mask)
+        assert not p.exists()
 
 
 def test_array_format_identity_example(tmp_path):
@@ -284,6 +300,32 @@ def test_mm_token_errors(tmp_path):
     with pytest.raises(ParseError, match=r"ragged array body \(1 vs 2 values per line\)") as err:
         read_matrix(p, "mm")
     assert err.value.line == 5
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("%%MatrixMarket matrix array real general\n% no size\n", "missing size line", None),
+        (
+            "%%MatrixMarket matrix coordinate real general\n2 2\n1 1 1.0\n",
+            "coordinate size line needs rows cols nnz",
+            2,
+        ),
+        (
+            "%%MatrixMarket matrix array real general\n% c\n2 2 4\n1\n",
+            "array size line needs rows cols",
+            3,
+        ),
+    ],
+    ids=["missing", "coordinate", "array"],
+)
+def test_mm_size_line_errors(tmp_path, text, message, line):
+    p = tmp_path / "s.mtx"
+    p.write_text(text)
+    for read in (lambda: read_matrix(p, "mm"), lambda: read_coordinate(p)):
+        with pytest.raises(ParseError, match=f"{message}$") as err:
+            read()
+        assert err.value.line == line and err.value.path == p
 
 
 def test_mm_comments_skipped(tmp_path):

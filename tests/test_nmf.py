@@ -20,11 +20,7 @@ from lowrankmf import (
 )
 from lowrankmf import nmf
 from lowrankmf.data import add_noise_snr, gen_lowrank
-from lowrankmf.nmf import (
-    active_set_rows,
-    partial_diag_blocks,
-    projected_newton_step,
-)
+from lowrankmf.nmf import active_set_rows, partial_diag_blocks
 
 
 def nonneg_pair(m, n, d, seed):
@@ -110,12 +106,8 @@ def test_partial_diag_single_index():
         lambda h: partial_diag_blocks(h, [0, 1, 2]),
         lambda h: partial_diag_blocks(h, np.array([0, 1, 2])),
         lambda h: partial_diag_blocks(h, np.ones(2, dtype=bool)),
-        lambda h: projected_newton_step(
-            np.ones((4, 3)), np.ones((4, 3)), h, [np.array([], dtype=int)] * 4, 1.0
-        ),
-        lambda h: projected_newton_step(
-            np.ones((4, 3)), np.ones((4, 3)), h, np.zeros((4, 2), dtype=bool), 1.0
-        ),
+        lambda h: partial_diag_blocks(h, [np.array([], dtype=int)] * 4),
+        lambda h: partial_diag_blocks(h, np.zeros((4, 2), dtype=bool)),
     ],
 )
 def test_non_mask_active_sets_are_rejected(call):
@@ -129,13 +121,19 @@ def test_non_mask_active_sets_are_rejected(call):
 # --------------------------------------------------- projected Newton step
 
 
+def trial(factor, grad, h, active, alpha):
+    """The search's trial point at ``alpha``: its Newton directions, clipped
+    to the nonnegative orthant as :func:`armijo_search` clips them."""
+    return np.maximum(factor - alpha * nmf._newton_directions(grad, h, active), 0.0)
+
+
 def test_projected_step_unconstrained_newton():
     h = spd(2, 4)
     rng = np.random.default_rng(5)
     factor = np.abs(rng.standard_normal((3, 2))) + 5.0
     grad = 0.1 * rng.standard_normal((3, 2))
     active = np.zeros((3, 2), dtype=bool)
-    got = projected_newton_step(factor, grad, h, active, 1.0)
+    got = trial(factor, grad, h, active, 1.0)
     want = factor - np.linalg.solve(h, grad.T).T
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -144,7 +142,7 @@ def test_projected_step_clips_to_zero():
     h = np.eye(1)
     factor = np.array([[0.5]])
     grad = np.array([[10.0]])  # step would go far negative
-    got = projected_newton_step(factor, grad, h, np.zeros((1, 1), dtype=bool), 1.0)
+    got = trial(factor, grad, h, np.zeros((1, 1), dtype=bool), 1.0)
     assert got[0, 0] == 0.0
 
 
@@ -166,7 +164,7 @@ def test_projected_step_matches_rowwise_oracle():
     grad = np.vstack([grad, rng.standard_normal((4, 3))])
     active = np.vstack([active, active[[1, 1, 0, 0]]])
     alpha = 0.3
-    got = projected_newton_step(factor, grad, h, active, alpha)
+    got = trial(factor, grad, h, active, alpha)
     for i in range(8):
         block = partial_diag_blocks(h, active[i : i + 1])[0]
         row = factor[i] - alpha * np.linalg.solve(block, grad[i])
@@ -182,10 +180,10 @@ def test_newton_step_does_not_depend_on_the_stack_split(monkeypatch):
     factor = np.abs(rng.standard_normal((11, 4)))
     grad = rng.standard_normal((11, 4))
     active = rng.random((11, 4)) < 0.3
-    whole = projected_newton_step(factor, grad, h, active, 0.5)
+    whole = trial(factor, grad, h, active, 0.5)
     for entries in (1, 16, 50):  # 1, 1 and 3 rows per stack
         monkeypatch.setattr(nmf, "STACK_ENTRIES", entries)
-        assert np.array_equal(projected_newton_step(factor, grad, h, active, 0.5), whole)
+        assert np.array_equal(trial(factor, grad, h, active, 0.5), whole)
 
 
 def test_shared_block_rows_skip_the_stack(monkeypatch):

@@ -16,7 +16,7 @@ from lowrankmf import (
 )
 from lowrankmf.common import IterationRecord, IterationTrace
 from lowrankmf.data import add_noise_snr, gen_lowrank, sample_mask
-from lowrankmf.nmf import active_set_rows, projected_newton_step
+from lowrankmf.nmf import _newton_directions, active_set_rows
 from lowrankmf.oracles import (
     exact_hessian,
     nmf_alpha_bound,
@@ -280,13 +280,13 @@ def nmf_capped_iteration(y, fp, lam, eta, eps):
     act_u = active_set_rows(fp.u, g_u, eps)
     alpha_u = min(1.0, 0.9 * nmf_alpha_bound("u", fp, lam, eta, act_u))
     h_u = surrogate_hessian("u", fp, lam, eta)
-    u_new = projected_newton_step(fp.u, g_u, h_u, act_u, alpha_u)
+    u_new = np.maximum(fp.u - alpha_u * _newton_directions(g_u, h_u, act_u), 0.0)
     mid = FactorPair(u_new, fp.v)
     g_v = gradient(ProblemKind.NMF, "v", y, None, mid, lam, eta)
     act_v = active_set_rows(mid.v, g_v, eps)
     alpha_v = min(1.0, 0.9 * nmf_alpha_bound("v", mid, lam, eta, act_v))
     h_v = surrogate_hessian("v", mid, lam, eta)
-    v_new = projected_newton_step(mid.v, g_v, h_v, act_v, alpha_v)
+    v_new = np.maximum(mid.v - alpha_v * _newton_directions(g_v, h_v, act_v), 0.0)
     nxt = FactorPair(u_new, v_new)
     return nxt, (g_u, g_v), (act_u, act_v)
 
