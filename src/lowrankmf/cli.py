@@ -239,18 +239,9 @@ def _run_solver(args, kind: ProblemKind) -> int:
             json.dump(trace.to_json_dict(metrics), fh, indent=1, sort_keys=True)
             fh.write("\n")
     last = trace.records[-1]
-    parts = [
-        f"iters={last.k}",
-        f"d={last.d}",
-        f"objective={last.objective:.6g}",
-    ]
-    if "nre" in metrics:
-        parts.append(f"nre={metrics['nre']:.4g}")
-    if "nmae" in metrics:
-        parts.append(f"nmae={metrics['nmae']:.4g}")
-    parts.append(f"status={trace.status}")
-    parts.append(f"time={wall:.2f}s")
-    print(" ".join(parts))
+    parts = [f"iters={last.k}", f"d={last.d}", f"objective={last.objective:.6g}"]
+    parts += [f"{key}={value:.4g}" for key, value in metrics.items()]
+    print(*parts, f"status={trace.status}", f"time={wall:.2f}s")
     return EXIT_DEGENERATE if trace.status == STATUS_DEGENERATE else EXIT_OK
 
 

@@ -44,15 +44,20 @@ STATUS_DEGENERATE = "degenerate"
 STATUS_STALLED = "stalled"
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_fields(obj, positive: tuple, ints: dict):
-    """Raise unless each field of ``obj`` named in ``positive`` is positive and
-    finite, and each one named in ``ints`` is an integer no less than its bound."""
+    """Raise unless each field of ``obj`` named in ``positive`` is a positive finite
+    real, and each one named in ``ints`` an integer no less than its bound (no bools)."""
     for name in positive:
-        if not 0.0 < getattr(obj, name) < math.inf:
+        value = getattr(obj, name)
+        if not (_is_real(value) and 0.0 < value < math.inf):
             raise InvalidParameterError(f"{name} must be positive and finite")
     for name, low in ints.items():
         value = getattr(obj, name)
-        if not isinstance(value, numbers.Integral) or value < low:
+        if not (_is_real(value) and isinstance(value, numbers.Integral) and value >= low):
             raise InvalidParameterError(f"{name} must be an integer of at least {low}")
 
 
@@ -70,7 +75,7 @@ class NmfOptions:
         self.validate()
 
     def validate(self):
-        if not (0.0 < self.beta_u < 1.0 and 0.0 < self.beta_v < 1.0):
+        if not all(_is_real(b) and 0.0 < b < 1.0 for b in (self.beta_u, self.beta_v)):
             raise InvalidParameterError("beta_u and beta_v must lie in (0, 1)")
         _check_fields(self, ("sigma", "eps_active"), {"max_backtracks": 0})
 

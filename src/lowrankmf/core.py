@@ -196,12 +196,14 @@ class ObservedMask:
     indptr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ri = np.asarray(self.row_idx, dtype=np.int64).ravel()
-        ci = np.asarray(self.col_idx, dtype=np.int64).ravel()
+        ri, ci = (np.asarray(idx).ravel() for idx in (self.row_idx, self.col_idx))
         if ri.shape != ci.shape:
             raise DimensionMismatchError("row and column index arrays differ in length")
         if ri.size < 1:
             raise InvalidParameterError("mask must contain at least one entry")
+        if ri.dtype.kind not in "iu" or ci.dtype.kind not in "iu":  # no rounding, no bools
+            raise InvalidParameterError("mask index arrays must hold integers")
+        ri, ci = ri.astype(np.int64, copy=False), ci.astype(np.int64, copy=False)
         if ri.min() < 0 or ri.max() >= self.rows or ci.min() < 0 or ci.max() >= self.cols:
             raise InvalidParameterError("mask index out of range")
         flat = ri * self.cols + ci

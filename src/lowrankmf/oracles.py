@@ -52,12 +52,6 @@ def _check_guard(rows: int, d: int):
         )
 
 
-def _reg_curvature_terms(factor: np.ndarray, other: np.ndarray, eta: float):
-    """Column scalars shared by every regularizer Hessian block."""
-    t = np.sum(factor * factor, axis=0) + np.sum(other * other, axis=0) + eta * eta
-    return t, t ** 1.5
-
-
 def exact_hessian(
     kind: ProblemKind,
     side: str,
@@ -70,17 +64,15 @@ def exact_hessian(
     not depend on Y, so it takes none.
 
     Row-vectorization ordering: coordinate (i, c) of the factor maps to
-    index i*d + c.  Blocks are Gram + lam*K_ii on the diagonal and
-    lam*K_ij off it; for completion the data-fit Gram of row i is
-    restricted to that row's observed entries.
+    index i*d + c.  The regularizer couples (i, c) with (j, c) by
+    -lam * f_ic f_jc / t_c^1.5, and row i's diagonal block adds its
+    data-fit Gram and lam * diag(t^-1/2); for completion that Gram is
+    restricted to the row's observed entries.
     """
     d = fp.d
     factor, other = fp.split(side)
     rows = factor.shape[0]
     _check_guard(rows, d)
-
-    t, t32 = _reg_curvature_terms(factor, other, eta)
-    gram = other.T @ other
 
     if kind is ProblemKind.COMPLETE:
         if mask is None:
@@ -88,24 +80,16 @@ def exact_hessian(
         obs = mask.to_dense_bool()
         if side == "v":
             obs = obs.T
+        grams = np.einsum("ik,kc,ke->ice", obs, other, other)
     else:
-        obs = None
+        grams = other.T @ other
 
-    h = np.zeros((rows * d, rows * d))
-    for i in range(rows):
-        for j in range(i, rows):
-            if i == j:
-                if obs is None:
-                    block = gram.copy()
-                else:
-                    sel = other[obs[i]]
-                    block = sel.T @ sel
-                block = block + lam * np.diag((t - factor[i] ** 2) / t32)
-            else:
-                block = lam * np.diag(-factor[i] * factor[j] / t32)
-            h[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
-            h[j * d : (j + 1) * d, i * d : (i + 1) * d] = block
-    return h
+    t = np.sum(factor * factor, axis=0) + np.sum(other * other, axis=0) + eta * eta
+    h = np.zeros((rows, d, rows, d))
+    c, r = np.arange(d), np.arange(rows)
+    h[:, c, :, c] = -lam * np.einsum("ic,jc->cij", factor, factor) / t[:, None, None] ** 1.5
+    h[r, :, r, :] += grams + lam * np.diag(t ** -0.5)
+    return h.reshape(rows * d, rows * d)
 
 
 def surrogate_hessian(
@@ -131,6 +115,15 @@ def psd_gap(
     return float(np.linalg.eigvalsh(h_bar - h)[0])
 
 
+def _surrogate_parts(kind, side, y, mask, fp, lam, eta, cand):
+    """f(fp) + <cand - F, grad f>, the step cand - F and the block Gram +
+    lam*D: everything of a surrogate model but its quadratic term."""
+    g = gradient(kind, side, y, mask, fp, lam, eta)
+    diff = cand - fp.split(side)[0]
+    linear = objective(kind, y, mask, fp, lam, eta) + float(np.sum(diff * g))
+    return linear, diff, surrogate_hessian(side, fp, lam, eta)
+
+
 def surrogate_value(
     kind: ProblemKind,
     side: str,
@@ -142,12 +135,8 @@ def surrogate_value(
     cand: np.ndarray,
 ) -> float:
     """Quadratic surrogate l (or g) of the objective, evaluated at ``cand``."""
-    f0 = objective(kind, y, mask, fp, lam, eta)
-    g = gradient(kind, side, y, mask, fp, lam, eta)
-    h_tilde = surrogate_hessian(side, fp, lam, eta)
-    diff = cand - fp.split(side)[0]
-    quad = float(np.sum((diff @ h_tilde) * diff))
-    return f0 + float(np.sum(diff * g)) + 0.5 * quad
+    base, diff, h_tilde = _surrogate_parts(kind, side, y, mask, fp, lam, eta, cand)
+    return base + 0.5 * float(np.sum((diff @ h_tilde) * diff))
 
 
 def nmf_surrogate_value(
@@ -161,14 +150,10 @@ def nmf_surrogate_value(
     alpha: float,
 ) -> float:
     """Projected-Newton surrogate with per-row partially diagonalized blocks."""
-    factor, _ = fp.split(side)
-    check_active_mask(active, factor.shape)
-    f0 = objective(ProblemKind.DENOISE, y, None, fp, lam, eta)
-    g = gradient(ProblemKind.DENOISE, side, y, None, fp, lam, eta)
-    h_tilde = surrogate_hessian(side, fp, lam, eta)
-    diff = cand - factor
+    check_active_mask(active, fp.split(side)[0].shape)
+    base, diff, h_tilde = _surrogate_parts(ProblemKind.DENOISE, side, y, None, fp, lam, eta, cand)
     quad = float(np.einsum("ri,rij,rj->", diff, partial_diag_blocks(h_tilde, active), diff))
-    return f0 + float(np.sum(diff * g)) + quad / (2.0 * alpha)
+    return base + quad / (2.0 * alpha)
 
 
 def nmf_alpha_bound(
@@ -184,8 +169,19 @@ def nmf_alpha_bound(
     return lam_min / lam_max
 
 
-def _weighted_col_sq(diff: np.ndarray, w: np.ndarray) -> float:
-    return float(np.sum(w * np.sum(diff * diff, axis=0)))
+def _proximity_parts(prev: FactorPair, next_: FactorPair, lam: float, eta: float):
+    """Each factor's displacement with the Gram it meets in the data term,
+    (U - U', V^T V) and (V - V', U'^T U'), and the term both proximity
+    measures share, lam/2 * sum_i (w_i ||dU_:i||^2 + w'_i ||dV_:i||^2) with
+    the weights w at (U, V) and w' at (U', V)."""
+    if prev.shape != next_.shape or prev.d != next_.d:
+        raise InvalidParameterError("factor pairs must have matching dimensions")
+    sides = ((prev.u - next_.u, prev.v.T @ prev.v), (prev.v - next_.v, next_.u.T @ next_.u))
+    reg = sum(
+        float(np.sum(weight_diag(at, eta) * np.sum(diff * diff, axis=0)))
+        for (diff, _), at in zip(sides, (prev, FactorPair(next_.u, prev.v)))
+    )
+    return sides, 0.5 * lam * reg
 
 
 def proximity_delta_a(
@@ -196,18 +192,8 @@ def proximity_delta_a(
     Its data terms ||V dU^T||_F^2 = tr(dU^T dU V^T V) and the V-side
     analogue are taken from d x d Gram matrices, never from n x m products.
     """
-    if prev.shape != next_.shape or prev.d != next_.d:
-        raise InvalidParameterError("factor pairs must have matching dimensions")
-    du = prev.u - next_.u
-    dv = prev.v - next_.v
-    w_prev = weight_diag(prev, eta)
-    w_mid = weight_diag(FactorPair(next_.u, prev.v), eta)
-    val = 0.5 * (
-        float(np.sum((du.T @ du) * (prev.v.T @ prev.v)))
-        + float(np.sum((dv.T @ dv) * (next_.u.T @ next_.u)))
-    )
-    val += 0.5 * lam * (_weighted_col_sq(du, w_prev) + _weighted_col_sq(dv, w_mid))
-    return val
+    sides, reg = _proximity_parts(prev, next_, lam, eta)
+    return 0.5 * sum(float(np.sum((diff.T @ diff) * gram)) for diff, gram in sides) + reg
 
 
 def proximity_delta_b(
@@ -228,25 +214,11 @@ def proximity_delta_b(
     including the inactive coordinates would overstate the guaranteed
     decrease.
     """
-    if prev.shape != next_.shape or prev.d != next_.d:
-        raise InvalidParameterError("factor pairs must have matching dimensions")
-    du = prev.u - next_.u
-    dv = prev.v - next_.v
-    gram_v = prev.v.T @ prev.v
-    gram_u = next_.u.T @ next_.u
-    act_u = check_active_mask(active_sets[0], prev.u.shape)
-    act_v = check_active_mask(active_sets[1], prev.v.shape)
-    quad = sum(
-        float(np.einsum("ri,rij,rj->", diff, partial_diag_blocks(gram, act), diff))
-        for diff, gram, act in ((du, gram_v, act_u), (dv, gram_u, act_v))
-    )
-    w_prev = weight_diag(prev, eta)
-    w_mid = weight_diag(FactorPair(next_.u, prev.v), eta)
-    val = 0.5 * quad
-    val += 0.5 * lam * (_weighted_col_sq(du, w_prev) + _weighted_col_sq(dv, w_mid))
-    g_u, g_v = grads
-    val += float(np.sum(du[act_u] * g_u[act_u]))
-    val += float(np.sum(dv[act_v] * g_v[act_v]))
+    sides, val = _proximity_parts(prev, next_, lam, eta)
+    for (diff, gram), active, g in zip(sides, active_sets, grads, strict=True):
+        act = check_active_mask(active, diff.shape)
+        quad = float(np.einsum("ri,rij,rj->", diff, partial_diag_blocks(gram, act), diff))
+        val += 0.5 * quad + float(np.sum(diff[act] * g[act]))
     return val
 
 

@@ -92,6 +92,15 @@ def test_config_defaults():
         {"lam": 1.0, "d_init": 5, "nmf": {"max_backtracks": 2.5}},
         # not an NmfOptions at all: refused, not an AttributeError
         {"lam": 1.0, "d_init": 5, "nmf": None},
+        # the type is checked before any comparison: refused, not a TypeError
+        {"lam": "1", "d_init": 1},
+        {"lam": None, "d_init": 1},
+        {"lam": 1.0, "d_init": 5, "nmf": {"beta_u": "x"}},
+        # a bool is neither a real nor an integer field, though Python calls it one
+        {"lam": True, "d_init": 1},
+        {"lam": 1.0, "d_init": True},
+        {"lam": 1.0, "d_init": 5, "seed": False},
+        {"lam": 1.0, "d_init": 5, "nmf": {"max_backtracks": True}},
     ],
 )
 def test_config_validation_rejects(kwargs):
@@ -100,6 +109,12 @@ def test_config_validation_rejects(kwargs):
         if isinstance(kwargs.get("nmf"), dict):
             kwargs = {**kwargs, "nmf": NmfOptions(**kwargs["nmf"])}
         SolverConfig(**kwargs)
+
+
+def test_config_accepts_numpy_scalars():
+    nmf = NmfOptions(beta_u=np.float64(0.5), max_backtracks=np.int64(3))
+    cfg = SolverConfig(lam=np.float64(2.0), d_init=np.int64(4), seed=np.int32(0), nmf=nmf)
+    assert (cfg.lam, cfg.d_init, cfg.nmf.beta_u, cfg.nmf.max_backtracks) == (2.0, 4, 0.5, 3)
 
 
 # ------------------------------------------------------------- pruning

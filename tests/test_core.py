@@ -169,6 +169,10 @@ def test_mask_validation():
     message = "^row and column index arrays differ in length$"
     with pytest.raises(DimensionMismatchError, match=message):
         ObservedMask(2, 2, np.array([0, 1]), np.array([0]))
+    # a float index would be truncated to another entry, a bool read as 0/1
+    for ri, ci in (([0.5, 1.9], [1.7, 0.2]), ([True, False], [0, 1]), ([0, 1], [False, True])):
+        with pytest.raises(InvalidParameterError, match="^mask index arrays must hold integers$"):
+            ObservedMask(2, 2, ri, ci)
 
 
 @pytest.mark.parametrize("a", [np.ones(3), np.ones((2, 2, 2)), 1.0], ids=["1d", "3d", "scalar"])

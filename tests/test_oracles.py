@@ -80,11 +80,20 @@ def test_exact_hessian_matches_finite_differences(shape):
         assert np.max(np.abs(h - h.T)) < 1e-10
 
 
-def test_exact_hessian_masked_matches_finite_differences():
+@pytest.mark.parametrize(
+    "mask,d",
+    [
+        (sample_mask(4, 3, 7, 5), 2),
+        # row 1 and column 2 unobserved: their data-fit Grams are zero
+        (ObservedMask(4, 3, [0, 0, 2, 3, 3], [0, 1, 1, 0, 1]), 2),
+        (sample_mask(4, 3, 7, 5), 1),
+    ],
+    ids=["d2", "unobserved-row-and-col", "d1"],
+)
+def test_exact_hessian_masked_matches_finite_differences(mask, d):
     rng = np.random.default_rng(4)
     y = rng.standard_normal((4, 3))
-    mask = sample_mask(4, 3, 7, 5)
-    fp = random_pair(4, 3, 2, 6)
+    fp = random_pair(4, 3, d, 6)
     for side in ("u", "v"):
         h = exact_hessian(ProblemKind.COMPLETE, side, mask, fp, 0.9, 1e-2)
         fd = fd_hessian(ProblemKind.COMPLETE, side, y, mask, fp, 0.9, 1e-2)
