@@ -107,26 +107,32 @@ def read_movielens(path) -> MovielensData:
     pairs the last rating wins.  Timestamps are discarded.  A grid of more
     than ``DENSIFY_LIMIT`` cells is a :class:`ParseError`.
     """
-    entries = list(_lines(path))
-    table = _table(path, entries, "i8,i8,i8,i8", "\t", "expected 4 tab-separated fields, got {}")
+    table = _table(path, "i8,i8,i8,i8", "\t", "expected 4 tab-separated fields, got {}")
     users, items, ratings, _ = (table[name] for name in table.dtype.names)
     checks = [
         ((ratings < 1) | (ratings > 5), lambda f: f"rating {int(f[2])} outside 1..5"),
         ((users < 1) | (items < 1), lambda f: "user/item ids must be >= 1"),
     ]
-    _refuse_first(path, entries, "\t", checks)
+    _refuse_first(path, "\t", checks)
     rows, cols = int(users.max(initial=0)), int(items.max(initial=0))
     y, flat, duplicates = _from_triples(rows, cols, users - 1, items - 1, ratings, path)
     return MovielensData(y, ObservedMask(rows, cols, *np.divmod(flat, cols)), duplicates)
 
 
-def _lines(path):
-    """(line number, stripped text) of each non-blank line of ``path``."""
+def _lines(fh):
+    """(line number, stripped text) of each non-blank line of the file ``fh``."""
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if line:
+            yield lineno, line
+
+
+def _walk(path, skip: int = 0, comments: bool = False) -> list:
+    """(line number, stripped text) of each non-blank line of ``path`` after
+    its first ``skip``, lines that start with "%" left out if ``comments``."""
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line:
-                yield lineno, line
+        lines = _lines(fh)
+        return [(n, t) for n, t in lines if n > skip and not (comments and t.startswith("%"))]
 
 
 def _check_densify(rows: int, cols: int, path, line: int | None = None):
@@ -169,37 +175,45 @@ def _parse_float(tok: str, path, lineno: int) -> float:
     return val
 
 
-def _table(path, entries, dtype, sep, width_message: str) -> np.ndarray:
-    """The finite fields of ``entries``, (line number, text) pairs, split at
-    ``sep`` (None: at whitespace): a record per line for a structured
+def _table(path, dtype, sep, width_message: str, skip: int = 0, comments: bool = False):
+    """The finite fields of the non-blank lines of ``path`` after its first
+    ``skip``, split at ``sep`` (None: at whitespace), lines that start with
+    "%" left out if ``comments``: a record per line for a structured
     ``dtype``, else a row per line as wide as the first.
 
-    One C pass of ``np.loadtxt`` reads them.  Only if it refuses a line or
-    reads a non-finite value does a walk with ``int`` and ``float``, which
-    accept a superset of its tokens and read them to the same values, raise
-    the fault at its line; a line of another width gets ``width_message``
-    with its field count and the table's.  The walk clamps integers to the
-    int64 range, which holds every index and id of a densifiable grid, so
-    the caller's range checks still refuse them."""
+    One C pass of ``np.loadtxt`` reads them, straight from the file unless
+    ``comments`` (then from the stripped lines).  Only if it refuses a line,
+    reads a non-finite value or finds no line does a walk with ``int`` and
+    ``float``, which accept a superset of its tokens and read them to the
+    same values, raise the fault at its line; a line of another width gets
+    ``width_message`` with its field count and the table's.  The walk clamps
+    integers to the int64 range, which holds every index and id of a
+    densifiable grid, so the caller's range checks still refuse them."""
     dtype = np.dtype(dtype)
-    if entries:  # np.loadtxt warns on an empty input
-        try:
-            # numpy < 2 reads an integer "1.0" as 1 with a DeprecationWarning: refuse it
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                texts, ndmin = [text for _, text in entries], 1 if dtype.names else 2
-                table = np.loadtxt(texts, dtype, delimiter=sep, comments=None, ndmin=ndmin)
-            fields = [table[name] for name in dtype.names] if dtype.names else [table]
-            if all(np.isfinite(field).all() for field in fields):
-                return table
-        except (ValueError, DeprecationWarning):
-            pass
+    source = [text for _, text in _walk(path, skip, True)] if comments else path
+    try:
+        # numpy < 2 reads an integer "1.0" as 1 with a DeprecationWarning: refuse
+        # it; an input without data warns as well
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("error", UserWarning)
+            table = np.loadtxt(
+                source, dtype, delimiter=sep, comments=None, skiprows=0 if comments else skip,
+                encoding=None, ndmin=1 if dtype.names else 2,
+            )
+        fields = [table[name] for name in dtype.names] if dtype.names else [table]
+        if all(np.isfinite(field).all() for field in fields):
+            return table
+    except (ValueError, DeprecationWarning, UserWarning):
+        pass
+    entries = _walk(path, skip, comments)
     int64 = np.iinfo(np.int64)
     parse = {
         "i": lambda tok, lineno: min(max(_parse_int(tok, path, lineno), int64.min), int64.max),
         "f": lambda tok, lineno: _parse_float(tok, path, lineno),
     }
-    width = len(dtype) or len(entries[0][1].split(sep))  # a plain table: its first line's
+    # a plain table is as wide as its first line
+    width = len(dtype) or (len(entries[0][1].split(sep)) if entries else 0)
     kinds = [(dtype[k] if dtype.names else dtype).kind for k in range(width)]
     rows = []
     for lineno, text in entries:
@@ -210,14 +224,15 @@ def _table(path, entries, dtype, sep, width_message: str) -> np.ndarray:
     return np.array(rows, dtype)
 
 
-def _refuse_first(path, entries, sep, checks) -> None:
-    """Raise a :class:`ParseError` at the first of ``entries`` that one of
-    ``checks``, pairs of (bad-line mask, message from the line's fields),
-    marks, with the message of the first check that marks it."""
+def _refuse_first(path, sep, checks, skip: int = 0, comments: bool = False) -> None:
+    """Raise a :class:`ParseError` at the first line of :func:`_table`'s
+    table that one of ``checks``, pairs of (bad-line mask, message from the
+    line's fields), marks, with the message of the first check that marks
+    it.  Only then are the lines walked, for the line and its fields."""
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():
         k = int(bad.argmax())
-        lineno, text = entries[k]
+        lineno, text = _walk(path, skip, comments)[k]
         message = next(message for mask, message in checks if mask[k])
         raise ParseError(message(text.split(sep)), path, lineno)
 
@@ -226,15 +241,18 @@ def _read_mm(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Parse a MatrixMarket file in one pass: the dense matrix and, for a
     coordinate file, the sorted offsets of its listed entries.  A size line
     of more than ``DENSIFY_LIMIT`` cells is refused before allocating."""
-    lines = _lines(path)
-    header_no, header = next(lines, (None, None))
-    if header is None:
-        raise ParseError("empty file", path)
-    coordinate = header == MM_HEADER_COORD
-    if not coordinate and header != MM_HEADER_ARRAY:
-        raise ParseError(f"unsupported MatrixMarket header {header!r}", path, header_no)
-    body = ((lineno, line) for lineno, line in lines if not line.startswith("%"))
-    size_line_no, size_line = next(body, (None, None))
+    with open(path) as fh:
+        lines = _lines(fh)
+        header_no, header = next(lines, (None, None))
+        if header is None:
+            raise ParseError("empty file", path)
+        coordinate = header == MM_HEADER_COORD
+        if not coordinate and header != MM_HEADER_ARRAY:
+            raise ParseError(f"unsupported MatrixMarket header {header!r}", path, header_no)
+        body = ((lineno, line) for lineno, line in lines if not line.startswith("%"))
+        size_line_no, size_line = next(body, (None, None))
+        # a comment line after the size line: the table pass reads the walk's lines
+        comments = "%" in fh.read()
     if size_line is None:
         raise ParseError("missing size line", path)
     sizes = [_parse_int(t, path, size_line_no) for t in size_line.split()]
@@ -247,17 +265,17 @@ def _read_mm(path) -> tuple[np.ndarray, np.ndarray | None]:
     rows, cols = sizes[:2]
     _check_densify(rows, cols, path, size_line_no)
     if coordinate:
-        entries = list(body)
-        table = _table(path, entries, "i8,i8,f8", None, "coordinate entry needs i j value")
+        message = "coordinate entry needs i j value"
+        table = _table(path, "i8,i8,f8", None, message, size_line_no, comments)
         i, j, vals = (table[name] for name in table.dtype.names)
         out = (i < 1) | (i > rows) | (j < 1) | (j > cols)
         checks = [(out, lambda f: f"index ({int(f[0])}, {int(f[1])}) out of bounds")]
-        _refuse_first(path, entries, None, checks)
-        if len(entries) != sizes[2]:
-            raise ParseError(f"expected {sizes[2]} entries, found {len(entries)}", path)
+        _refuse_first(path, None, checks, size_line_no, comments)
+        if len(table) != sizes[2]:
+            raise ParseError(f"expected {sizes[2]} entries, found {len(table)}", path)
         return _from_triples(rows, cols, i - 1, j - 1, vals, path)[:2]
-    entries, ragged = list(body), "ragged array body ({} vs {} values per line)"
-    values = _table(path, entries, np.float64, None, ragged).ravel() if entries else []
+    ragged = "ragged array body ({} vs {} values per line)"
+    values = _table(path, np.float64, None, ragged, size_line_no, comments).ravel()
     if len(values) != rows * cols:
         raise ParseError(f"expected {rows * cols} values, found {len(values)}", path)
     # MatrixMarket array format is column-major.
@@ -265,10 +283,10 @@ def _read_mm(path) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _read_csv(path):
-    entries = list(_lines(path))
-    if not entries:
+    table = _table(path, np.float64, ",", "ragged row ({} vs {} columns)")
+    if table.size == 0:
         raise ParseError("empty file", path)
-    return _table(path, entries, np.float64, ",", "ragged row ({} vs {} columns)")
+    return table
 
 
 def read_coordinate(path) -> tuple[np.ndarray, ObservedMask]:

@@ -6,9 +6,18 @@ step size comes from a backtracking Armijo rule evaluated on the
 projection arc, so every iterate stays elementwise nonnegative.  Each
 trial's decrease f0 - f(trial) is computed in factored form, from the
 gradient and the Gram the search already holds, in O(m d^2) and without
-an m x n temporary.  Rows with no active coordinate share the block
-itself and take one multi-right-hand-side solve.  The search takes the
-solve's :class:`Problem`, which checked Y >= 0.
+an m x n temporary.  The search takes the solve's :class:`Problem`,
+which checked Y >= 0.
+
+The Newton directions come from one of two paths, split at the block size
+``SCHUR_MIN_D``.  Below it, rows with no active coordinate share the block
+itself and take one multi-right-hand-side solve, and every other row takes
+an LU solve of its own block.  From it on, one inverse Q of the shared
+block gives every row: the block of a row with active set I is diagonal
+on I, and on the rest F its inverse is Q_FF - Q_FI Q_II^{-1} Q_IF, so a
+row costs a k x k solve, k = |I|, batched over the rows of equal k.  A row whose relative residual
+exceeds sqrt(eps), where the explicit inverse loses too many digits, takes
+the LU solve instead.
 """
 
 from __future__ import annotations
@@ -31,6 +40,11 @@ from .core import (
 # Unused here: bench/ traces and checks these bindings of the shared functions.
 from .common import finish_iteration  # noqa: F401
 from .core import objective  # noqa: F401
+
+# From this block size on, a search's Newton directions come from one
+# inverse of H_tilde (Schur complements on the pinned rows) in place of one
+# LU per pinned row: the crossover measured in BENCH_24.json.
+SCHUR_MIN_D = 10
 
 __all__ = [
     "ArmijoResult",
@@ -100,24 +114,73 @@ def partial_diag_blocks(h_tilde: np.ndarray, active: np.ndarray) -> np.ndarray:
 def _newton_directions(
     grad: np.ndarray, h_tilde: np.ndarray, active: np.ndarray
 ) -> np.ndarray:
-    """Row-wise solves (H_tilde^{I_i})^{-1} grad_i.  Rows with an empty
-    active pattern share H_tilde itself and take one multi-right-hand-side
-    solve; the other rows take batched solves over (rows, d, d) stacks of
-    partially diagonalized blocks.  A stack holds at most about
-    STACK_ENTRIES block entries, so its memory stays bounded when
-    rows * d^2 outgrows the data (each row is solved on its own, so the
-    split does not change the result)."""
+    """Row-wise solves (H_tilde^{I_i})^{-1} grad_i, in one of two ways.
+
+    Below ``SCHUR_MIN_D``, rows with an empty active pattern share H_tilde
+    itself and take one multi-right-hand-side solve; the other rows take
+    batched LU solves over (rows, d, d) stacks of partially diagonalized
+    blocks.  From ``SCHUR_MIN_D`` on, :func:`_schur_directions` gives every
+    row from one inverse of H_tilde, and only the rows whose relative
+    residual exceeds sqrt(eps) take those LU stacks.  A stack holds at
+    most about STACK_ENTRIES block entries, so its memory stays bounded
+    when rows * d^2 outgrows the data (each row is solved on its own, so
+    the split does not change the result)."""
     p = np.empty_like(grad)
-    pinned = active.any(axis=1)
-    if not pinned.all():
-        p[~pinned] = np.linalg.solve(h_tilde, grad[~pinned].T).T
-    rows = pinned.nonzero()[0]
+    if len(h_tilde) >= SCHUR_MIN_D:
+        rows = _schur_directions(grad, h_tilde, active, p).nonzero()[0]
+    else:
+        pinned = active.any(axis=1)
+        if not pinned.all():
+            p[~pinned] = np.linalg.solve(h_tilde, grad[~pinned].T).T
+        rows = pinned.nonzero()[0]
     chunk = max(1, STACK_ENTRIES // h_tilde.size)
     for i in range(0, rows.size, chunk):
         idx = rows[i : i + chunk]
         blocks = partial_diag_blocks(h_tilde, active[idx])
         p[idx] = np.linalg.solve(blocks, grad[idx, :, None])[..., 0]
     return p
+
+
+def _schur_directions(grad, h_tilde, active, p) -> np.ndarray:
+    """Write every row's direction into ``p`` from Q = H_tilde^{-1}; return
+    the mask of rows whose relative residual ||H_tilde^I p - g|| / ||g||
+    exceeds sqrt(eps) (all rows if H_tilde is singular).
+
+    With I a row's active set and F the rest, (H_FF)^{-1} = Q_FF -
+    Q_FI Q_II^{-1} Q_IF, so p = s - Q_{:,I} z with s = Q g_F (one GEMM over
+    all rows) and z = Q_II^{-1} s_I; then p_I = g_I / h_ii.  Rows are
+    grouped by their active count k, at most d groups, each taking batched
+    k x k solves over gathers of at most about STACK_ENTRIES entries."""
+    try:
+        q = np.linalg.inv(h_tilde)
+    except np.linalg.LinAlgError:
+        return np.ones(len(grad), dtype=bool)
+    d, counts = len(q), np.count_nonzero(active, axis=1)
+    order = counts.argsort(kind="stable")
+    # flat offsets i * d + j of the active entries, rows in order of count
+    flat = (order[:, None] * d + np.arange(d))[active[order]]
+    ends = (np.arange(d + 1) * np.bincount(counts, minlength=d + 1)).cumsum()
+    z = np.zeros_like(grad)
+    with np.errstate(all="ignore"):  # a non-finite row fails the check below
+        s = np.where(active, 0.0, grad) @ q.T
+        for k in range(1, d + 1):
+            chunk = k * max(1, STACK_ENTRIES // (k * k))
+            for i in range(ends[k - 1], ends[k], chunk):
+                at = flat[i : min(i + chunk, ends[k])].reshape(-1, k)
+                cols = at % d
+                q_ii = q.take(cols[:, :, None] * d + cols[:, None, :])
+                try:
+                    z.put(at, np.linalg.solve(q_ii, s.take(at)[..., None])[..., 0])
+                except np.linalg.LinAlgError:
+                    z.put(at, np.nan)
+        np.subtract(s, z @ q.T, out=p)
+        diag = h_tilde.diagonal()
+        np.divide(grad, diag, out=p, where=active)
+        r = np.where(active, 0.0, p) @ h_tilde.T
+        np.multiply(diag, p, out=r, where=active)
+        r -= grad
+        tol = np.finfo(float).eps * np.einsum("ij,ij->i", grad, grad)
+        return ~(np.einsum("ij,ij->i", r, r) <= tol)
 
 
 def _decrease(factor, sq, step, sts, data_grad, gram, lam: float, eta: float) -> float:

@@ -36,6 +36,22 @@ def spd(d, seed):
     return a @ a.T + d * np.eye(d)
 
 
+def rotated_block(d, cond, seed):
+    """Q diag(lambda) Q^T, eigenvalues log-spaced from 1 down to 1/cond."""
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))[0]
+    return (q * np.logspace(0, -np.log10(cond), d)) @ q.T
+
+
+def reweighted_block(d, cond, seed):
+    """G^T G + lam diag(w) with weights w = 1/c from 1 to 1e6, as columns
+    dying to scales c down to 1e-6 give them; lam puts cond(H) near cond."""
+    rng = np.random.default_rng(seed)
+    c = rng.permutation(np.logspace(0, -6, d))
+    g = rng.standard_normal((2 * d, d)) * c
+    lam = (2 * d ** (2 / 3) / (3 * cond)) ** 1.5
+    return g.T @ g + lam * np.diag(1 / c)
+
+
 # ------------------------------------------------------------ active sets
 
 
@@ -174,14 +190,19 @@ def test_projected_step_matches_rowwise_oracle():
         assert np.array_equal(got[i], np.maximum(factor[i] - alpha * p, 0.0))
 
 
-def test_newton_step_does_not_depend_on_the_stack_split(monkeypatch):
+@pytest.mark.parametrize(
+    "h",
+    [spd(4, 9), spd(nmf.SCHUR_MIN_D, 9), rotated_block(nmf.SCHUR_MIN_D, 1e10, 9)],
+    ids=["lu-d4", "schur", "schur-fallback"],
+)
+def test_newton_step_does_not_depend_on_the_stack_split(monkeypatch, h):
+    d = len(h)
     rng = np.random.default_rng(8)
-    h = spd(4, 9)
-    factor = np.abs(rng.standard_normal((11, 4)))
-    grad = rng.standard_normal((11, 4))
-    active = rng.random((11, 4)) < 0.3
+    factor = np.abs(rng.standard_normal((11, d)))
+    grad = rng.standard_normal((11, d))
+    active = rng.random((11, d)) < 0.3
     whole = trial(factor, grad, h, active, 0.5)
-    for entries in (1, 16, 50):  # 1, 1 and 3 rows per stack
+    for entries in (1, 16, 50):  # at d = 4, 1, 1 and 3 rows per LU stack
         monkeypatch.setattr(nmf, "STACK_ENTRIES", entries)
         assert np.array_equal(trial(factor, grad, h, active, 0.5), whole)
 
@@ -220,6 +241,101 @@ def test_mixed_patterns_match_rowwise_solves_at_d12():
     for i in range(60):
         want = np.linalg.solve(partial_diag_blocks(h, active[i : i + 1])[0], grad[i])
         assert np.linalg.norm(p[i] - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# ----------------------------------------- Schur directions from the cut
+
+
+def record_stacks(monkeypatch) -> list:
+    """Collects the active rows of every stack handed to partial_diag_blocks."""
+    built, real = [], nmf.partial_diag_blocks
+
+    def record(h_tilde, act):
+        built.append(act.copy())
+        return real(h_tilde, act)
+
+    monkeypatch.setattr(nmf, "partial_diag_blocks", record)
+    return built
+
+
+def row_residuals(h, active, p, grad):
+    """||H_tilde^I p_i - g_i|| / ||g_i|| of each row i."""
+    hp = (partial_diag_blocks(h, active) @ p[..., None])[..., 0]
+    return np.linalg.norm(hp - grad, axis=1) / np.linalg.norm(grad, axis=1)
+
+
+@pytest.mark.parametrize("d", [nmf.SCHUR_MIN_D, 40])
+@pytest.mark.parametrize(
+    "block, cond",
+    [
+        (rotated_block, 1e2),
+        (rotated_block, 1e6),
+        (rotated_block, 1e10),
+        (reweighted_block, 1e4),
+        (reweighted_block, 1e7),
+        (reweighted_block, 1e10),
+    ],
+)
+def test_schur_directions_meet_the_rowwise_residual(monkeypatch, d, block, cond):
+    h = block(d, cond, 40)
+    assert cond / 3 < np.linalg.cond(h) < 3 * cond
+    rng = np.random.default_rng(41)
+    grad = rng.standard_normal((60, d))
+    active = rng.random((60, d)) < 0.25
+    active[:5] = False  # rows that share H_tilde itself
+    refused = nmf._schur_directions(grad, h, active, np.empty_like(grad))
+    built = record_stacks(monkeypatch)
+    p = nmf._newton_directions(grad, h, active)
+    lu = np.linalg.solve(partial_diag_blocks(h, active), grad[..., None])[..., 0]
+    # the rows the check refused, and only those, take the per-row LU
+    assert np.array_equal(np.concatenate(built or [active[:0]]), active[refused])
+    assert np.array_equal(p[refused], lu[refused])
+    bound = np.maximum(np.sqrt(np.finfo(float).eps), row_residuals(h, active, lu, grad))
+    assert np.all(row_residuals(h, active, p, grad) <= bound)
+    # only the rotated blocks at cond 1e10 are beyond the explicit inverse
+    assert refused.any() == (block is rotated_block and cond == 1e10)
+
+
+def test_schur_directions_refuse_every_row_of_a_singular_block():
+    h = np.ones((nmf.SCHUR_MIN_D, nmf.SCHUR_MIN_D))
+    active = np.zeros((3, len(h)), dtype=bool)
+    p = np.empty((3, len(h)))
+    assert nmf._schur_directions(np.ones((3, len(h))), h, active, p).all()
+
+
+def test_below_the_cut_every_pinned_row_takes_the_stack(monkeypatch):
+    d = nmf.SCHUR_MIN_D - 1
+    rng = np.random.default_rng(34)
+    grad = rng.standard_normal((40, d))
+    active = rng.random((40, d)) < 0.05
+    built = record_stacks(monkeypatch)
+    nmf._newton_directions(grad, spd(d, 35), active)
+    pinned = active.any(axis=1)
+    assert 0 < pinned.sum() < 40
+    assert np.array_equal(np.concatenate(built), active[pinned])
+
+
+@pytest.mark.parametrize("d", [nmf.SCHUR_MIN_D - 1, nmf.SCHUR_MIN_D, 40])
+def test_one_inverse_per_search_from_the_cut(monkeypatch, d):
+    inverses, real = [], np.linalg.inv
+
+    def counted(a):
+        inverses.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    rng = np.random.default_rng(36)
+    y = np.abs(rng.standard_normal((30, 25)))
+    u, v = np.abs(rng.standard_normal((30, d))), np.abs(rng.standard_normal((25, d)))
+    u[rng.random(u.shape) < 0.3], v[rng.random(v.shape) < 0.3] = 0.0, 0.0
+    fp = FactorPair(u, v)
+    cfg = SolverConfig(lam=0.5, d_init=d)
+    problem = Problem(ProblemKind.NMF, y)
+    for side in "uv":
+        inverses.clear()
+        res = armijo_search(problem, side, fp, weight_diag(fp, cfg.eta), cfg)
+        assert res.active.any()
+        assert inverses == ([(d, d)] if d >= nmf.SCHUR_MIN_D else [])
 
 
 # ------------------------------------------------------------ Armijo rule
@@ -415,10 +531,12 @@ def test_solve_deterministic():
     assert [r.objective for r in ta.records] == [r.objective for r in tb.records]
 
 
-def test_solve_singular_curvature_block_raises_invalid_parameter():
-    rng = np.random.default_rng(60)
+@pytest.mark.parametrize("seed, d_init", [(60, 4), (23, 12)])
+def test_solve_singular_curvature_block_raises_invalid_parameter(seed, d_init):
+    rng = np.random.default_rng(seed)
     y = 1e6 * rng.standard_normal((2, 2))
-    cfg = SolverConfig(lam=5.960464477539063e-08, d_init=4, max_iter=1, seed=60)
+    cfg = SolverConfig(lam=5.960464477539063e-08, d_init=d_init, max_iter=1, seed=seed)
+    assert (d_init >= nmf.SCHUR_MIN_D) == (d_init == 12)  # one case each side of the cut
     with pytest.raises(InvalidParameterError, match="iteration 1, U half-step.*larger lam"):
         solve_nmf(np.abs(y), cfg)
 
