@@ -254,7 +254,7 @@ def init_factors(problem: Problem, d: int, rng: np.random.Generator) -> FactorPa
     the magnitudes are kept and signs dropped.
     """
     m, n = problem.y.shape
-    frob = float(np.linalg.norm(problem.y_obs))
+    frob = math.sqrt(2.0 * problem.half_sq)
     scale = float(np.sqrt(frob / np.sqrt(m * n * d))) if frob > 0 else 0.0
     u = rng.standard_normal((m, d)) * scale
     v = rng.standard_normal((n, d)) * scale
@@ -270,8 +270,6 @@ def _iteration_diagnostics(prev, next_, steps: tuple[HalfStep, HalfStep]) -> tup
     (du, du_gram), (dv, dv_gram) = ((s.step, s.step_gram) for s in steps)
     disp = float(du_gram.trace()) + float(dv_gram.trace())
     rel = _relative_change(prev, next_, du, du_gram, dv, dv_gram)
-    if next_.d == 0:
-        return disp, rel, 0.0, 0.0
     grams = np.array((next_.gram_u, next_.gram_v))
     min_eig = float(np.linalg.eigvalsh(grams)[:, 0].min())
     max_col = float(grams.diagonal(axis1=1, axis2=2).max())

@@ -274,7 +274,8 @@ class Problem:
     """One solve's data, checked once, and the data-fit term it defines.
 
     The constructor checks what every evaluation relies on: a finite 2-D
-    ``y``; for completion, a mask of ``y``'s shape; for NMF, ``y >= 0``.
+    ``y`` whose squared norm is finite; for completion, a mask of ``y``'s
+    shape; for NMF, ``y >= 0``.
     ``y_obs`` holds the entries of Y the data term reads: all of ``y``,
     or for completion its values at the mask in the mask's row-major
     order, which is also the CSR order of the mask's ``flat`` and
@@ -326,6 +327,8 @@ class Problem:
         if kind is ProblemKind.NMF and np.any(y < 0):
             raise ConstraintViolationError("NMF data must be elementwise nonnegative")
         self.half_sq = 0.5 * float(np.vdot(self.y_obs, self.y_obs))
+        if not math.isfinite(self.half_sq):
+            raise InvalidParameterError("y is too large: its squared norm overflows; rescale y")
 
     def check(self, fp: FactorPair) -> FactorPair:
         """Return ``fp`` if it is a point of this problem, else raise."""

@@ -181,16 +181,15 @@ def _table(path, dtype, sep, width_message: str, skip: int = 0, comments: bool =
     "%" left out if ``comments``: a record per line for a structured
     ``dtype``, else a row per line as wide as the first.
 
-    One C pass of ``np.loadtxt`` reads them, straight from the file unless
-    ``comments`` (then from the stripped lines).  Only if it refuses a line,
-    reads a non-finite value or finds no line does a walk with ``int`` and
-    ``float``, which accept a superset of its tokens and read them to the
-    same values, raise the fault at its line; a line of another width gets
+    One C pass of ``np.loadtxt`` reads them straight from the file.  Only if
+    it refuses a line (a "%" line among them), reads a non-finite value or
+    finds no line does a walk with ``int`` and ``float``, which accept a
+    superset of its tokens and read them to the same values, read the table
+    or raise the fault at its line; a line of another width gets
     ``width_message`` with its field count and the table's.  The walk clamps
     integers to the int64 range, which holds every index and id of a
     densifiable grid, so the caller's range checks still refuse them."""
     dtype = np.dtype(dtype)
-    source = [text for _, text in _walk(path, skip, True)] if comments else path
     try:
         # numpy < 2 reads an integer "1.0" as 1 with a DeprecationWarning: refuse
         # it; an input without data warns as well
@@ -198,7 +197,7 @@ def _table(path, dtype, sep, width_message: str, skip: int = 0, comments: bool =
             warnings.simplefilter("error", DeprecationWarning)
             warnings.simplefilter("error", UserWarning)
             table = np.loadtxt(
-                source, dtype, delimiter=sep, comments=None, skiprows=0 if comments else skip,
+                path, dtype, delimiter=sep, comments=None, skiprows=skip,
                 encoding=None, ndmin=1 if dtype.names else 2,
             )
         fields = [table[name] for name in dtype.names] if dtype.names else [table]
@@ -238,9 +237,11 @@ def _refuse_first(path, sep, checks, skip: int = 0, comments: bool = False) -> N
 
 
 def _read_mm(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Parse a MatrixMarket file in one pass: the dense matrix and, for a
-    coordinate file, the sorted offsets of its listed entries.  A size line
-    of more than ``DENSIFY_LIMIT`` cells is refused before allocating."""
+    """Parse a MatrixMarket file: the dense matrix and, for a coordinate
+    file, the sorted offsets of its listed entries.  The body after the size
+    line is one :func:`_table` pass, walked only if it holds a "%" line,
+    which standard MatrixMarket does not put there.  A size line of more
+    than ``DENSIFY_LIMIT`` cells is refused before allocating."""
     with open(path) as fh:
         lines = _lines(fh)
         header_no, header = next(lines, (None, None))
@@ -251,8 +252,6 @@ def _read_mm(path) -> tuple[np.ndarray, np.ndarray | None]:
             raise ParseError(f"unsupported MatrixMarket header {header!r}", path, header_no)
         body = ((lineno, line) for lineno, line in lines if not line.startswith("%"))
         size_line_no, size_line = next(body, (None, None))
-        # a comment line after the size line: the table pass reads the walk's lines
-        comments = "%" in fh.read()
     if size_line is None:
         raise ParseError("missing size line", path)
     sizes = [_parse_int(t, path, size_line_no) for t in size_line.split()]
@@ -266,16 +265,16 @@ def _read_mm(path) -> tuple[np.ndarray, np.ndarray | None]:
     _check_densify(rows, cols, path, size_line_no)
     if coordinate:
         message = "coordinate entry needs i j value"
-        table = _table(path, "i8,i8,f8", None, message, size_line_no, comments)
+        table = _table(path, "i8,i8,f8", None, message, size_line_no, True)
         i, j, vals = (table[name] for name in table.dtype.names)
         out = (i < 1) | (i > rows) | (j < 1) | (j > cols)
         checks = [(out, lambda f: f"index ({int(f[0])}, {int(f[1])}) out of bounds")]
-        _refuse_first(path, None, checks, size_line_no, comments)
+        _refuse_first(path, None, checks, size_line_no, True)
         if len(table) != sizes[2]:
             raise ParseError(f"expected {sizes[2]} entries, found {len(table)}", path)
         return _from_triples(rows, cols, i - 1, j - 1, vals, path)[:2]
     ragged = "ragged array body ({} vs {} values per line)"
-    values = _table(path, np.float64, None, ragged, size_line_no, comments).ravel()
+    values = _table(path, np.float64, None, ragged, size_line_no, True).ravel()
     if len(values) != rows * cols:
         raise ParseError(f"expected {rows * cols} values, found {len(values)}", path)
     # MatrixMarket array format is column-major.

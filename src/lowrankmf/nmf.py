@@ -84,7 +84,8 @@ def active_set_rows(factor, grad, eps: float) -> np.ndarray:
     grad = np.asarray(grad, dtype=float)
     if factor.shape != grad.shape:
         raise InvalidParameterError("factor and gradient shapes differ")
-    eps_k = min(eps, float(((factor - grad) ** 2).sum()))
+    with np.errstate(over="ignore"):  # an overflowed sum is above eps
+        eps_k = min(eps, float(((factor - grad) ** 2).sum()))
     return (factor >= 0.0) & (factor <= eps_k) & (grad > 0.0)
 
 

@@ -259,10 +259,7 @@ def rate_bound_check(trace: IterationTrace, tol: float = 1e-9) -> RateReport:
     l_lower = max(min(r.gram_min_eig for r in trace.records), 0.0)
     tau = max(r.max_col_sq for r in trace.records)
     min_disp = min(r.displacement_sq for r in trace.records)
-    if tau > 0:
-        bound = 4.0 * tau / (2.0 * l_lower * tau + lam) * avg_drop
-    else:
-        bound = 0.0
+    bound = 4.0 * tau / (2.0 * l_lower * tau + lam) * avg_drop
     corollary_slack = float(bound - min_disp)
     corollary_ok = min_disp <= bound + tol
     return RateReport(

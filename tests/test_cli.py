@@ -8,7 +8,7 @@ import pytest
 from lowrankmf import NmfOptions, SolverConfig, solve_denoise
 from lowrankmf.cli import main, parse_args
 from lowrankmf.common import IterationRecord, IterationTrace
-from lowrankmf.data import read_matrix, write_matrix
+from lowrankmf.data import read_coordinate, read_matrix, write_matrix
 from lowrankmf.oracles import rate_bound_check
 
 TRACE_KEYS = {
@@ -137,6 +137,13 @@ def test_parse_synth_needs_dimensions():
     assert exc.value.code == 2
 
 
+def test_parse_non_integer_rows_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["synth", "--rows", "2.5", "--cols", "3", "--rank", "1", "--output", "y"])
+    assert exc.value.code == 2
+    assert "'2.5' is not an integer" in capsys.readouterr().err
+
+
 def test_parse_unknown_command():
     with pytest.raises(SystemExit) as exc:
         parse_args(["polish"])
@@ -204,6 +211,25 @@ def test_synth_then_denoise_roundtrip(tmp_path, capsys):
     assert doc["config"]["lambda"] == 1.0
 
 
+def test_synth_with_a_mask_card_writes_the_mask_file(tmp_path, capsys):
+    out = tmp_path / "y.mtx"
+    argv = ["synth", "--rows", "12", "--cols", "9", "--rank", "2", "--mask-card", "40"]
+    assert main([*argv, "--output", str(out)]) == 0
+    assert "wrote mask (40 entries)" in capsys.readouterr().out
+    y, mask = read_coordinate(f"{out}.mask.mtx")
+    assert y.shape == (12, 9) and mask.card == 40
+    full = read_matrix(out, "mm")
+    assert np.array_equal(y.flat[mask.flat], full.flat[mask.flat])
+
+
+def test_complete_on_a_movielens_file(tmp_path, capsys):
+    p = tmp_path / "u.data"
+    p.write_text("1\t1\t5\t0\n1\t2\t3\t0\n2\t1\t4\t0\n2\t3\t2\t0\n3\t2\t1\t0\n")
+    argv = ["complete", "--input", str(p), "--format", "movielens", "--lambda", "1"]
+    assert main([*argv, "--rank-init", "2"]) == 0
+    assert "nmae=" in capsys.readouterr().out
+
+
 def test_huge_lambda_exits_degenerate(capsys):
     code = main(
         [
@@ -260,6 +286,15 @@ def test_singular_curvature_block_exits_one(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "error: iteration 1, U half-step" in err and "use a larger lam" in err
+
+
+def test_y_whose_squared_norm_overflows_exits_one(tmp_path, capsys):
+    y = np.ones((4, 3))
+    y[1, 2] = 1e308
+    p = tmp_path / "y.mtx"
+    write_matrix(p, y, "mm")
+    assert main(["denoise", "--input", str(p), "--lambda", "1", "--rank-init", "2"]) == 1
+    assert "error: y is too large" in capsys.readouterr().err
 
 
 def test_movielens_grid_too_large_to_densify_exits_one(tmp_path, capsys):

@@ -257,10 +257,12 @@ def test_tiny_tol_converges_only_on_a_change_below_it(finished):
 
 
 def test_relative_change_zero_previous_product():
-    zero = FactorPair(np.zeros((3, 1)), np.zeros((4, 1)))
+    zero = FactorPair(np.zeros((4, 1)), np.zeros((3, 1)))
     other = pair_with_norms([1.0], seed=4)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="previous factor product is zero"):
         relative_change(zero, other)
+    with pytest.raises(InvalidParameterError, match="different matrix shapes"):
+        relative_change(FactorPair(np.zeros((3, 1)), np.zeros((4, 1))), other)
 
 
 # ------------------------------------------------------------- stopping
@@ -404,6 +406,20 @@ def test_every_solve_descends_by_its_certificate_and_stops_as_reported(
         prev = r.objective
 
 
+@pytest.mark.parametrize("solve", ["denoise", "complete", "nmf"])
+def test_y_whose_squared_norm_overflows_is_refused_by_every_solver(solve):
+    y = np.ones((4, 3))
+    y[1, 2] = 1e308
+    cfg = SolverConfig(lam=1.0, d_init=2)
+    with pytest.raises(InvalidParameterError, match="its squared norm overflows; rescale y"):
+        if solve == "denoise":
+            solve_denoise(y, cfg)
+        elif solve == "complete":
+            solve_mc(y, sample_mask(4, 3, 12, 0), cfg)
+        else:
+            solve_nmf(y, cfg)
+
+
 # ------------------------------------------- objective from the data-term slot
 
 
@@ -482,6 +498,31 @@ def test_factored_objective_after_a_rejected_nmf_v_search(driver_objectives):
     assert ("u", True) in accepted and ("v", True) not in accepted
     direct = _check_against_direct(driver_objectives)
     assert len(direct) == trace.iterations + 1 and not any(direct)
+
+
+def test_a_stall_after_a_prune_repeats_the_pruned_objective(driver_objectives):
+    # Iteration 1 shrinks column 0 below the prune threshold, iteration 2
+    # moves nothing.  The stalled record repeats the pruned record's
+    # objective bit for bit; evaluated afresh, its Grams (formed from the
+    # kept columns, not cut from the wider ones) could round differently.
+    y = _noisy(30, 20, 3, 17)
+    cfg = SolverConfig(lam=1.0, d_init=4, max_iter=5)
+    calls = []
+
+    def step(side, fp, w):
+        factor = fp.split(side)[0]
+        new = factor.copy()
+        if len(calls) < 2:
+            new[:, 0] *= 1e-9
+        calls.append(side)
+        return HalfStep(new, 0.0, new - factor, (new - factor).T @ (new - factor))
+
+    _, trace = common.alternate(Problem(ProblemKind.DENOISE, y), cfg, step)
+    assert trace.status == "stalled" and trace.iterations == 2
+    assert [p.iteration for p in trace.prunes] == [1] and trace.records[1].d == 3
+    assert len(driver_objectives) == trace.iterations
+    first, stalled = trace.objectives()
+    assert stalled == first
 
 
 def test_factored_objective_falls_back_on_cancellation(driver_objectives):
@@ -607,12 +648,6 @@ def test_iteration_diagnostics_from_the_step_gram_match_bitwise(d):
     swap = [FactorPair(p.v, p.u) for p in (prev, next_)]
     got = common._iteration_diagnostics(*swap, (v_step, u_step))
     assert got == _spelled_out_diagnostics(*swap)
-
-
-def test_iteration_diagnostics_of_an_empty_pair_are_zero():
-    empty = FactorPair(np.zeros((4, 0)), np.zeros((3, 0)))
-    steps = [HalfStep(f, 0.0, np.zeros_like(f), np.zeros((0, 0))) for f in (empty.u, empty.v)]
-    assert common._iteration_diagnostics(empty, empty, steps) == (0.0, 0.0, 0.0, 0.0)
 
 
 EPS = np.finfo(float).eps

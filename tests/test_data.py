@@ -394,9 +394,12 @@ def test_read_matrix_builds_no_mask(tmp_path, monkeypatch):
     assert built == [1] and np.array_equal(y2, y) and mask.flat.tolist() == [2, 3]
 
 
-def test_unknown_format():
+def test_unknown_format(tmp_path):
     with pytest.raises(InvalidParameterError):
         read_matrix("whatever", "hdf5")
+    with pytest.raises(InvalidParameterError, match="unknown format 'hdf5'"):
+        write_matrix(tmp_path / "y.h5", np.eye(2), "hdf5")
+    assert not (tmp_path / "y.h5").exists()
 
 
 def test_coordinate_duplicate_entry_last_wins(tmp_path):
@@ -495,7 +498,6 @@ def _read_movielens(path):
         pytest.param(write, read, id=write.__name__)
         for write, read in [
             (_bench_like_coordinate_file, read_coordinate),
-            (_commented_coordinate_file, read_coordinate),
             (_csv_file, _read_csv),
             (_movielens_file, _read_movielens),
         ]
@@ -525,6 +527,29 @@ def test_table_pass_and_walk_agree(tmp_path, monkeypatch, write, read):
     if mask_fast is not None:
         assert (mask_fast.rows, mask_fast.cols) == (mask_walk.rows, mask_walk.cols)
         assert np.array_equal(mask_fast.flat, mask_walk.flat)
+
+
+def test_a_comment_line_in_a_coordinate_body_is_walked(tmp_path, monkeypatch):
+    # np.loadtxt refuses a "%" line after the size line, which standard
+    # MatrixMarket does not hold there; the walk drops it and reads the rest
+    p = tmp_path / "y.mtx"
+    _commented_coordinate_file(p)
+    loadtxt, refused = np.loadtxt, []
+
+    def record(*args, **kwargs):
+        try:
+            return loadtxt(*args, **kwargs)
+        except ValueError:
+            refused.append(args[0])
+            raise
+
+    monkeypatch.setattr(np, "loadtxt", record)
+    y, mask = read_coordinate(p)
+    assert refused == [p]
+    want = np.zeros((3, 4))
+    want[0, 0], want[2, 3], want[1, 0], want[1, 2] = 1.25, -2e-3, 7.0, 0.5
+    assert y.tobytes() == want.tobytes()
+    assert (mask.rows, mask.cols) == (3, 4) and mask.flat.tolist() == [0, 4, 6, 11]
 
 
 def test_an_integer_beyond_int64_is_a_located_parse_error(tmp_path):

@@ -86,6 +86,26 @@ def test_active_set_matches_definition_scan():
         assert active[i].tolist() == expect
 
 
+@pytest.mark.parametrize(
+    "factor, grad, eps, message",
+    [
+        (np.ones((2, 2)), np.ones((2, 2)), 0.0, "eps must be positive"),
+        (np.ones((2, 2)), np.ones((2, 3)), 1e-6, "shapes differ"),
+    ],
+)
+def test_active_set_refusals(factor, grad, eps, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        active_set_rows(factor, grad, eps)
+
+
+def test_active_set_of_entries_whose_squared_distance_overflows():
+    # ||factor - grad||^2 overflows to inf, which is above eps: eps_k = eps,
+    # with no overflow warning
+    factor = np.array([[0.0, 1e160], [1e-7, 1e160]])
+    grad = np.array([[1.0, -1e160], [1.0, 1e160]])
+    assert active_set_rows(factor, grad, 1e-6).tolist() == [[True, False], [True, False]]
+
+
 # -------------------------------------------------- partial diagonalization
 
 
@@ -229,6 +249,35 @@ def test_shared_block_rows_skip_the_stack(monkeypatch):
     assert np.array_equal(np.concatenate(built), active[pinned])
 
 
+def test_every_row_pinned_below_the_cut_takes_the_stack(monkeypatch):
+    # no row is free, so no free-row solve runs
+    d = nmf.SCHUR_MIN_D - 1
+    rng = np.random.default_rng(37)
+    h, grad = spd(d, 38), rng.standard_normal((30, d))
+    active = rng.random((30, d)) < 0.2
+    active[np.arange(30), rng.integers(0, d, 30)] = True
+    built = record_stacks(monkeypatch)
+    p = nmf._newton_directions(grad, h, active)
+    assert np.array_equal(np.concatenate(built), active)
+    lu = np.linalg.solve(partial_diag_blocks(h, active), grad[..., None])[..., 0]
+    assert np.array_equal(p, lu)
+
+
+def test_every_row_pinned_skips_an_exactly_singular_h_tilde():
+    # H_tilde's first two rows are equal, so it has an exact zero pivot; each
+    # row pins coordinate 0 or 1, which removes that coupling from its block
+    h = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(h, np.zeros((3, 0)))
+    rng = np.random.default_rng(44)
+    grad = rng.standard_normal((6, 3))
+    active = np.zeros((6, 3), dtype=bool)
+    active[np.arange(6), np.arange(6) % 2] = True
+    p = nmf._newton_directions(grad, h, active)
+    lu = np.linalg.solve(partial_diag_blocks(h, active), grad[..., None])[..., 0]
+    assert np.array_equal(p, lu)
+
+
 def test_mixed_patterns_match_rowwise_solves_at_d12():
     rng = np.random.default_rng(32)
     d = 12
@@ -301,6 +350,35 @@ def test_schur_directions_refuse_every_row_of_a_singular_block():
     active = np.zeros((3, len(h)), dtype=bool)
     p = np.empty((3, len(h)))
     assert nmf._schur_directions(np.ones((3, len(h))), h, active, p).all()
+
+
+def test_a_failed_schur_solve_sends_its_rows_to_the_stack(monkeypatch):
+    # a k x k solve that raises writes NaN for its rows, which then fail the
+    # residual check and take the per-row LU
+    d, k = 12, 2
+    h = spd(d, 42)
+    rng = np.random.default_rng(43)
+    grad = rng.standard_normal((50, d))
+    active = rng.random((50, d)) < 0.15
+    counts = active.sum(axis=1)
+    assert (counts == k).any() and (counts != k).any()
+    real = np.linalg.solve
+
+    def fail_at_k(a, b):
+        if a.shape[-1] == k:
+            raise np.linalg.LinAlgError("singular")
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", fail_at_k)
+    refused = nmf._schur_directions(grad, h, active, np.empty_like(grad))
+    assert np.array_equal(refused, counts == k)
+    built = record_stacks(monkeypatch)
+    p = nmf._newton_directions(grad, h, active)
+    assert np.array_equal(np.concatenate(built), active[counts == k])
+    lu = real(partial_diag_blocks(h, active), grad[..., None])[..., 0]
+    assert np.array_equal(p[refused], lu[refused])
+    bound = np.maximum(np.sqrt(np.finfo(float).eps), row_residuals(h, active, lu, grad))
+    assert np.all(row_residuals(h, active, p, grad) <= bound)
 
 
 def test_below_the_cut_every_pinned_row_takes_the_stack(monkeypatch):
@@ -520,6 +598,15 @@ def test_solve_estimates_rank_uniform_instance():
     fp, trace = solve_nmf(y, SolverConfig(lam=2.0, d_init=12, seed=25))
     assert 5 <= fp.d <= 8
     assert nre(x0, fp) <= 0.05
+
+
+def test_solve_near_the_float_range_converges_without_a_warning():
+    # ||factor - grad||^2 in the active-set rule overflows at this scale
+    x0 = gen_lowrank(30, 20, 3, "uniform01", 1)
+    y = np.abs(add_noise_snr(x0, 20.0, 2)) * 1e150
+    fp, trace = solve_nmf(y, SolverConfig(lam=1.0, d_init=6, seed=1))
+    assert trace.status == "converged"
+    assert nre(x0 * 1e150, fp) <= 0.1
 
 
 def test_solve_deterministic():

@@ -108,6 +108,11 @@ def test_exact_hessian_full_mask_equals_denoise():
     assert np.max(np.abs(a - b)) < 1e-12
 
 
+def test_exact_hessian_of_completion_needs_a_mask():
+    with pytest.raises(InvalidParameterError, match="requires an observed mask"):
+        exact_hessian(ProblemKind.COMPLETE, "u", None, random_pair(4, 3, 2, 8), 1.0, 1e-3)
+
+
 def test_exact_hessian_size_guard():
     fp = random_pair(500, 3, 5, 9)
     with pytest.raises(InvalidParameterError):
@@ -377,6 +382,16 @@ def test_rate_bound_constant_trace():
     assert rep.per_step_ok and rep.telescoping_ok and rep.corollary_ok
 
 
+@pytest.mark.parametrize("disp, ok", [(0.0, True), (0.5, False)])
+def test_rate_bound_of_a_trace_with_zero_columns(disp, ok):
+    # tau = 0: the displacement bound 4 tau / (2 l tau + lam) * avg_drop is 0
+    trace = synthetic_trace([9.0], [0.5], initial=10.0, disp=[disp])
+    trace.records[0].max_col_sq = 0.0
+    rep = rate_bound_check(trace)
+    assert rep.measured_tau == 0.0
+    assert rep.corollary_slack == -disp and rep.corollary_ok == ok
+
+
 def test_rate_bound_on_denoise_run():
     x0 = gen_lowrank(40, 35, 3, "gaussian", 150)
     y = add_noise_snr(x0, 20.0, 151)
@@ -409,6 +424,13 @@ def test_nuclear_bound_unit_column():
 def test_nuclear_bound_zero_factors():
     nuc, bound = nuclear_bound_check(FactorPair(np.zeros((3, 2)), np.zeros((2, 2))))
     assert nuc == 0.0 and bound == 0.0
+
+
+def test_nuclear_bound_of_an_empty_pair_and_its_size_guard():
+    assert nuclear_bound_check(FactorPair(np.zeros((3, 0)), np.zeros((2, 0)))) == (0.0, 0.0)
+    big = FactorPair(np.zeros((2001, 1)), np.zeros((2000, 1)))
+    with pytest.raises(InvalidParameterError, match="too large for the dense SVD check"):
+        nuclear_bound_check(big)
 
 
 def test_nuclear_bound_random():
