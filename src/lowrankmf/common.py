@@ -177,8 +177,8 @@ class IterationTrace:
 def prune_columns(fp: FactorPair, threshold: float) -> tuple[FactorPair, list[int]]:
     """Drop columns whose joint norm falls below ``threshold`` times the largest.
 
-    Returns the pruned pair, a column selection that carries the Grams
-    (:meth:`FactorPair.select`), and the list of surviving column indices
+    Returns the pruned pair, a column selection that forms the kept columns'
+    Grams (:meth:`FactorPair.select`), and the list of surviving column indices
     (order preserved).  The driver prunes with it; an all-zero pair yields a
     d = 0 pair, its degenerate terminal state.
     """
@@ -290,8 +290,8 @@ def finish_iteration(
     The diagnostics read the U and V half-``steps`` that took ``prev`` to
     ``next_``; they, the column norms and the objective read the pairs' Gram
     ledgers.  The objective at the pruned pair fills the problem's data-term
-    slot, which the next U step reads.  An unmoved, unpruned pair
-    (``displacement_sq == 0``) repeats the previous record's objective exactly.
+    slot, which the next U step reads.  An unmoved pair has the factors and
+    Grams of the previous record's pair, so its record repeats that objective.
     """
     cfg = trace.config
     disp, rel, min_eig, max_col = _iteration_diagnostics(prev, next_, steps)
@@ -302,18 +302,13 @@ def finish_iteration(
     # relative rule (scale invariant by design) would never fire: prune all.
     if kept and norms.max() < cfg.eta:
         pruned, kept = next_.select([]), []
-    unpruned = len(kept) == next_.d
-    if not unpruned:
+    if len(kept) < next_.d:
         removed = sorted(set(range(next_.d)).difference(kept))
         trace.prunes.append(PruneEvent(k, removed, [float(norms[i]) for i in removed]))
-    if unpruned and disp == 0.0:
-        obj = trace.records[-1].objective if trace.records else trace.initial_objective
-    else:
-        obj = problem.objective(pruned, cfg.lam, cfg.eta)
     trace.records.append(
         IterationRecord(
             k=k,
-            objective=obj,
+            objective=problem.objective(pruned, cfg.lam, cfg.eta),
             d=pruned.d,
             rel_change=rel,
             delta=steps[0].drop + steps[1].drop,

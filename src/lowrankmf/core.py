@@ -103,9 +103,10 @@ class FactorPair:
     (all read-only).  The weights, the regularizer, pruning, the factor
     steps, the rate diagnostics and the dense objective all read these.
     The ledger stays exact because ``u`` and ``v`` are read-only views
-    (writing through the pair raises) and because the two derivations,
-    :meth:`with_factor` and :meth:`select`, carry only what they do not
-    change.  Each factor is checked finite once, when it enters a pair.
+    (writing through the pair raises) and because each Gram is formed from
+    its own factor: :meth:`with_factor` carries only the unchanged one, and
+    :meth:`select` forms both, so a pair's Grams do not depend on how it was
+    reached.  Each factor is checked finite once, when it enters a pair.
     """
 
     u: np.ndarray
@@ -174,11 +175,10 @@ class FactorPair:
 
     def select(self, columns) -> "FactorPair":
         """The pair of the ``columns`` (indices, in order) of both factors,
-        with the matching sub-blocks of the Grams."""
+        with the Grams of those columns formed afresh."""
         idx = np.asarray(columns, dtype=np.intp)
-        block = np.ix_(idx, idx)
-        u, v = _frozen(self.u[:, idx]), _frozen(self.v[:, idx])
-        return self._carry(u, v, self.gram_u[block], self.gram_v[block])
+        u, v = self.u[:, idx], self.v[:, idx]
+        return self._carry(_frozen(u), _frozen(v), _gram(u), _gram(v))
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,7 @@ from .core import (
     InvalidParameterError,
     ObservedMask,
     ProblemKind,
+    curvature_block,
     gradient,
     objective,
     weight_diag,
@@ -95,9 +96,8 @@ def exact_hessian(
 def surrogate_hessian(
     side: str, fp: FactorPair, lam: float, eta: float
 ) -> np.ndarray:
-    """The solvers' shared positive-definite d x d block Gram + lam*D."""
-    _, other = fp.split(side)
-    return other.T @ other + lam * np.diag(weight_diag(fp, eta))
+    """The solvers' shared positive-definite d x d block Gram + lam*D, as they form it."""
+    return curvature_block(fp, side, weight_diag(fp, eta), lam)
 
 
 def psd_gap(

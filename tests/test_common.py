@@ -500,27 +500,45 @@ def test_factored_objective_after_a_rejected_nmf_v_search(driver_objectives):
     assert len(direct) == trace.iterations + 1 and not any(direct)
 
 
-def test_a_stall_after_a_prune_repeats_the_pruned_objective(driver_objectives):
-    # Iteration 1 shrinks column 0 below the prune threshold, iteration 2
-    # moves nothing.  The stalled record repeats the pruned record's
-    # objective bit for bit; evaluated afresh, its Grams (formed from the
-    # kept columns, not cut from the wider ones) could round differently.
-    y = _noisy(30, 20, 3, 17)
-    cfg = SolverConfig(lam=1.0, d_init=4, max_iter=5)
+def _clipped(seed):
+    """The bench's dense size: 200 x 200 rank-3 data with 20 dB noise, clipped at 0."""
+    return np.maximum(_noisy(200, 200, 3, seed, "uniform01"), 0.0)
+
+
+@pytest.mark.parametrize(
+    "kind, data, d_init, seed, column",
+    [
+        (ProblemKind.DENOISE, lambda: _noisy(30, 20, 3, 17), 4, 0, 0),
+        (ProblemKind.DENOISE, lambda: _clipped(0), 40, 0, 5),
+        (ProblemKind.NMF, lambda: _clipped(3), 40, 3, 0),
+    ],
+    ids=["denoise-30x20", "denoise-200x200", "nmf-200x200"],
+)
+def test_a_stall_after_a_prune_repeats_the_pruned_objective(
+    driver_objectives, kind, data, d_init, seed, column
+):
+    # Iteration 1 shrinks ``column`` below the prune threshold, iteration 2
+    # moves nothing.  The stalled record is evaluated afresh at a pair of the
+    # pruned record's factors and Grams, so it repeats that objective bit for
+    # bit.  With Grams cut from the wider pair's, the 200 x 200 stalls would
+    # be recorded an ulp away, the NMF one above the pruned record.
+    cfg = SolverConfig(lam=1.0, d_init=d_init, max_iter=5, seed=seed)
     calls = []
 
     def step(side, fp, w):
         factor = fp.split(side)[0]
         new = factor.copy()
         if len(calls) < 2:
-            new[:, 0] *= 1e-9
+            new[:, column] *= 1e-9
         calls.append(side)
         return HalfStep(new, 0.0, new - factor, (new - factor).T @ (new - factor))
 
-    _, trace = common.alternate(Problem(ProblemKind.DENOISE, y), cfg, step)
+    _, trace = common.alternate(Problem(kind, data()), cfg, step)
     assert trace.status == "stalled" and trace.iterations == 2
-    assert [p.iteration for p in trace.prunes] == [1] and trace.records[1].d == 3
-    assert len(driver_objectives) == trace.iterations
+    assert [p.iteration for p in trace.prunes] == [1]
+    assert trace.prunes[0].removed_columns == [column]
+    assert trace.records[1].d == d_init - 1
+    assert len(driver_objectives) == trace.iterations + 1
     first, stalled = trace.objectives()
     assert stalled == first
 
@@ -726,7 +744,8 @@ def test_step_diagnostics_of_rejected_nmf_searches_are_zero(finished):
 def test_ledger_forms_two_factor_grams_per_iteration(monkeypatch, solve):
     # The start point forms U^T U and V^T V once; each iteration then forms
     # U'^T U' (for the V step's weights) and V'^T V' (for the diagnostics),
-    # and everything else reads them from the pairs' ledgers.
+    # each prune forms the kept columns' two Grams, and everything else
+    # reads them from the pairs' ledgers.
     formed, gram = [], core._gram
 
     def count(a):
@@ -744,4 +763,4 @@ def test_ledger_forms_two_factor_grams_per_iteration(monkeypatch, solve):
     else:
         _, trace = solve_nmf(np.maximum(y, 0.0), cfg)
     assert trace.iterations > 1 and trace.prunes
-    assert formed == [m, n] * (trace.iterations + 1)
+    assert formed == [m, n] * (trace.iterations + 1 + len(trace.prunes))

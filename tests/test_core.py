@@ -150,13 +150,21 @@ def test_factor_pair_ledger_matches_fresh_grams(walk):
             getattr(fp, op)
     for fp in walked:
         for got, a in ((fp.gram_u, fp.u), (fp.gram_v, fp.v)):
-            want = a.T @ a
-            assert got.shape == want.shape == (fp.d, fp.d)
-            assert np.all(np.abs(got - want) <= 1e-12 * np.max(want, initial=0.0))
+            assert got.shape == (fp.d, fp.d) and np.array_equal(got, a.T @ a)
         sq = np.sum(fp.u * fp.u, axis=0) + np.sum(fp.v * fp.v, axis=0)
         assert np.all(np.abs(fp.sq - sq) <= 1e-12 * sq)
         norms = np.sqrt(sq)
         assert np.all(np.abs(column_pair_norms(fp) - norms) <= 1e-12 * norms)
+
+
+def test_selected_pair_at_bench_size_has_the_grams_of_its_own_factors():
+    # At this size a block cut from the wider Grams differs by an ulp from
+    # the kept columns' own Grams, so only Grams formed afresh are equal.
+    rng = np.random.default_rng(40)
+    fp = FactorPair(rng.standard_normal((200, 40)), rng.standard_normal((200, 40)))
+    kept = fp.select(list(range(1, 40)))
+    assert np.array_equal(kept.gram_u, kept.u.T @ kept.u)
+    assert np.array_equal(kept.gram_v, kept.v.T @ kept.v)
 
 
 def test_mask_validation():
@@ -1036,8 +1044,9 @@ def test_solve_checks_y_once(kind, monkeypatch):
     ids=lambda kind: kind.value,
 )
 def test_factor_steps_reject_a_problem_of_another_kind(step_kind, problem_kind):
-    # a completion problem given to the denoise step would silently fit
-    # the zeros outside its mask
+    # a step refuses a problem of another kind: an API contract, although
+    # the denoise step would take the completion step, through
+    # Problem.filled_product, on a completion problem
     rng = np.random.default_rng(31)
     y = np.abs(rng.standard_normal((6, 5)))
     mask = ObservedMask(6, 5, np.arange(6), np.arange(6) % 5)
