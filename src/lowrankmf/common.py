@@ -102,6 +102,8 @@ class SolverConfig:
             ("lam", "eta", "tol", "prune_tol"),
             {"d_init": 1, "max_iter": 1, "seed": 0},
         )
+        if not self.prune_tol < 1.0:
+            raise InvalidParameterError("prune_tol must lie in (0, 1)")
         if not isinstance(self.nmf, NmfOptions):
             raise InvalidParameterError(f"nmf must be NmfOptions, got {type(self.nmf).__name__}")
         self.nmf.validate()
@@ -109,9 +111,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class PruneEvent:
-    iteration: int
-    removed_columns: list[int]
-    pair_norms_at_removal: list[float]
+    """Iteration ``k`` removed the columns ``removed``, whose joint norms were ``norms``."""
+
+    k: int
+    removed: list[int]
+    norms: list[float]
 
 
 @dataclass
@@ -161,32 +165,29 @@ class IterationTrace:
             "config": config,
             "initial_objective": self.initial_objective,
             "iterations": [dataclasses.asdict(r) for r in self.records],
-            "prunes": [
-                {
-                    "k": p.iteration,
-                    "removed": list(p.removed_columns),
-                    "norms": list(p.pair_norms_at_removal),
-                }
-                for p in self.prunes
-            ],
+            "prunes": [dataclasses.asdict(p) for p in self.prunes],
             "status": self.status,
             "metrics": {key: (metrics or {}).get(key) for key in ("nre", "nmae")},
         }
 
 
-def prune_columns(fp: FactorPair, threshold: float) -> tuple[FactorPair, list[int]]:
-    """Drop columns whose joint norm falls below ``threshold`` times the largest.
+def prune_columns(fp: FactorPair, threshold: float, eta: float) -> tuple[FactorPair, list[int]]:
+    """Drop columns whose joint norm falls below ``threshold`` times the largest,
+    or every column if the largest falls below the smoothing scale ``eta``.
 
     Returns the pruned pair, a column selection that forms the kept columns'
     Grams (:meth:`FactorPair.select`), and the list of surviving column indices
-    (order preserved).  The driver prunes with it; an all-zero pair yields a
-    d = 0 pair, its degenerate terminal state.
+    (order preserved).  With every column below ``eta`` the factorization
+    carries no signal the regularizer can tell from zero, and the relative
+    rule (scale invariant by design) would never fire, so all go; as ``eta``
+    is positive, an all-zero pair goes too.  The d = 0 pair left is the
+    driver's degenerate terminal state.  This is the driver's pruning rule.
     """
-    if not 0.0 < threshold < math.inf:
-        raise InvalidParameterError("threshold must be positive and finite")
+    if not all(0.0 < t < math.inf for t in (threshold, eta)):
+        raise InvalidParameterError("threshold and eta must be positive and finite")
     norms = column_pair_norms(fp)
     top = norms.max() if norms.size else 0.0
-    kept = [] if top == 0.0 else (norms >= threshold * top).nonzero()[0].tolist()
+    kept = [] if top < eta else (norms >= threshold * top).nonzero()[0].tolist()
     return (fp if len(kept) == fp.d else fp.select(kept)), kept
 
 
@@ -236,7 +237,7 @@ def stop_status(trace: IterationTrace) -> str | None:
     last = trace.records[-1]
     if last.d == 0:
         return STATUS_DEGENERATE
-    pruned = bool(trace.prunes) and trace.prunes[-1].iteration == last.k
+    pruned = bool(trace.prunes) and trace.prunes[-1].k == last.k
     if last.rel_change == 0.0 and last.displacement_sq == 0.0 and not pruned:
         return STATUS_STALLED
     if last.rel_change < trace.config.tol:
@@ -287,22 +288,17 @@ def finish_iteration(
 ) -> FactorPair:
     """Shared post-update bookkeeping under ``trace.config``: prune, record, return the pair.
 
-    The diagnostics read the U and V half-``steps`` that took ``prev`` to
-    ``next_``; they, the column norms and the objective read the pairs' Gram
-    ledgers.  The objective at the pruned pair fills the problem's data-term
-    slot, which the next U step reads.  An unmoved pair has the factors and
-    Grams of the previous record's pair, so its record repeats that objective.
+    It prunes with :func:`prune_columns` at ``prune_tol`` and ``eta``.  The
+    diagnostics read the U and V half-``steps`` that took ``prev`` to ``next_``;
+    they and the objective read the pairs' Gram ledgers.  The objective at the
+    pruned pair fills the data-term slot the next U step reads.  An unmoved pair
+    has the previous record's factors and Grams, so it repeats that objective.
     """
     cfg = trace.config
     disp, rel, min_eig, max_col = _iteration_diagnostics(prev, next_, steps)
-    pruned, kept = prune_columns(next_, cfg.prune_tol)
-    norms = column_pair_norms(next_)
-    # With every column below the smoothing scale eta, the factorization
-    # carries no signal the regularizer can distinguish from zero, and the
-    # relative rule (scale invariant by design) would never fire: prune all.
-    if kept and norms.max() < cfg.eta:
-        pruned, kept = next_.select([]), []
+    pruned, kept = prune_columns(next_, cfg.prune_tol, cfg.eta)
     if len(kept) < next_.d:
+        norms = column_pair_norms(next_)
         removed = sorted(set(range(next_.d)).difference(kept))
         trace.prunes.append(PruneEvent(k, removed, [float(norms[i]) for i in removed]))
     trace.records.append(

@@ -310,6 +310,8 @@ class Problem:
     CANCELLATION = 1e-3
 
     def __init__(self, kind: ProblemKind, y, mask: ObservedMask | None = None):
+        if not isinstance(kind, ProblemKind):
+            raise InvalidParameterError(f"kind must be a ProblemKind, got {kind!r}")
         y = as_matrix(y, "y")
         self.kind, self.y, self.mask, self.y_obs = kind, y, mask, y
         self._last: tuple[FactorPair, np.ndarray] | None = None

@@ -70,6 +70,8 @@ def exact_hessian(
     data-fit Gram and lam * diag(t^-1/2); for completion that Gram is
     restricted to the row's observed entries.
     """
+    if not isinstance(kind, ProblemKind):
+        raise InvalidParameterError(f"kind must be a ProblemKind, got {kind!r}")
     d = fp.d
     factor, other = fp.split(side)
     rows = factor.shape[0]

@@ -7,7 +7,7 @@ import pytest
 
 from lowrankmf import NmfOptions, SolverConfig, solve_denoise
 from lowrankmf.cli import main, parse_args
-from lowrankmf.common import IterationRecord, IterationTrace
+from lowrankmf.common import IterationRecord, IterationTrace, PruneEvent, stop_status
 from lowrankmf.data import read_coordinate, read_matrix, write_matrix
 from lowrankmf.oracles import rate_bound_check
 
@@ -250,6 +250,16 @@ def test_huge_lambda_exits_degenerate(capsys):
     assert "status=degenerate" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["1.0", "1.5"])
+def test_prune_tol_of_one_or_more_is_usage_error(value, capsys):
+    # with 1.5 every column went at the first iteration and the run exited 3
+    argv = ["denoise", "--rows", "30", "--cols", "20", "--rank", "2", "--lambda", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--prune-tol", value])
+    assert exc.value.code == 2
+    assert "prune_tol must lie in (0, 1)" in capsys.readouterr().err
+
+
 def test_missing_input_file_exits_one(capsys):
     code = main(["denoise", "--input", "/nonexistent/path.mtx", "--lambda", "1.0"])
     assert code == 1
@@ -408,7 +418,7 @@ def test_trace_file_rebuilds_the_rate_report(tmp_path):
     y = np.random.default_rng(8).standard_normal((14, 10))
     y_path, trace_path = tmp_path / "y.mtx", tmp_path / "t.json"
     write_matrix(y_path, y, "mm")
-    argv = ["denoise", "--input", str(y_path), "--lambda", "2.0", "--rank-init", "6"]
+    argv = ["denoise", "--input", str(y_path), "--lambda", "4.0", "--rank-init", "8"]
     assert main([*argv, "--seed", "3", "--trace", str(trace_path)]) == 0
     doc = json.loads(trace_path.read_text())
     assert doc["schema_version"] == 2
@@ -419,10 +429,15 @@ def test_trace_file_rebuilds_the_rate_report(tmp_path):
         config=SolverConfig(**config),
         initial_objective=doc["initial_objective"],
         records=[IterationRecord(**it) for it in doc["iterations"]],
+        prunes=[PruneEvent(**p) for p in doc["prunes"]],
+        status=doc["status"],
     )
-    _, trace = solve_denoise(y, SolverConfig(lam=2.0, d_init=6, seed=3))
+    _, trace = solve_denoise(y, SolverConfig(lam=4.0, d_init=8, seed=3))
     assert rebuilt.config == trace.config
     assert rate_bound_check(rebuilt) == rate_bound_check(trace)
+    # a prune removing two columns at once, and three more
+    assert len(trace.prunes) == 4 and rebuilt.prunes == trace.prunes
+    assert rebuilt.status == stop_status(rebuilt) == trace.status
 
 
 def test_verify_passes(capsys):

@@ -101,6 +101,9 @@ def test_config_defaults():
         {"lam": 1.0, "d_init": True},
         {"lam": 1.0, "d_init": 5, "seed": False},
         {"lam": 1.0, "d_init": 5, "nmf": {"max_backtracks": True}},
+        # a relative threshold of 1 or more prunes columns whatever the data
+        {"lam": 1.0, "d_init": 5, "prune_tol": 1.0},
+        {"lam": 1.0, "d_init": 5, "prune_tol": 1.5},
     ],
 )
 def test_config_validation_rejects(kwargs):
@@ -122,7 +125,7 @@ def test_config_accepts_numpy_scalars():
 
 def test_prune_keeps_large_columns():
     fp = pair_with_norms([1.0, 1e-12, 2.0])
-    pruned, kept = prune_columns(fp, 1e-6)
+    pruned, kept = prune_columns(fp, 1e-6, 1e-6)
     assert kept == [0, 2]
     assert pruned.d == 2
     # survivors unchanged
@@ -132,14 +135,22 @@ def test_prune_keeps_large_columns():
 
 def test_prune_noop():
     fp = pair_with_norms([1.0, 0.5, 2.0])
-    pruned, kept = prune_columns(fp, 1e-6)
+    pruned, kept = prune_columns(fp, 1e-6, 1e-6)
     assert kept == [0, 1, 2]
     assert pruned is fp
 
 
 def test_prune_all_zero_degenerate():
     fp = FactorPair(np.zeros((3, 2)), np.zeros((4, 2)))
-    pruned, kept = prune_columns(fp, 1e-6)
+    pruned, kept = prune_columns(fp, 1e-6, 1e-6)
+    assert kept == []
+    assert pruned.d == 0
+
+
+def test_prune_below_eta_removes_every_column():
+    # the relative rule would keep the largest column; below eta none carries signal
+    fp = pair_with_norms([1e-7, 3e-7, 2e-8])
+    pruned, kept = prune_columns(fp, 1e-6, 1e-6)
     assert kept == []
     assert pruned.d == 0
 
@@ -147,14 +158,21 @@ def test_prune_all_zero_degenerate():
 def test_prune_threshold_positive():
     fp = pair_with_norms([1.0])
     with pytest.raises(InvalidParameterError):
-        prune_columns(fp, 0.0)
+        prune_columns(fp, 0.0, 1e-6)
 
 
 @pytest.mark.parametrize("threshold", [np.nan, np.inf])
 def test_prune_threshold_finite(threshold):
     # a NaN or infinite threshold would prune every column silently
     with pytest.raises(InvalidParameterError):
-        prune_columns(pair_with_norms([1.0, 0.5]), threshold)
+        prune_columns(pair_with_norms([1.0, 0.5]), threshold, 1e-6)
+
+
+@pytest.mark.parametrize("eta", [0.0, -1e-6, np.nan, np.inf])
+def test_prune_eta_positive_and_finite(eta):
+    # at eta <= 0 an all-zero pair would keep every column; NaN would never floor
+    with pytest.raises(InvalidParameterError, match="eta must be positive and finite"):
+        prune_columns(pair_with_norms([1.0, 0.5]), 1e-6, eta)
 
 
 def test_prune_objective_perturbation_bounded():
@@ -167,7 +185,7 @@ def test_prune_objective_perturbation_bounded():
     eta = 1e-6
     fp = pair_with_norms([200.0, 1e-5], seed=6)
     before = objective(ProblemKind.DENOISE, y, None, fp, 1.0, eta)
-    pruned, kept = prune_columns(fp, 1e-6)
+    pruned, kept = prune_columns(fp, 1e-6, 1e-6)
     assert kept == [0]
     after = objective(ProblemKind.DENOISE, y, None, pruned, 1.0, eta)
     removed_norm = 1e-5
@@ -399,7 +417,7 @@ def test_every_solve_descends_by_its_certificate_and_stops_as_reported(
         prefix = IterationTrace(
             config=cfg,
             records=trace.records[: i + 1],
-            prunes=[p for p in trace.prunes if p.iteration <= r.k],
+            prunes=[p for p in trace.prunes if p.k <= r.k],
         )
         last = i + 1 == trace.iterations
         assert stop_status(prefix) == (trace.status if last else None)
@@ -535,8 +553,8 @@ def test_a_stall_after_a_prune_repeats_the_pruned_objective(
 
     _, trace = common.alternate(Problem(kind, data()), cfg, step)
     assert trace.status == "stalled" and trace.iterations == 2
-    assert [p.iteration for p in trace.prunes] == [1]
-    assert trace.prunes[0].removed_columns == [column]
+    assert [p.k for p in trace.prunes] == [1]
+    assert trace.prunes[0].removed == [column]
     assert trace.records[1].d == d_init - 1
     assert len(driver_objectives) == trace.iterations + 1
     first, stalled = trace.objectives()
@@ -710,15 +728,26 @@ def test_step_diagnostics_match_dense_recomputation(finished, solve):
         assert abs(record.rel_change - rel) <= max(1e-12, 8 * EPS * ratio) * rel
 
 
-@pytest.mark.parametrize("solve", ["denoise", "complete", "nmf"])
+def _degenerate_solve():
+    """(cfg, trace) of a 30 x 20 denoise at lam = 1e6: at k = 2 every column
+    is below eta, the largest at a joint norm of about 1.3e-16."""
+    cfg = SolverConfig(lam=1e6, d_init=5)
+    _, trace = solve_denoise(_noisy(30, 20, 2, 0), cfg)
+    assert trace.status == "degenerate" and trace.iterations == 2
+    assert [(p.k, p.removed) for p in trace.prunes] == [(2, [0, 1, 2, 3, 4])]
+    assert 0.0 < max(trace.prunes[0].norms) < 1e-15
+    return cfg, trace
+
+
+@pytest.mark.parametrize("solve", ["denoise", "complete", "nmf", "degenerate"])
 def test_each_iteration_keeps_the_columns_prune_columns_keeps(finished, solve):
     # the driver prunes through prune_columns, once per iteration, at the
     # pair its two half-steps reached
-    cfg, trace = _pruning_solve(solve)
-    removed = {p.iteration: p.removed_columns for p in trace.prunes}
+    cfg, trace = _degenerate_solve() if solve == "degenerate" else _pruning_solve(solve)
+    removed = {p.k: p.removed for p in trace.prunes}
     for record, (_, next_, _) in zip(trace.records, finished, strict=True):
         kept = [j for j in range(next_.d) if j not in removed.get(record.k, [])]
-        assert prune_columns(next_, cfg.prune_tol)[1] == kept
+        assert prune_columns(next_, cfg.prune_tol, cfg.eta)[1] == kept
         assert record.d == len(kept)
 
 

@@ -600,7 +600,7 @@ def test_residual_memo_never_returns_a_stale_residual(monkeypatch):
     twin = FactorPair(fp.u.copy(), fp.v.copy())
     assert agrees(problem.residual(twin), twin) and counts[id(problem)] == 2
     # the pruned pair is a new object with one column fewer
-    pruned, kept = prune_columns(twin, 1e-6)
+    pruned, kept = prune_columns(twin, 1e-6, 1e-6)
     assert kept == [0, 1]
     assert agrees(problem.residual(pruned), pruned) and counts[id(problem)] == 3
     # a moved point after the pruned one, then the pruned one again

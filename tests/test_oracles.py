@@ -7,6 +7,7 @@ from lowrankmf import (
     FactorPair,
     InvalidParameterError,
     ObservedMask,
+    Problem,
     ProblemKind,
     SolverConfig,
     gradient,
@@ -111,6 +112,30 @@ def test_exact_hessian_full_mask_equals_denoise():
 def test_exact_hessian_of_completion_needs_a_mask():
     with pytest.raises(InvalidParameterError, match="requires an observed mask"):
         exact_hessian(ProblemKind.COMPLETE, "u", None, random_pair(4, 3, 2, 8), 1.0, 1e-3)
+
+
+@pytest.mark.parametrize("kind", ["complete", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda kind, y, mask, fp: objective(kind, y, mask, fp, 1.0, 1e-6),
+        lambda kind, y, mask, fp: gradient(kind, "u", y, mask, fp, 1.0, 1e-6),
+        lambda kind, y, mask, fp: Problem(kind, y, mask),
+        lambda kind, y, mask, fp: exact_hessian(kind, "u", mask, fp, 1.0, 1e-6),
+        lambda kind, y, mask, fp: psd_gap(kind, "u", mask, fp, 1.0, 1e-6),
+        lambda kind, y, mask, fp: surrogate_value(kind, "u", y, mask, fp, 1.0, 1e-6, fp.u),
+    ],
+    ids=["objective", "gradient", "Problem", "exact_hessian", "psd_gap", "surrogate_value"],
+)
+def test_a_kind_that_is_not_a_problem_kind_is_refused(call, kind):
+    # the string "complete" was read as dense data: objective 54.10 where
+    # ProblemKind.COMPLETE gives 14.97
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal((6, 5))
+    mask = ObservedMask(6, 5, [0, 1, 2], [0, 1, 2])
+    fp = FactorPair(rng.standard_normal((6, 2)), rng.standard_normal((6, 2))[:5])
+    with pytest.raises(InvalidParameterError, match="kind must be a ProblemKind"):
+        call(kind, y, mask, fp)
 
 
 def test_exact_hessian_size_guard():

@@ -68,9 +68,9 @@ def trace_dict(trace) -> dict:
         ],
         "prunes": [
             {
-                "k": p.iteration,
-                "removed": list(p.removed_columns),
-                "norms": list(p.pair_norms_at_removal),
+                "k": p.k,
+                "removed": list(p.removed),
+                "norms": list(p.norms),
             }
             for p in trace.prunes
         ],
