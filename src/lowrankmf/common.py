@@ -248,19 +248,51 @@ def stop_status(trace: IterationTrace) -> str | None:
 
 
 def init_factors(problem: Problem, d: int, rng: np.random.Generator) -> FactorPair:
-    """Scale-matched Gaussian initialization of both factors.
+    """The start point of a solve with ``d`` columns, drawn from ``rng``.
 
-    Entries are standard Gaussians scaled by (||Y||_F / sqrt(m n d))^(1/2),
-    the norm taken over the entries the problem observes; for NMF starts
-    the magnitudes are kept and signs dropped.
+    A completion problem that leaves an entry unobserved starts from a
+    randomized sketch (Halko, Martinsson and Tropp, SIAM Review 2011) of the
+    rescaled (m n / card(Omega)) P_Omega(Y) of Keshavan, Montanari and Oh
+    (IEEE Trans. IT 2010): l = min(d + 5, m, n) Gaussian test columns, two
+    power iterations re-orthonormalized after each product to a basis Q,
+    and the SVD W S Z^T of the l x n matrix Q^T P_Omega(Y), balanced
+    as U = Q W S^(1/2) and V = Z S^(1/2); columns past l start at zero, so
+    they are pruned at k = 1.  Once per solve it costs six products of
+    P_Omega(Y) with l columns (:meth:`Problem.observed_product`, each
+    O(m n l) on the buffer path and O(card(Omega) l) on the sparse one),
+    five QRs in O((m + n) l^2) and one SVD in O(n l^2).
+
+    Every other start is scale-matched Gaussian: entries are standard
+    Gaussians scaled by (||Y||_F / sqrt(m n d))^(1/2), the norm taken over the
+    entries the problem observes; for NMF the magnitudes are kept and signs
+    dropped.  A full mask is denoising data, so it keeps this start.
     """
     m, n = problem.y.shape
+    if problem.kind is ProblemKind.COMPLETE and problem.mask.card < m * n:
+        return _spectral_start(problem, d, rng)
     frob = math.sqrt(2.0 * problem.half_sq)
     scale = float(np.sqrt(frob / np.sqrt(m * n * d))) if frob > 0 else 0.0
     u = rng.standard_normal((m, d)) * scale
     v = rng.standard_normal((n, d)) * scale
     if problem.kind is ProblemKind.NMF:
         u, v = np.abs(u), np.abs(v)
+    return FactorPair(u, v)
+
+
+def _spectral_start(problem: Problem, d: int, rng: np.random.Generator) -> FactorPair:
+    """:func:`init_factors`' sketch of (m n / card(Omega)) P_Omega(Y)."""
+    (m, n), apply = problem.y.shape, problem.observed_product
+    width = min(d + 5, m, n)
+    q = np.linalg.qr(apply("u", rng.standard_normal((n, width))))[0]
+    for _ in range(2):
+        q = np.linalg.qr(apply("u", np.linalg.qr(apply("v", q))[0]))[0]
+    # Q^T P_Omega(Y) = W S Z^T, from the SVD of its transpose
+    z, s, wt = np.linalg.svd(apply("v", q), full_matrices=False)
+    k = min(d, width)
+    root = np.sqrt(s[:k] * (m * n / problem.mask.card))
+    u, v = np.zeros((m, d)), np.zeros((n, d))
+    u[:, :k] = (q @ wt[:k].T) * root
+    v[:, :k] = z[:, :k] * root
     return FactorPair(u, v)
 
 

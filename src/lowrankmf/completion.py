@@ -15,6 +15,12 @@ drop included, and the weights and diagnostics.  The data products differ:
 * sparse path, otherwise: two residuals per iteration, each O(m n d) in
   BLAS-3 row blocks of U V^T, and O(card(Omega) d) for the products of one
   held CSR matrix and its CSC transpose; memory O(card(Omega) + one block).
+
+Once per solve, a mask that leaves an entry unobserved gets the spectral
+start of :func:`common.init_factors`: with l = min(d_init + 5, m, n), six
+products of P_Omega(Y) with l columns (O(m n l) each on the buffer path,
+O(card(Omega) l) on the sparse one, no m x n array on the sparse one), five
+QRs in O((m + n) l^2) and one SVD in O(n l^2).
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lowrankmf import NmfOptions, SolverConfig, solve_denoise
+from lowrankmf import NmfOptions, SolverConfig, solve_denoise, solve_mc
 from lowrankmf.cli import main, parse_args
 from lowrankmf.common import IterationRecord, IterationTrace, PruneEvent, stop_status
 from lowrankmf.data import read_coordinate, read_matrix, write_matrix
@@ -522,3 +522,22 @@ def test_bench_non_finite_grid_value_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_padded_start_columns_go_at_the_first_iteration(tmp_path):
+    # on the 30 x 20 instance, d_init = min(m, n) + 5 sketches as wide as
+    # d_init = min(m, n) and pads five zero columns: they go at k = 1, and
+    # the run then ends where the unpadded one does
+    out = tmp_path / "y.mtx"
+    argv = ["synth", "--rows", "30", "--cols", "20", "--rank", "2", "--snr-db", "20"]
+    assert main([*argv, "--mask-card", "300", "--output", str(out)]) == 0
+    y, mask = read_coordinate(f"{out}.mask.mtx")
+    (fp, trace), (padded_fp, padded) = (
+        solve_mc(y, mask, SolverConfig(lam=1.0, d_init=d)) for d in (20, 25)
+    )
+    assert padded.prunes[0] == PruneEvent(1, [20, 21, 22, 23, 24], [0.0] * 5)
+    events = [[(p.k, p.removed) for p in t.prunes] for t in (trace, padded)]
+    assert events[1][1:] == events[0]
+    assert padded.iterations == trace.iterations and padded.status == trace.status
+    want = fp.product()
+    assert np.linalg.norm(padded_fp.product() - want) <= 1e-12 * np.linalg.norm(want)

@@ -10,6 +10,7 @@ from lowrankmf import (
     Problem,
     ProblemKind,
     SolverConfig,
+    apply_mask,
     gradient,
     nre,
     objective,
@@ -19,6 +20,8 @@ from lowrankmf import (
     update_factor_mc,
     weight_diag,
 )
+from lowrankmf import core
+from lowrankmf.common import init_factors
 from lowrankmf.data import add_noise_snr, gen_lowrank, sample_mask
 
 
@@ -195,3 +198,82 @@ def test_singular_curvature_block_raises_invalid_parameter():
     cfg = SolverConfig(lam=5.960464477539063e-08, d_init=4, max_iter=1, seed=60)
     with pytest.raises(InvalidParameterError, match="iteration 1, U half-step.*larger lam"):
         solve_mc(y, ObservedMask.full(2, 2), cfg)
+
+
+# ------------------------------------------------------ the spectral start
+
+
+def _partial_case():
+    """A 30 x 24 rank-2 instance with 300 of its 720 entries observed."""
+    y = add_noise_snr(gen_lowrank(30, 24, 2, "gaussian", 31), 20.0, 32)
+    return y, sample_mask(30, 24, 300, 33)
+
+
+def test_spectral_start_is_a_function_of_the_seed():
+    problem = Problem(ProblemKind.COMPLETE, *_partial_case())
+    a, b, c = (init_factors(problem, 6, np.random.default_rng(s)) for s in (3, 3, 4))
+    assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+    assert not np.array_equal(a.u, c.u) and not np.array_equal(a.v, c.v)
+
+
+@pytest.mark.parametrize("d", [24, 27])
+def test_full_width_start_is_the_rescaled_observed_data(d):
+    # l = min(d + 5, m, n) = n: the sketch spans all of P_Omega(Y), so U V^T
+    # is (m n / card) P_Omega(Y); the factors are balanced, U^T U = V^T V =
+    # S, and the columns past l are zero
+    y, mask = _partial_case()
+    fp = init_factors(Problem(ProblemKind.COMPLETE, y, mask), d, np.random.default_rng(5))
+    want = apply_mask(y, mask) * (30 * 24 / 300)
+    assert np.linalg.norm(fp.product() - want) <= 1e-12 * np.linalg.norm(want)
+    s = np.linalg.svd(want, compute_uv=False)
+    for gram in (fp.gram_u, fp.gram_v):
+        assert np.allclose(gram[:24, :24], np.diag(s), rtol=0, atol=1e-12 * s[0])
+    assert not fp.u[:, 24:].any() and not fp.v[:, 24:].any()
+
+
+@pytest.mark.parametrize("d", [2, 40])
+def test_spectral_start_is_the_same_on_both_data_paths(d):
+    y, mask = _partial_case()
+    products = []
+    for ratio in (0, 10**9):  # the sparse operator, then the buffer
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "FILL_IN_RATIO", ratio)
+            problem = Problem(ProblemKind.COMPLETE, y, mask)
+            assert problem.fill_in is (ratio > 0)
+            products.append(init_factors(problem, d, np.random.default_rng(6)).product())
+    sparse, buffer = products
+    assert np.linalg.norm(buffer - sparse) <= 1e-10 * np.linalg.norm(sparse)
+
+
+def test_spectral_start_leaves_no_stale_product_in_the_buffer():
+    # the start writes P_Omega(Y) into the buffer; a pair whose U V^T the
+    # buffer held before must be formed again, not read from it
+    y, mask = _partial_case()
+    problem = Problem(ProblemKind.COMPLETE, y, mask)
+    assert problem.fill_in
+    fp = init_factors(problem, 4, np.random.default_rng(7))
+    problem.objective(fp, 1.0, 1e-6)  # leaves U V^T at fp in the buffer
+    init_factors(problem, 4, np.random.default_rng(8))
+    want = Problem(ProblemKind.COMPLETE, y, mask).filled_product("u", fp)
+    got = problem.filled_product("u", fp)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_a_full_mask_keeps_the_gaussian_start():
+    y, _ = _partial_case()
+    rng = np.random.default_rng
+    gaussian = init_factors(Problem(ProblemKind.DENOISE, y), 5, rng(9))
+    full = init_factors(Problem(ProblemKind.COMPLETE, y, ObservedMask.full(30, 24)), 5, rng(9))
+    assert np.array_equal(full.u, gaussian.u) and np.array_equal(full.v, gaussian.v)
+    one_left = sample_mask(30, 24, 30 * 24 - 1, 10)
+    partial = init_factors(Problem(ProblemKind.COMPLETE, y, one_left), 5, rng(9))
+    assert not np.array_equal(partial.u, gaussian.u)
+
+
+def test_all_zero_observed_values_end_degenerate():
+    # the start of a zero P_Omega(Y) is the zero pair, pruned at k = 1
+    y, mask = _partial_case()
+    y = np.where(mask.to_dense_bool(), 0.0, y)
+    fp, trace = solve_mc(y, mask, SolverConfig(lam=1.0, d_init=6))
+    assert trace.status == "degenerate" and trace.iterations == 1 and fp.d == 0
+    assert [(p.k, p.removed, p.norms) for p in trace.prunes] == [(1, list(range(6)), [0.0] * 6)]
