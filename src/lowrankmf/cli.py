@@ -162,8 +162,8 @@ def _configs(args) -> list[SolverConfig]:
             beta_u=args.beta_u, beta_v=args.beta_v,
             sigma=args.sigma_armijo, eps_active=args.eps_active,
         )
-    # Without --rank-init, d_init is min(m, n), set once the instance is
-    # loaded (_load_instance); 1 stands in for it until then.
+    # Without --rank-init, d_init is min(m, n), the widest start, set once the
+    # instance is loaded (_load_instance); 1 stands in for it until then.
     d_init = 1 if args.rank_init is None else args.rank_init
     lams = args.lambda_grid if args.command == "bench" else [args.lam]
     return [
@@ -208,8 +208,8 @@ def _load_instance(args, kind: ProblemKind):
         if kind is ProblemKind.COMPLETE:
             mask = ObservedMask.full(*y.shape)
     configs = args.configs
-    if args.rank_init is None:
-        configs = [replace(cfg, d_init=min(y.shape)) for cfg in configs]
+    if args.rank_init is None:  # at least 1: the solver refuses an empty y by name
+        configs = [replace(cfg, d_init=max(min(y.shape), 1)) for cfg in configs]
     return y, mask, x0, configs
 
 

@@ -82,7 +82,8 @@ class NmfOptions:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Parameters shared by every solver, checked when built."""
+    """Parameters shared by every solver, checked when built.  A start takes
+    min(d_init, m, n) columns (:func:`init_factors`); a trace keeps ``d_init``."""
 
     lam: float
     d_init: int
@@ -248,7 +249,8 @@ def stop_status(trace: IterationTrace) -> str | None:
 
 
 def init_factors(problem: Problem, d: int, rng: np.random.Generator) -> FactorPair:
-    """The start point of a solve with ``d`` columns, drawn from ``rng``.
+    """The start point of a solve with min(d, m, n) columns, drawn from ``rng``:
+    an m x n matrix holds no more independent ones; a larger ``d`` runs as min(m, n).
 
     A completion problem that leaves an entry unobserved starts from a
     randomized sketch (Halko, Martinsson and Tropp, SIAM Review 2011) of the
@@ -256,11 +258,11 @@ def init_factors(problem: Problem, d: int, rng: np.random.Generator) -> FactorPa
     (IEEE Trans. IT 2010): l = min(d + 5, m, n) Gaussian test columns, two
     power iterations re-orthonormalized after each product to a basis Q,
     and the SVD W S Z^T of the l x n matrix Q^T P_Omega(Y), balanced
-    as U = Q W S^(1/2) and V = Z S^(1/2); columns past l start at zero, so
-    they are pruned at k = 1.  Once per solve it costs six products of
-    P_Omega(Y) with l columns (:meth:`Problem.observed_product`, each
-    O(m n l) on the buffer path and O(card(Omega) l) on the sparse one),
-    five QRs in O((m + n) l^2) and one SVD in O(n l^2).
+    as U = Q W S^(1/2) and V = Z S^(1/2), cut to d columns.  Once per solve
+    it costs six products of P_Omega(Y) with l columns
+    (:meth:`Problem.observed_product`, O(m n l) each on the buffer path,
+    O(card(Omega) l) on the sparse one), five QRs in O((m + n) l^2) and one
+    SVD in O(n l^2).
 
     Every other start is scale-matched Gaussian: entries are standard
     Gaussians scaled by (||Y||_F / sqrt(m n d))^(1/2), the norm taken over the
@@ -268,6 +270,7 @@ def init_factors(problem: Problem, d: int, rng: np.random.Generator) -> FactorPa
     dropped.  A full mask is denoising data, so it keeps this start.
     """
     m, n = problem.y.shape
+    d = min(d, m, n)
     if problem.kind is ProblemKind.COMPLETE and problem.mask.card < m * n:
         return _spectral_start(problem, d, rng)
     frob = math.sqrt(2.0 * problem.half_sq)
@@ -280,7 +283,7 @@ def init_factors(problem: Problem, d: int, rng: np.random.Generator) -> FactorPa
 
 
 def _spectral_start(problem: Problem, d: int, rng: np.random.Generator) -> FactorPair:
-    """:func:`init_factors`' sketch of (m n / card(Omega)) P_Omega(Y)."""
+    """:func:`init_factors`' sketch of (m n / card(Omega)) P_Omega(Y), d <= min(m, n)."""
     (m, n), apply = problem.y.shape, problem.observed_product
     width = min(d + 5, m, n)
     q = np.linalg.qr(apply("u", rng.standard_normal((n, width))))[0]
@@ -288,12 +291,8 @@ def _spectral_start(problem: Problem, d: int, rng: np.random.Generator) -> Facto
         q = np.linalg.qr(apply("u", np.linalg.qr(apply("v", q))[0]))[0]
     # Q^T P_Omega(Y) = W S Z^T, from the SVD of its transpose
     z, s, wt = np.linalg.svd(apply("v", q), full_matrices=False)
-    k = min(d, width)
-    root = np.sqrt(s[:k] * (m * n / problem.mask.card))
-    u, v = np.zeros((m, d)), np.zeros((n, d))
-    u[:, :k] = (q @ wt[:k].T) * root
-    v[:, :k] = z[:, :k] * root
-    return FactorPair(u, v)
+    root = np.sqrt(s[:d] * (m * n / problem.mask.card))
+    return FactorPair((q @ wt[:d].T) * root, z[:, :d] * root)
 
 
 def _iteration_diagnostics(prev, next_, steps: tuple[HalfStep, HalfStep]) -> tuple:

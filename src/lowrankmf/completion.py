@@ -17,10 +17,8 @@ drop included, and the weights and diagnostics.  The data products differ:
   held CSR matrix and its CSC transpose; memory O(card(Omega) + one block).
 
 Once per solve, a mask that leaves an entry unobserved gets the spectral
-start of :func:`common.init_factors`: with l = min(d_init + 5, m, n), six
-products of P_Omega(Y) with l columns (O(m n l) each on the buffer path,
-O(card(Omega) l) on the sparse one, no m x n array on the sparse one), five
-QRs in O((m + n) l^2) and one SVD in O(n l^2).
+start of :func:`common.init_factors`, min(d_init, m, n) columns like every
+start, at the cost stated there (no m x n array on the sparse path).
 """
 
 from __future__ import annotations

@@ -274,8 +274,8 @@ class Problem:
     """One solve's data, checked once, and the data-fit term it defines.
 
     The constructor checks what every evaluation relies on: a finite 2-D
-    ``y`` whose squared norm is finite; for completion, a mask of ``y``'s
-    shape; for NMF, ``y >= 0``.
+    ``y`` with an entry and a finite squared norm; for completion, a mask
+    of ``y``'s shape; for NMF, ``y >= 0``.
     ``y_obs`` holds the entries of Y the data term reads: all of ``y``,
     or for completion its values at the mask in the mask's row-major
     order, which is also the CSR order of the mask's ``flat`` and
@@ -313,6 +313,8 @@ class Problem:
         if not isinstance(kind, ProblemKind):
             raise InvalidParameterError(f"kind must be a ProblemKind, got {kind!r}")
         y = as_matrix(y, "y")
+        if not y.size:
+            raise InvalidParameterError(f"y must have at least one entry, got shape {y.shape}")
         self.kind, self.y, self.mask, self.y_obs = kind, y, mask, y
         self._last: tuple[FactorPair, np.ndarray] | None = None
         # the fill-in buffer, and the pair whose U V^T it holds off the mask

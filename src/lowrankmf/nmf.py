@@ -193,11 +193,11 @@ def _decrease(factor, sq, step, sts, data_grad, gram, lam: float, eta: float) ->
     the other factor's Gram.  Column i's regularizer term changes by
     (s_i' - s_i) / (sqrt(s_i' + eta^2) + sqrt(s_i + eta^2)), s_i its
     squared joint norm (``sq``), with s_i' - s_i = 2 <f_i, step_i> +
-    ||step_i||^2: neither difference cancels.
-    """
+    ||step_i||^2: neither difference cancels.  s_i' is clamped at 0, its
+    exact lower bound: zeroing a large column can round it below -eta^2."""
     ds = 2.0 * (factor * step).sum(axis=0) + sts.diagonal()
     eta_sq = eta * eta
-    reg = (ds / (np.sqrt(sq + ds + eta_sq) + np.sqrt(sq + eta_sq))).sum()
+    reg = (ds / (np.sqrt(np.maximum(sq + ds, 0.0) + eta_sq) + np.sqrt(sq + eta_sq))).sum()
     fit = np.vdot(step, data_grad) + 0.5 * np.vdot(sts, gram)
     return -float(fit + lam * reg)
 

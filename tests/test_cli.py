@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lowrankmf import NmfOptions, SolverConfig, solve_denoise, solve_mc
+from lowrankmf import NmfOptions, SolverConfig, solve_denoise
 from lowrankmf.cli import main, parse_args
 from lowrankmf.common import IterationRecord, IterationTrace, PruneEvent, stop_status
 from lowrankmf.data import read_coordinate, read_matrix, write_matrix
@@ -288,14 +288,15 @@ def test_snr_too_low_for_a_finite_noise_variance_exits_one(capsys):
 
 
 def test_singular_curvature_block_exits_one(tmp_path, capsys):
-    y = 1e6 * np.random.default_rng(60).standard_normal((2, 2))
+    # a rank-one Y with equal columns at a tiny lam, at d_init = min(m, n)
+    y = 1e6 * np.repeat(np.random.default_rng(1).standard_normal((3, 1)), 2, axis=1)
     p = tmp_path / "y.mtx"
     write_matrix(p, y, "mm")
-    args = ["--input", str(p), "--lambda", "5.960464477539063e-08", "--rank-init", "4"]
-    code = main(["denoise", *args, "--max-iter", "1", "--seed", "60"])
+    args = ["--input", str(p), "--lambda", "5.960464477539063e-08"]
+    code = main(["denoise", *args, "--max-iter", "1", "--seed", "1"])
     assert code == 1
     err = capsys.readouterr().err
-    assert "error: iteration 1, U half-step" in err and "use a larger lam" in err
+    assert "error: iteration 1, V half-step" in err and "use a larger lam" in err
 
 
 def test_y_whose_squared_norm_overflows_exits_one(tmp_path, capsys):
@@ -305,6 +306,15 @@ def test_y_whose_squared_norm_overflows_exits_one(tmp_path, capsys):
     write_matrix(p, y, "mm")
     assert main(["denoise", "--input", str(p), "--lambda", "1", "--rank-init", "2"]) == 1
     assert "error: y is too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["denoise", "nmf"])
+def test_y_with_no_entries_exits_one(tmp_path, capsys, command):
+    p = tmp_path / "y.mtx"
+    write_matrix(p, np.zeros((0, 3)), "mm")
+    for rank in ([], ["--rank-init", "2"]):  # without it, d_init would be min(m, n) = 0
+        assert main([command, "--input", str(p), "--lambda", "1", *rank]) == 1
+        assert "error: y must have at least one entry" in capsys.readouterr().err
 
 
 def test_movielens_grid_too_large_to_densify_exits_one(tmp_path, capsys):
@@ -522,22 +532,3 @@ def test_bench_non_finite_grid_value_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-
-
-def test_padded_start_columns_go_at_the_first_iteration(tmp_path):
-    # on the 30 x 20 instance, d_init = min(m, n) + 5 sketches as wide as
-    # d_init = min(m, n) and pads five zero columns: they go at k = 1, and
-    # the run then ends where the unpadded one does
-    out = tmp_path / "y.mtx"
-    argv = ["synth", "--rows", "30", "--cols", "20", "--rank", "2", "--snr-db", "20"]
-    assert main([*argv, "--mask-card", "300", "--output", str(out)]) == 0
-    y, mask = read_coordinate(f"{out}.mask.mtx")
-    (fp, trace), (padded_fp, padded) = (
-        solve_mc(y, mask, SolverConfig(lam=1.0, d_init=d)) for d in (20, 25)
-    )
-    assert padded.prunes[0] == PruneEvent(1, [20, 21, 22, 23, 24], [0.0] * 5)
-    events = [[(p.k, p.removed) for p in t.prunes] for t in (trace, padded)]
-    assert events[1][1:] == events[0]
-    assert padded.iterations == trace.iterations and padded.status == trace.status
-    want = fp.product()
-    assert np.linalg.norm(padded_fp.product() - want) <= 1e-12 * np.linalg.norm(want)

@@ -464,8 +464,8 @@ def partial_completions(draw):
 @settings(max_examples=500, deadline=None)
 @given(partial_completions())
 def test_every_partial_completion_descends_by_its_certificate(case):
-    # the spectral start's zero columns past min(m, n) keep the curvature
-    # blocks of a d_init > min(m, n) run well conditioned at any scale
+    # a start of at most min(m, n) columns keeps the curvature blocks of a
+    # d_init > min(m, n) run well conditioned at any scale
     y, mask, cfg = case
     _, trace = solve_mc(y, mask, cfg)
     _assert_certified_descent(trace)
@@ -478,6 +478,65 @@ def test_completion_past_min_m_n_at_tiny_lam_descends_by_its_certificate(seed):
     cfg = SolverConfig(lam=1e-8, d_init=8, max_iter=40, seed=seed)
     _, trace = solve_mc(y, sample_mask(10, 5, 35, seed), cfg)
     _assert_certified_descent(trace)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("solve", ["denoise", "full_mask"])
+def test_dense_data_past_min_m_n_at_tiny_lam_descends_by_its_certificate(solve, seed):
+    # a Gaussian start of d_init random columns fell short of delta here
+    y = 1e3 * np.random.default_rng(seed).standard_normal((10, 5))
+    cfg = SolverConfig(lam=1e-8, d_init=8, max_iter=40, seed=seed)
+    if solve == "denoise":
+        _, trace = solve_denoise(y, cfg)
+    else:
+        _, trace = solve_mc(y, core.ObservedMask.full(10, 5), cfg)
+    _assert_certified_descent(trace)
+
+
+def test_nmf_whose_trial_zeroes_a_large_column_descends_by_its_certificate():
+    # a trial that zeroes a column at |Y| ~ 1e5 rounds its new squared norm
+    # below -eta^2; the factored decrease must not take its square root
+    seed = 1126218256
+    y = np.abs(1e5 * np.random.default_rng(seed).standard_normal((5, 8)))
+    _, trace = solve_nmf(y, SolverConfig(lam=1.0, d_init=2, max_iter=18, seed=seed))
+    _assert_certified_descent(trace)
+
+
+def _solve_kind(kind, y, mask, cfg):
+    if kind == "denoise":
+        return solve_denoise(y, cfg)
+    if kind == "nmf":
+        return solve_nmf(np.abs(y), cfg)
+    return solve_mc(y, mask, cfg)
+
+
+@pytest.mark.parametrize("kind", ["denoise", "nmf", "full_mask", "partial_mask"])
+def test_start_wider_than_min_m_n_runs_as_min_m_n(kind):
+    # an m x n matrix holds at most min(m, n) independent columns, so a
+    # wider d_init starts, and runs, exactly like d_init = min(m, n)
+    y = add_noise_snr(gen_lowrank(30, 20, 2, "gaussian", 41), 20.0, 42)
+    full = core.ObservedMask.full(30, 20)
+    mask = sample_mask(30, 20, 300, 43) if kind == "partial_mask" else full
+    runs = [
+        _solve_kind(kind, y, mask, SolverConfig(lam=1.0, d_init=d, seed=44))
+        for d in (20, 25)
+    ]
+    (fp, trace), (wide_fp, wide) = runs
+    assert wide.config.d_init == 25
+
+    def without_ms(t):
+        records = [{k: v for k, v in vars(r).items() if k != "ms"} for r in t.records]
+        return t.initial_objective, records, t.prunes, t.status
+
+    assert without_ms(wide) == without_ms(trace)
+    assert np.array_equal(wide_fp.u, fp.u) and np.array_equal(wide_fp.v, fp.v)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)], ids=["0x3", "3x0"])
+@pytest.mark.parametrize("solve", [solve_denoise, solve_nmf])
+def test_y_with_no_entries_is_refused(solve, shape):
+    with pytest.raises(InvalidParameterError, match=r"y must have at least one entry"):
+        solve(np.zeros(shape), SolverConfig(lam=1.0, d_init=2))
 
 
 @pytest.mark.parametrize("solve", ["denoise", "complete", "nmf"])

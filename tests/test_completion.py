@@ -193,11 +193,12 @@ def test_full_mask_step_is_the_dense_closed_form():
 
 
 def test_singular_curvature_block_raises_invalid_parameter():
-    rng = np.random.default_rng(60)
-    y = 1e6 * rng.standard_normal((2, 2))
-    cfg = SolverConfig(lam=5.960464477539063e-08, d_init=4, max_iter=1, seed=60)
-    with pytest.raises(InvalidParameterError, match="iteration 1, U half-step.*larger lam"):
-        solve_mc(y, ObservedMask.full(2, 2), cfg)
+    # a rank-one Y with equal columns at a tiny lam, on either half-step
+    for seed, max_iter, label in ((1, 1, "iteration 1, V"), (3, 2, "iteration 2, U")):
+        y = 1e6 * np.repeat(np.random.default_rng(seed).standard_normal((3, 1)), 2, axis=1)
+        cfg = SolverConfig(lam=5.960464477539063e-08, d_init=2, max_iter=max_iter, seed=seed)
+        with pytest.raises(InvalidParameterError, match=f"{label} half-step.*larger lam"):
+            solve_mc(y, ObservedMask.full(3, 2), cfg)
 
 
 # ------------------------------------------------------ the spectral start
@@ -220,15 +221,15 @@ def test_spectral_start_is_a_function_of_the_seed():
 def test_full_width_start_is_the_rescaled_observed_data(d):
     # l = min(d + 5, m, n) = n: the sketch spans all of P_Omega(Y), so U V^T
     # is (m n / card) P_Omega(Y); the factors are balanced, U^T U = V^T V =
-    # S, and the columns past l are zero
+    # S, and a d past min(m, n) = 24 starts with 24 columns
     y, mask = _partial_case()
     fp = init_factors(Problem(ProblemKind.COMPLETE, y, mask), d, np.random.default_rng(5))
+    assert fp.d == 24
     want = apply_mask(y, mask) * (30 * 24 / 300)
     assert np.linalg.norm(fp.product() - want) <= 1e-12 * np.linalg.norm(want)
     s = np.linalg.svd(want, compute_uv=False)
     for gram in (fp.gram_u, fp.gram_v):
-        assert np.allclose(gram[:24, :24], np.diag(s), rtol=0, atol=1e-12 * s[0])
-    assert not fp.u[:, 24:].any() and not fp.v[:, 24:].any()
+        assert np.allclose(gram, np.diag(s), rtol=0, atol=1e-12 * s[0])
 
 
 @pytest.mark.parametrize("d", [2, 40])

@@ -186,8 +186,9 @@ def test_solve_deterministic():
 
 
 def test_singular_curvature_block_raises_invalid_parameter():
-    rng = np.random.default_rng(60)
-    y = 1e6 * rng.standard_normal((2, 2))
-    cfg = SolverConfig(lam=5.960464477539063e-08, d_init=4, max_iter=1, seed=60)
-    with pytest.raises(InvalidParameterError, match="iteration 1, U half-step.*larger lam"):
-        solve_denoise(y, cfg)
+    # a rank-one Y with equal columns at a tiny lam, on either half-step
+    for seed, max_iter, label in ((1, 1, "iteration 1, V"), (3, 2, "iteration 2, U")):
+        y = 1e6 * np.repeat(np.random.default_rng(seed).standard_normal((3, 1)), 2, axis=1)
+        cfg = SolverConfig(lam=5.960464477539063e-08, d_init=2, max_iter=max_iter, seed=seed)
+        with pytest.raises(InvalidParameterError, match=f"{label} half-step.*larger lam"):
+            solve_denoise(y, cfg)

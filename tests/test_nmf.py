@@ -521,6 +521,26 @@ def test_factored_decrease_matches_objective_difference(name, side):
         assert np.sqrt(np.sum(fp.u[:, 1] ** 2) + np.sum(fp.v[:, 1] ** 2)) < cfg.eta
 
 
+def test_factored_decrease_of_a_step_that_zeroes_a_large_column():
+    # zeroing column 1 of U, whose V column is zero, rounds its new squared
+    # joint norm s' = s + ds below -eta^2; s' is clamped at 0 in the root
+    rng = np.random.default_rng(8)
+    u = np.abs(1e6 * rng.standard_normal((6, 2)))
+    v = np.abs(rng.standard_normal((4, 2)))
+    v[:, 1] = 0.0
+    y = np.abs(rng.standard_normal((6, 4)))
+    fp, eta = FactorPair(u, v), 1e-6
+    step = np.zeros_like(u)
+    step[:, 1] = -u[:, 1]
+    sts = step.T @ step
+    assert fp.sq[1] + 2.0 * np.vdot(u[:, 1], step[:, 1]) + sts[1, 1] < -eta * eta
+    got = nmf._decrease(u, fp.sq, step, sts, u @ fp.gram_v - y @ v, fp.gram_v, 1.0, eta)
+    problem = Problem(ProblemKind.NMF, y)
+    f0 = problem.objective(fp, 1.0, eta)
+    direct = f0 - problem.objective(FactorPair(u + step, v), 1.0, eta)
+    assert np.isfinite(got) and abs(got - direct) <= 1e-13 * f0
+
+
 def test_armijo_search_evaluates_no_objective(monkeypatch):
     calls = []
     real = Problem.objective
@@ -618,13 +638,21 @@ def test_solve_deterministic():
     assert [r.objective for r in ta.records] == [r.objective for r in tb.records]
 
 
-@pytest.mark.parametrize("seed, d_init", [(60, 4), (23, 12)])
-def test_solve_singular_curvature_block_raises_invalid_parameter(seed, d_init):
-    rng = np.random.default_rng(seed)
-    y = 1e6 * rng.standard_normal((2, 2))
-    cfg = SolverConfig(lam=5.960464477539063e-08, d_init=d_init, max_iter=1, seed=seed)
-    assert (d_init >= nmf.SCHUR_MIN_D) == (d_init == 12)  # one case each side of the cut
-    with pytest.raises(InvalidParameterError, match="iteration 1, U half-step.*larger lam"):
+@pytest.mark.parametrize(
+    "seed, m, n, max_iter, label",
+    [
+        (3, 3, 2, 1, "iteration 1, V"),
+        (6, 12, 10, 1, "iteration 1, V"),
+        (2, 12, 10, 2, "iteration 2, U"),
+    ],
+    ids=["d2-V", "d10-V", "d10-U"],
+)
+def test_solve_singular_curvature_block_raises_invalid_parameter(seed, m, n, max_iter, label):
+    # a rank-one Y with equal columns at a tiny lam, at d_init = min(m, n)
+    y = 1e6 * np.repeat(np.random.default_rng(seed).standard_normal((m, 1)), n, axis=1)
+    cfg = SolverConfig(lam=5.960464477539063e-08, d_init=n, max_iter=max_iter, seed=seed)
+    assert (n >= nmf.SCHUR_MIN_D) == (n == 10)  # cases on each side of the cut
+    with pytest.raises(InvalidParameterError, match=f"{label} half-step.*larger lam"):
         solve_nmf(np.abs(y), cfg)
 
 
