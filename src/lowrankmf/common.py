@@ -256,13 +256,17 @@ def init_factors(problem: Problem, d: int, rng: np.random.Generator) -> FactorPa
     randomized sketch (Halko, Martinsson and Tropp, SIAM Review 2011) of the
     rescaled (m n / card(Omega)) P_Omega(Y) of Keshavan, Montanari and Oh
     (IEEE Trans. IT 2010): l = min(d + 5, m, n) Gaussian test columns, two
-    power iterations re-orthonormalized after each product to a basis Q,
-    and the SVD W S Z^T of the l x n matrix Q^T P_Omega(Y), balanced
-    as U = Q W S^(1/2) and V = Z S^(1/2), cut to d columns.  Once per solve
-    it costs six products of P_Omega(Y) with l columns
+    power iterations with a basis of the range of each product, the last an
+    orthonormal Q, and the SVD W S Z^T of the l x n matrix Q^T P_Omega(Y),
+    balanced as U = Q W S^(1/2) and V = Z S^(1/2), cut to d columns.  Once
+    per solve it costs six products of P_Omega(Y) with l columns
     (:meth:`Problem.observed_product`, O(m n l) each on the buffer path,
-    O(card(Omega) l) on the sparse one), five QRs in O((m + n) l^2) and one
-    SVD in O(n l^2).
+    O(card(Omega) l) on the sparse one).  The other work is on l x l Grams
+    and products with them, O((m + n) l^2 + l^3): four bases by CholeskyQR
+    (Yamamoto, Nakatsukasa, Yanagisawa and Fukaya, ETNA 2015), one Householder
+    QR for Q, and the SVD from the eigenvectors of the Gram of Q^T P_Omega(Y).
+    A basis whose Gram Cholesky refuses, as for a rank-deficient sketch (no
+    nonzero observed value, or one observed row), takes Householder QR too.
 
     Every other start is scale-matched Gaussian: entries are standard
     Gaussians scaled by (||Y||_F / sqrt(m n d))^(1/2), the norm taken over the
@@ -286,13 +290,29 @@ def _spectral_start(problem: Problem, d: int, rng: np.random.Generator) -> Facto
     """:func:`init_factors`' sketch of (m n / card(Omega)) P_Omega(Y), d <= min(m, n)."""
     (m, n), apply = problem.y.shape, problem.observed_product
     width = min(d + 5, m, n)
-    q = np.linalg.qr(apply("u", rng.standard_normal((n, width))))[0]
-    for _ in range(2):
-        q = np.linalg.qr(apply("u", np.linalg.qr(apply("v", q))[0]))[0]
-    # Q^T P_Omega(Y) = W S Z^T, from the SVD of its transpose
-    z, s, wt = np.linalg.svd(apply("v", q), full_matrices=False)
-    root = np.sqrt(s[:d] * (m * n / problem.mask.card))
-    return FactorPair((q @ wt[:d].T) * root, z[:, :d] * root)
+    q = _cholesky_basis(apply("u", rng.standard_normal((n, width))))
+    q = _cholesky_basis(apply("u", _cholesky_basis(apply("v", q))))
+    # the last basis is orthonormal to working precision: U^T U = S needs it
+    q = np.linalg.qr(apply("u", _cholesky_basis(apply("v", q))))[0]
+    # Q^T P_Omega(Y) = W S Z^T from B = P_Omega(Y)^T Q: W the eigenvectors of
+    # B^T B, largest first, and Z S = B W, a zero column of B W a zero column
+    b = apply("v", q)
+    w = np.linalg.eigh(b.T @ b)[1][:, ::-1][:, :d]
+    b = b @ w
+    s = np.linalg.norm(b, axis=0)
+    root = np.sqrt(s * (m * n / problem.mask.card))
+    return FactorPair((q @ w) * root, b * np.divide(root, s, out=np.zeros(d), where=s > 0))
+
+
+def _cholesky_basis(a: np.ndarray) -> np.ndarray:
+    """A basis of the range of ``a``: A R^-1 with R^T R the Cholesky factorization
+    of A^T A (CholeskyQR), orthonormal to about eps cond(A)^2, or the Householder
+    Q of ``a`` when Cholesky refuses that Gram, as for a rank-deficient ``a``."""
+    try:
+        r = np.linalg.cholesky(a.T @ a).T
+    except np.linalg.LinAlgError:
+        return np.linalg.qr(a)[0]
+    return a @ np.linalg.inv(r)
 
 
 def _iteration_diagnostics(prev, next_, steps: tuple[HalfStep, HalfStep]) -> tuple:

@@ -217,33 +217,86 @@ def test_spectral_start_is_a_function_of_the_seed():
     assert not np.array_equal(a.u, c.u) and not np.array_equal(a.v, c.v)
 
 
-@pytest.mark.parametrize("d", [24, 27])
-def test_full_width_start_is_the_rescaled_observed_data(d):
-    # l = min(d + 5, m, n) = n: the sketch spans all of P_Omega(Y), so U V^T
-    # is (m n / card) P_Omega(Y); the factors are balanced, U^T U = V^T V =
-    # S, and a d past min(m, n) = 24 starts with 24 columns
-    y, mask = _partial_case()
-    fp = init_factors(Problem(ProblemKind.COMPLETE, y, mask), d, np.random.default_rng(5))
-    assert fp.d == 24
-    want = apply_mask(y, mask) * (30 * 24 / 300)
+def _assert_rescaled_observed_data(fp, y, mask):
+    """U V^T is (m n / card) P_Omega(Y), and the factors are balanced,
+    U^T U = V^T V = S, the singular values of (m n / card) P_Omega(Y)."""
+    want = apply_mask(y, mask) * (y.size / mask.card)
     assert np.linalg.norm(fp.product() - want) <= 1e-12 * np.linalg.norm(want)
     s = np.linalg.svd(want, compute_uv=False)
     for gram in (fp.gram_u, fp.gram_v):
         assert np.allclose(gram, np.diag(s), rtol=0, atol=1e-12 * s[0])
 
 
-@pytest.mark.parametrize("d", [2, 40])
-def test_spectral_start_is_the_same_on_both_data_paths(d):
+def _count_calls(mp, module, name) -> list:
+    """Wrap ``module.name`` so that each call appends to the returned list."""
+    calls, fn = [], getattr(module, name)
+    mp.setattr(module, name, lambda *a, **k: calls.append(None) or fn(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("d", [24, 27])
+def test_full_width_start_is_the_rescaled_observed_data(d):
+    # l = min(d + 5, m, n) = n: the sketch spans all of P_Omega(Y); a d past
+    # min(m, n) = 24 starts with 24 columns
     y, mask = _partial_case()
-    products = []
-    for ratio in (0, 10**9):  # the sparse operator, then the buffer
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "FILL_IN_RATIO", ratio)
-            problem = Problem(ProblemKind.COMPLETE, y, mask)
-            assert problem.fill_in is (ratio > 0)
-            products.append(init_factors(problem, d, np.random.default_rng(6)).product())
-    sparse, buffer = products
-    assert np.linalg.norm(buffer - sparse) <= 1e-10 * np.linalg.norm(sparse)
+    fp = init_factors(Problem(ProblemKind.COMPLETE, y, mask), d, np.random.default_rng(5))
+    assert fp.d == 24
+    _assert_rescaled_observed_data(fp, y, mask)
+
+
+def test_a_rank_deficient_sketch_takes_householder_qr(monkeypatch):
+    # one observed row: P_Omega(Y) has rank 1 < l, so Cholesky refuses the
+    # Gram of each intermediate basis and Householder QR takes its place
+    y, _ = _partial_case()
+    mask = ObservedMask(30, 24, np.full(24, 4), np.arange(24))
+    qr = _count_calls(monkeypatch, np.linalg, "qr")
+    fp = init_factors(Problem(ProblemKind.COMPLETE, y, mask), 24, np.random.default_rng(5))
+    assert len(qr) > 1 and fp.d == 24
+    _assert_rescaled_observed_data(fp, y, mask)
+
+
+def test_spectral_start_factors_small_grams(monkeypatch):
+    # the complete bench shape: four CholeskyQR bases, one Householder QR
+    # for the last, and an SVD taken from the eigenvectors of an l x l Gram
+    y = add_noise_snr(gen_lowrank(300, 300, 10, "gaussian", 41), 20.0, 42)
+    problem = Problem(ProblemKind.COMPLETE, y, sample_mask(300, 300, 14_750, 43))
+    qr, svd, chol = (_count_calls(monkeypatch, np.linalg, f) for f in ("qr", "svd", "cholesky"))
+    assert init_factors(problem, 50, np.random.default_rng(0)).d == 50
+    assert (len(qr), len(svd), len(chol)) == (1, 0, 4)
+
+
+def _reference_start(y, mask, d, rng) -> np.ndarray:
+    """U V^T of the start by Householder QR after every product and a full SVD."""
+    m, n = y.shape
+    a, d = apply_mask(y, mask), min(d, m, n)
+    q = np.linalg.qr(a @ rng.standard_normal((n, min(d + 5, m, n))))[0]
+    for _ in range(2):
+        q = np.linalg.qr(a @ np.linalg.qr(a.T @ q)[0])[0]
+    w, s, zt = np.linalg.svd(q.T @ a, full_matrices=False)
+    return (q @ w[:, :d]) * s[:d] @ zt[:d] * (m * n / mask.card)
+
+
+@pytest.mark.parametrize("d", [2, 10, 40])
+def test_spectral_start_is_the_same_on_both_data_paths(d):
+    # an exact rank-2, a full-rank and a steep-spectrum Y; d = 40 runs as
+    # min(m, n) = 24
+    _, mask = _partial_case()
+    rng = np.random.default_rng(11)
+    basis = [np.linalg.qr(rng.standard_normal((k, 24)))[0] for k in (30, 24)]
+    ys = (
+        gen_lowrank(30, 24, 2, "gaussian", 31),
+        rng.standard_normal((30, 24)),
+        (basis[0] * 0.5 ** np.arange(24)) @ basis[1].T,
+    )
+    for y in ys:
+        want = _reference_start(y, mask, d, np.random.default_rng(6))
+        for ratio in (0, 10**9):  # the sparse operator, then the buffer
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "FILL_IN_RATIO", ratio)
+                problem = Problem(ProblemKind.COMPLETE, y, mask)
+                assert problem.fill_in is (ratio > 0)
+                got = init_factors(problem, d, np.random.default_rng(6)).product()
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_spectral_start_leaves_no_stale_product_in_the_buffer():
