@@ -259,9 +259,9 @@ def init_factors(problem: Problem, d: int, rng: np.random.Generator) -> FactorPa
     power iterations with a basis of the range of each product, the last an
     orthonormal Q, and the SVD W S Z^T of the l x n matrix Q^T P_Omega(Y),
     balanced as U = Q W S^(1/2) and V = Z S^(1/2), cut to d columns.  Once
-    per solve it costs six products of P_Omega(Y) with l columns
-    (:meth:`Problem.observed_product`, O(m n l) each on the buffer path,
-    O(card(Omega) l) on the sparse one).  The other work is on l x l Grams
+    per solve it loads P_Omega(Y) onto the problem's data path and costs six
+    products of it with l columns, O(m n l) each on the buffer path and
+    O(card(Omega) l) on the sparse one.  The other work is on l x l Grams
     and products with them, O((m + n) l^2 + l^3): four bases by CholeskyQR
     (Yamamoto, Nakatsukasa, Yanagisawa and Fukaya, ETNA 2015), one Householder
     QR for Q, and the SVD from the eigenvectors of the Gram of Q^T P_Omega(Y).
@@ -278,7 +278,7 @@ def init_factors(problem: Problem, d: int, rng: np.random.Generator) -> FactorPa
     if problem.kind is ProblemKind.COMPLETE and problem.mask.card < m * n:
         return _spectral_start(problem, d, rng)
     frob = math.sqrt(2.0 * problem.half_sq)
-    scale = float(np.sqrt(frob / np.sqrt(m * n * d))) if frob > 0 else 0.0
+    scale = float(np.sqrt(frob / np.sqrt(m * n * d)))
     u = rng.standard_normal((m, d)) * scale
     v = rng.standard_normal((n, d)) * scale
     if problem.kind is ProblemKind.NMF:
@@ -288,15 +288,15 @@ def init_factors(problem: Problem, d: int, rng: np.random.Generator) -> FactorPa
 
 def _spectral_start(problem: Problem, d: int, rng: np.random.Generator) -> FactorPair:
     """:func:`init_factors`' sketch of (m n / card(Omega)) P_Omega(Y), d <= min(m, n)."""
-    (m, n), apply = problem.y.shape, problem.observed_product
+    (m, n), (a, a_t) = problem.y.shape, problem._observed()
     width = min(d + 5, m, n)
-    q = _cholesky_basis(apply("u", rng.standard_normal((n, width))))
-    q = _cholesky_basis(apply("u", _cholesky_basis(apply("v", q))))
+    q = _cholesky_basis(a @ rng.standard_normal((n, width)))
+    q = _cholesky_basis(a @ _cholesky_basis(a_t @ q))
     # the last basis is orthonormal to working precision: U^T U = S needs it
-    q = np.linalg.qr(apply("u", _cholesky_basis(apply("v", q))))[0]
+    q = np.linalg.qr(a @ _cholesky_basis(a_t @ q))[0]
     # Q^T P_Omega(Y) = W S Z^T from B = P_Omega(Y)^T Q: W the eigenvectors of
     # B^T B, largest first, and Z S = B W, a zero column of B W a zero column
-    b = apply("v", q)
+    b = a_t @ q
     w = np.linalg.eigh(b.T @ b)[1][:, ::-1][:, :d]
     b = b @ w
     s = np.linalg.norm(b, axis=0)

@@ -442,22 +442,18 @@ class Problem:
         csr.data[:] = self._data_term(fp)
         return factor @ fp.other_gram(side) - (csr if side == "u" else csc) @ other
 
-    def observed_product(self, side: str, g: np.ndarray) -> np.ndarray:
-        """P_Omega(Y) G for ``side`` ``"u"`` and P_Omega(Y)^T G for ``"v"``,
-        Y zero off the mask, through this completion problem's data path:
-        the buffer, zeroed and given Y on the mask (so it no longer holds any
-        pair's U V^T), or the sparse operator with Y's observed values."""
-        if self.kind is not ProblemKind.COMPLETE:
-            raise InvalidParameterError(f"{self.kind.value} data has no observed entries")
-        is_u = FactorPair._is_u(side)
+    def _observed(self) -> tuple:
+        """P_Omega(Y), Y zero off the mask, and its transpose, on this completion
+        problem's data path: the buffer, zeroed and given Y on the mask (so it
+        no longer holds any pair's U V^T), and its ``.T`` view; or the sparse
+        operator, CSR and CSC, with Y's observed values."""
         if self.fill_in:
             z, self._product_of = self._buffer, None
             z.fill(0.0)
             z.reshape(-1)[self.mask.flat] = self.y_obs
-            return z @ g if is_u else z.T @ g
-        csr, csc = self._operator
-        csr.data[:] = self.y_obs
-        return (csr if is_u else csc) @ g
+            return z, z.T
+        self._operator[0].data[:] = self.y_obs
+        return self._operator
 
     @cached_property
     def _operator(self):

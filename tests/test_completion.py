@@ -313,6 +313,39 @@ def test_spectral_start_leaves_no_stale_product_in_the_buffer():
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _counting(a: np.ndarray, writes: list) -> np.ndarray:
+    """A view of ``a`` that appends "fill" or "set" to ``writes`` on each write
+    to it or to an array made from it."""
+
+    class Counting(np.ndarray):
+        def fill(self, value):
+            writes.append("fill")
+            super().fill(value)
+
+        def __setitem__(self, key, value):
+            writes.append("set")
+            super().__setitem__(key, value)
+
+    return a.view(Counting)
+
+
+@pytest.mark.parametrize("ratio", [0, 10**9])  # the sparse operator, then the buffer
+def test_spectral_start_loads_the_observed_data_once(ratio, monkeypatch):
+    # all six products of the start read the P_Omega(Y) that one load left
+    y, mask = _partial_case()
+    monkeypatch.setattr(core, "FILL_IN_RATIO", ratio)
+    want = init_factors(Problem(ProblemKind.COMPLETE, y, mask), 10, np.random.default_rng(4))
+    problem, writes = Problem(ProblemKind.COMPLETE, y, mask), []
+    if problem.fill_in:
+        problem._buffer = _counting(problem._buffer, writes)
+    else:
+        csr, csc = problem._operator
+        csr.data = csc.data = _counting(csr.data, writes)
+    got = init_factors(problem, 10, np.random.default_rng(4))
+    assert writes == (["fill", "set"] if problem.fill_in else ["set"])
+    assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+
+
 def test_a_full_mask_keeps_the_gaussian_start():
     y, _ = _partial_case()
     rng = np.random.default_rng

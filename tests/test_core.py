@@ -618,8 +618,6 @@ def test_dense_problem_has_no_residual_and_a_read_only_y_v(kind):
     problem = Problem(kind, y)
     with pytest.raises(InvalidParameterError, match="no observed residual"):
         problem.residual(fp)
-    with pytest.raises(InvalidParameterError, match="no observed entries"):
-        problem.observed_product("u", fp.v)
     problem.objective(fp, 1.0, 1e-3)
     yv = problem.filled_product("u", fp)  # the objective's Y V, from the slot
     assert np.array_equal(yv, y @ fp.v) and problem.filled_product("u", fp) is yv
