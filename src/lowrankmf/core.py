@@ -88,6 +88,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _owned(a, name: str) -> np.ndarray:
+    """``a`` checked, as a read-only copy that no caller can write."""
+    arr = as_matrix(a, name).copy()
+    arr.flags.writeable = False
+    return arr
+
+
 def _gram(a: np.ndarray) -> np.ndarray:
     """A^T A, the one place a factor's Gram is formed."""
     return a.T @ a
@@ -102,24 +109,24 @@ class FactorPair:
     joint column norms ||u_i||^2 + ||v_i||^2, read from their diagonals
     (all read-only).  The weights, the regularizer, pruning, the factor
     steps, the rate diagnostics and the dense objective all read these.
-    The ledger stays exact because ``u`` and ``v`` are read-only views
-    (writing through the pair raises) and because each Gram is formed from
-    its own factor: :meth:`with_factor` carries only the unchanged one, and
+    The ledger stays exact because ``u`` and ``v`` are read-only (writing
+    through the pair raises) and because each Gram is formed from its own
+    factor: :meth:`with_factor` carries only the unchanged one, and
     :meth:`select` forms both, so a pair's Grams do not depend on how it was
-    reached.  Each factor is checked finite once, when it enters a pair.
+    reached.  Each factor is checked finite once, when it enters a pair;
+    the constructor copies both, so no caller keeps a writeable alias.
     """
 
     u: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        u = as_matrix(self.u, "u")
-        v = as_matrix(self.v, "v")
+        u, v = _owned(self.u, "u"), _owned(self.v, "v")
         if u.shape[1] != v.shape[1]:
             raise DimensionMismatchError(
                 f"factors disagree on inner dimension: {u.shape[1]} vs {v.shape[1]}"
             )
-        self._hold(_frozen(u), _frozen(v), _gram(u), _gram(v))
+        self._hold(u, v, _gram(u), _gram(v))
 
     def _hold(self, u, v, gram_u, gram_v) -> "FactorPair":
         """This pair, set to checked read-only factors and their Grams."""
@@ -160,7 +167,8 @@ class FactorPair:
 
     def with_factor(self, side: str, new) -> "FactorPair":
         """This pair with the ``side`` factor replaced by ``new``, which is
-        checked; the other factor and its Gram are carried over."""
+        checked but not copied, so a later write to a writeable ``new`` leaves
+        its Gram stale; the other factor and its Gram are carried over."""
         is_u = self._is_u(side)
         old = self.u if is_u else self.v
         new = as_matrix(new, side)
@@ -467,15 +475,10 @@ class Problem:
         )
         return csr, csr.T
 
-    def gradient(self, side: str, fp: FactorPair, lam: float, w: np.ndarray) -> np.ndarray:
-        """:func:`gradient` at a point :meth:`check` accepts, with the
-        weight diagonal ``w`` of ``fp``: F G^T G - Z G + lam F D."""
-        factor = fp.split(side)[0]
-        return (
-            factor @ fp.other_gram(side)
-            - self.filled_product(side, fp)
-            + lam * factor * w
-        )
+    def data_gradient(self, side: str, fp: FactorPair) -> np.ndarray:
+        """F G^T G - Z G, with Z G from :meth:`filled_product`: the data-fit
+        part of :func:`gradient` at a point :meth:`check` accepts."""
+        return fp.split(side)[0] @ fp.other_gram(side) - self.filled_product(side, fp)
 
 
 @dataclass(eq=False)
@@ -554,10 +557,12 @@ def gradient(
 
     ``side`` is ``"u"`` or ``"v"``.  The gradient is R V + lambda U D for
     the U side (R the possibly masked residual U V^T - Y) and the
-    transposed analogue for the V side.
+    transposed analogue for the V side: :meth:`Problem.data_gradient`,
+    F G^T G - Z G, plus lambda F D.
     """
     problem = Problem(kind, y, mask)
-    return problem.gradient(side, problem.check(fp), lam, weight_diag(fp, eta))
+    w = weight_diag(problem.check(fp), eta)
+    return problem.data_gradient(side, fp) + lam * fp.split(side)[0] * w
 
 
 def nre(x0, fp: FactorPair) -> float:

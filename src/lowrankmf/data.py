@@ -281,13 +281,6 @@ def _read_mm(path) -> tuple[np.ndarray, np.ndarray | None]:
     return np.reshape(values, (cols, rows)).T, None
 
 
-def _read_csv(path):
-    table = _table(path, np.float64, ",", "ragged row ({} vs {} columns)")
-    if table.size == 0:
-        raise ParseError("empty file", path)
-    return table
-
-
 def read_coordinate(path) -> tuple[np.ndarray, ObservedMask]:
     """Read a MatrixMarket file as (dense matrix, observed mask).
 
@@ -303,9 +296,12 @@ def read_matrix(path, fmt: str) -> np.ndarray:
     """Read a dense matrix from a MatrixMarket (``mm``) or ``csv`` file."""
     if fmt == "mm":
         return _read_mm(path)[0]
-    if fmt == "csv":
-        return _read_csv(path)
-    raise InvalidParameterError(f"unknown format {fmt!r}")
+    if fmt != "csv":
+        raise InvalidParameterError(f"unknown format {fmt!r}")
+    table = _table(path, np.float64, ",", "ragged row ({} vs {} columns)")
+    if table.size == 0:
+        raise ParseError("empty file", path)
+    return table
 
 
 def write_matrix(path, a, fmt: str) -> None:

@@ -210,13 +210,15 @@ def armijo_search(
     inequality holds, or the cap is exhausted.
 
     ``w`` is the weight diagonal of ``fp``; the gradient and the curvature
-    block both use it, with weight ``cfg.lam``.  The other factor's Gram and
-    the squared column norms come from ``fp``'s ledger.  Each trial's decrease
+    block both use it, with weight ``cfg.lam``.  The gradient is
+    :meth:`Problem.data_gradient` plus ``cfg.lam`` F D, as in
+    :func:`~lowrankmf.core.gradient`.  The other factor's Gram and the
+    squared column norms come from ``fp``'s ledger.  Each trial's decrease
     comes from :func:`_decrease`, so the search evaluates no objective.
     """
     factor = problem.check_step(ProblemKind.NMF, fp, cfg.lam).split(side)[0]
     gram = fp.other_gram(side)
-    data_grad = factor @ gram - problem.filled_product(side, fp)
+    data_grad = problem.data_gradient(side, fp)
     grad = data_grad + cfg.lam * factor * w
     h_tilde = curvature_block(fp, side, w, cfg.lam)
     active = active_set_rows(factor, grad, cfg.nmf.eps_active)

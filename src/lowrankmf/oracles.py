@@ -30,7 +30,6 @@ from .nmf import check_active_mask, partial_diag_blocks
 __all__ = [
     "HESSIAN_SIZE_GUARD",
     "exact_hessian",
-    "surrogate_hessian",
     "psd_gap",
     "surrogate_value",
     "nmf_surrogate_value",
@@ -44,13 +43,6 @@ __all__ = [
 
 HESSIAN_SIZE_GUARD = 2000
 SVD_SIZE_GUARD = 4_000_000
-
-
-def _check_guard(rows: int, d: int):
-    if rows * d > HESSIAN_SIZE_GUARD:
-        raise InvalidParameterError(
-            f"dense Hessian of side {rows * d} exceeds guard {HESSIAN_SIZE_GUARD}"
-        )
 
 
 def exact_hessian(
@@ -75,7 +67,10 @@ def exact_hessian(
     d = fp.d
     factor, other = fp.split(side)
     rows = factor.shape[0]
-    _check_guard(rows, d)
+    if rows * d > HESSIAN_SIZE_GUARD:
+        raise InvalidParameterError(
+            f"dense Hessian of side {rows * d} exceeds guard {HESSIAN_SIZE_GUARD}"
+        )
 
     if kind is ProblemKind.COMPLETE:
         if mask is None:
@@ -95,13 +90,6 @@ def exact_hessian(
     return h.reshape(rows * d, rows * d)
 
 
-def surrogate_hessian(
-    side: str, fp: FactorPair, lam: float, eta: float
-) -> np.ndarray:
-    """The solvers' shared positive-definite d x d block Gram + lam*D, as they form it."""
-    return curvature_block(fp, side, weight_diag(fp, eta), lam)
-
-
 def psd_gap(
     kind: ProblemKind,
     side: str,
@@ -112,7 +100,7 @@ def psd_gap(
 ) -> float:
     """Minimum eigenvalue of block-diag(H_tilde) minus the exact Hessian."""
     h = exact_hessian(kind, side, mask, fp, lam, eta)
-    h_tilde = surrogate_hessian(side, fp, lam, eta)
+    h_tilde = curvature_block(fp, side, weight_diag(fp, eta), lam)
     h_bar = np.kron(np.eye(fp.split(side)[0].shape[0]), h_tilde)
     return float(np.linalg.eigvalsh(h_bar - h)[0])
 
@@ -123,7 +111,7 @@ def _surrogate_parts(kind, side, y, mask, fp, lam, eta, cand):
     g = gradient(kind, side, y, mask, fp, lam, eta)
     diff = cand - fp.split(side)[0]
     linear = objective(kind, y, mask, fp, lam, eta) + float(np.sum(diff * g))
-    return linear, diff, surrogate_hessian(side, fp, lam, eta)
+    return linear, diff, curvature_block(fp, side, weight_diag(fp, eta), lam)
 
 
 def surrogate_value(
@@ -165,7 +153,7 @@ def nmf_alpha_bound(
     factor, _ = fp.split(side)
     check_active_mask(active, factor.shape)
     h = exact_hessian(ProblemKind.DENOISE, side, None, fp, lam, eta)
-    h_tilde = surrogate_hessian(side, fp, lam, eta)
+    h_tilde = curvature_block(fp, side, weight_diag(fp, eta), lam)
     lam_min = float(np.linalg.eigvalsh(partial_diag_blocks(h_tilde, active))[:, 0].min())
     lam_max = float(np.linalg.eigvalsh(h)[-1])
     return lam_min / lam_max

@@ -35,10 +35,10 @@ from lowrankmf.oracles import (
     nmf_surrogate_value,
     psd_gap,
     rate_bound_check,
-    surrogate_hessian,
     surrogate_value,
 )
 from lowrankmf.data import add_noise_snr, gen_lowrank, sample_mask
+from reference import dense_surrogate_minimizer, fd_gradient, fd_hessian
 
 DENOISE_LAM = 50.0
 COMPLETE_LAM = 50.0
@@ -222,44 +222,6 @@ def test_criterion_7_rate_bounds_on_benchmark_traces():
                   f"min step slack {worst_step:.2e} ({n_bad} failures)")
 
 
-def fd_gradient(kind, side, y, mask, fp, lam, eta, h=1e-6):
-    factor = fp.u if side == "u" else fp.v
-    out = np.zeros_like(factor)
-    for i in range(factor.shape[0]):
-        for c in range(factor.shape[1]):
-            vals = []
-            for sgn in (1.0, -1.0):
-                bumped = factor.copy()
-                bumped[i, c] += sgn * h
-                pert = (
-                    FactorPair(bumped, fp.v)
-                    if side == "u"
-                    else FactorPair(fp.u, bumped)
-                )
-                vals.append(objective(kind, y, mask, pert, lam, eta))
-            out[i, c] = (vals[0] - vals[1]) / (2.0 * h)
-    return out
-
-
-def fd_hessian(kind, side, y, mask, fp, lam, eta, h=1e-5):
-    factor = fp.u if side == "u" else fp.v
-    rows, d = factor.shape
-    out = np.zeros((rows * d, rows * d))
-    for i in range(rows):
-        for c in range(d):
-            for sgn in (1.0, -1.0):
-                bumped = factor.copy()
-                bumped[i, c] += sgn * h
-                pert = (
-                    FactorPair(bumped, fp.v)
-                    if side == "u"
-                    else FactorPair(fp.u, bumped)
-                )
-                g = gradient(kind, side, y, mask, pert, lam, eta)
-                out[i * d + c] += sgn * g.reshape(-1)
-    return out / (2.0 * h)
-
-
 def test_criterion_8_gradient_hessian_correctness():
     worst_g = 0.0
     for kind in (ProblemKind.DENOISE, ProblemKind.COMPLETE, ProblemKind.NMF):
@@ -295,18 +257,6 @@ def test_criterion_8_gradient_hessian_correctness():
     report(8, ok, f"gradient FD rel err {worst_g:.2e} <= 1e-5, Hessian FD rel err {worst_h:.2e} <= 1e-4")
 
 
-def dense_surrogate_minimizer(side, y, mask, fp, lam, eta=1e-6):
-    kind = ProblemKind.DENOISE if mask is None else ProblemKind.COMPLETE
-    factor = fp.u if side == "u" else fp.v
-    other = fp.v if side == "u" else fp.u
-    rows, d = factor.shape
-    h_tilde = other.T @ other + lam * np.diag(weight_diag(fp, eta))
-    big = np.kron(np.eye(rows), h_tilde)
-    g = gradient(kind, side, y, mask, fp, lam, eta)
-    step = np.linalg.solve(big, g.reshape(-1))
-    return factor - step.reshape(rows, d)
-
-
 def test_criterion_9_surrogate_minimizer_equivalence():
     worst = 0.0
     for trial in range(10):
@@ -317,10 +267,10 @@ def test_criterion_9_surrogate_minimizer_equivalence():
         mask = sample_mask(6, 5, 15, 9100 + trial)
         for side in ("u", "v"):
             got, _ = update_factor_denoise(Problem(ProblemKind.DENOISE, y), side, fp, w, 0.8)
-            want = dense_surrogate_minimizer(side, y, None, fp, 0.8)
+            want = dense_surrogate_minimizer(side, y, None, fp, w, 0.8)
             worst = max(worst, float(np.max(np.abs(got - want))))
             got, _ = update_factor_mc(Problem(ProblemKind.COMPLETE, y, mask), side, fp, w, 0.8)
-            want = dense_surrogate_minimizer(side, y, mask, fp, 0.8)
+            want = dense_surrogate_minimizer(side, y, mask, fp, w, 0.8)
             worst = max(worst, float(np.max(np.abs(got - want))))
     ok = worst <= 1e-8
     report(9, ok, f"closed-form updates vs dense md x md minimizer, max diff {worst:.2e} <= 1e-8")

@@ -11,7 +11,6 @@ from lowrankmf import (
     ProblemKind,
     SolverConfig,
     apply_mask,
-    gradient,
     nre,
     objective,
     solve_denoise,
@@ -23,19 +22,7 @@ from lowrankmf import (
 from lowrankmf import core
 from lowrankmf.common import init_factors
 from lowrankmf.data import add_noise_snr, gen_lowrank, sample_mask
-
-
-def masked_surrogate_minimizer(side, y, mask, fp, w, lam, eta=1e-6):
-    """Dense block-system minimizer of the masked quadratic surrogate."""
-    factor = fp.u if side == "u" else fp.v
-    other = fp.v if side == "u" else fp.u
-    rows, d = factor.shape
-    h_tilde = other.T @ other + lam * np.diag(np.asarray(w, dtype=float))
-    big = np.kron(np.eye(rows), h_tilde)
-    g = gradient(ProblemKind.COMPLETE, side, y, mask, fp, lam, eta)
-    g = g - lam * factor * weight_diag(fp, eta) + lam * factor * np.asarray(w)
-    step = np.linalg.solve(big, g.reshape(-1))
-    return factor - step.reshape(rows, d)
+from reference import dense_surrogate_minimizer
 
 
 def test_full_mask_equals_denoise_update():
@@ -76,7 +63,7 @@ def test_update_matches_dense_masked_surrogate():
         for side in ("u", "v"):
             w = weight_diag(fp, 1e-6)
             got, _ = update_factor_mc(Problem(ProblemKind.COMPLETE, y, mask), side, fp, w, 0.9)
-            want = masked_surrogate_minimizer(side, y, mask, fp, w, 0.9)
+            want = dense_surrogate_minimizer(side, y, mask, fp, w, 0.9)
             assert np.max(np.abs(got - want)) < 1e-8
 
 

@@ -42,11 +42,7 @@ from lowrankmf import (
 )
 from lowrankmf.common import prune_columns
 from lowrankmf.data import add_noise_snr, gen_lowrank, sample_mask
-
-
-def random_pair(m, n, d, seed):
-    rng = np.random.default_rng(seed)
-    return FactorPair(rng.standard_normal((m, d)), rng.standard_normal((n, d)))
+from reference import fd_gradient, random_pair
 
 
 # ---------------------------------------------------------------- types
@@ -105,6 +101,25 @@ def test_factor_pair_ledger_cannot_go_stale():
                 a[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         fp.u += 1.0
+
+
+def test_factor_pair_owns_its_factors():
+    # the constructor copies its factors, so writing to the caller's array
+    # leaves the pair and its ledger as they were: directly, through the
+    # array a read-only view views, or after the owner of a read-only array
+    # turns writing back on
+    rng = np.random.default_rng(0)
+    u, v, base, owned = (rng.standard_normal(s) for s in ((4, 2), (3, 2), (4, 2), (4, 2)))
+    view = base.view()
+    view.flags.writeable = False
+    owned.flags.writeable = False
+    pairs = [FactorPair(u, v), FactorPair(view, v), FactorPair(owned, v)]
+    want = [a.copy() for p in pairs for a in (p.u, p.v, p.gram_u, p.gram_v, p.sq)]
+    owned.flags.writeable = True
+    for a in (u, v, base, owned):
+        a *= 2.0
+    got = [a for p in pairs for a in (p.u, p.v, p.gram_u, p.gram_v, p.sq)]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 def test_factor_pair_with_factor_checks_only_the_new_factor():
@@ -479,22 +494,6 @@ def test_gradient_zero_residual_lambda_zero():
         assert np.max(np.abs(g)) < 1e-12
 
 
-def fd_gradient(kind, side, y, mask, fp, lam, eta, h=1e-6):
-    factor = fp.u if side == "u" else fp.v
-    g = np.zeros_like(factor)
-    for i in range(factor.shape[0]):
-        for j in range(factor.shape[1]):
-            for sgn in (1.0, -1.0):
-                bumped = factor.copy()
-                bumped[i, j] += sgn * h
-                if side == "u":
-                    pert = FactorPair(bumped, fp.v)
-                else:
-                    pert = FactorPair(fp.u, bumped)
-                g[i, j] += sgn * objective(kind, y, mask, pert, lam, eta)
-    return g / (2.0 * h)
-
-
 @pytest.mark.parametrize("kind", [ProblemKind.DENOISE, ProblemKind.COMPLETE])
 @pytest.mark.parametrize("side", ["u", "v"])
 def test_gradient_matches_finite_differences(kind, side):
@@ -655,7 +654,10 @@ def test_blocked_residual_matches_the_dense_masked_formulas(case, block_entries)
         assert not problem.fill_in
         r = problem.residual(fp)
         f = problem.objective(fp, lam, eta)
-        grads = {side: problem.gradient(side, fp, lam, w) for side in "uv"}
+        grads = {
+            side: problem.data_gradient(side, fp) + lam * fp.split(side)[0] * w
+            for side in "uv"
+        }
     scale = np.abs(fp.u) @ np.abs(fp.v).T + np.abs(y)
     want = (fp.product() - y)[mask.row_idx, mask.col_idx]
     assert np.all(np.abs(r - want) <= 1e-12 * scale[mask.row_idx, mask.col_idx])
@@ -1077,7 +1079,7 @@ def _side_calls():
         "exact_hessian": lambda side: oracles.exact_hessian(
             kind, side, mask, fp, lam, eta
         ),
-        "surrogate_hessian": lambda side: oracles.surrogate_hessian(side, fp, lam, eta),
+        "curvature_block": lambda side: core.curvature_block(fp, side, w, lam),
         "psd_gap": lambda side: oracles.psd_gap(kind, side, mask, fp, lam, eta),
         "surrogate_value": lambda side: oracles.surrogate_value(
             kind, side, y, mask, fp, lam, eta, fp.u

@@ -9,7 +9,6 @@ from lowrankmf import (
     Problem,
     ProblemKind,
     SolverConfig,
-    gradient,
     nre,
     objective,
     solve_denoise,
@@ -19,27 +18,7 @@ from lowrankmf import (
 )
 from lowrankmf.data import add_noise_snr, gen_lowrank, sample_mask
 from lowrankmf.oracles import proximity_delta_a, surrogate_value
-
-
-def dense_surrogate_minimizer(side, y, mask, fp, w, lam):
-    """Independent minimizer of the quadratic surrogate.
-
-    Solves the full (rows*d) x (rows*d) block system assembled from the
-    block-diagonal curvature approximation, instead of the d x d
-    factorization the production update uses.
-    """
-    kind = ProblemKind.DENOISE if mask is None else ProblemKind.COMPLETE
-    factor = fp.u if side == "u" else fp.v
-    other = fp.v if side == "u" else fp.u
-    rows, d = factor.shape
-    h_tilde = other.T @ other + lam * np.diag(np.asarray(w, dtype=float))
-    big = np.kron(np.eye(rows), h_tilde)
-    g = gradient(kind, side, y, mask, fp, lam, 1e-6)
-    # the gradient of the surrogate at the current point equals the true
-    # gradient except that the regularizer enters linearized through w
-    g = g - lam * factor * weight_diag(fp, 1e-6) + lam * factor * np.asarray(w)
-    step = np.linalg.solve(big, g.reshape(-1))
-    return factor - step.reshape(rows, d)
+from reference import dense_surrogate_minimizer
 
 
 def test_update_recovers_noiseless_factor():

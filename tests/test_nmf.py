@@ -487,6 +487,23 @@ def test_armijo_accepted_step_reverifies():
         assert abs(rhs - res.drop) < 1e-12
 
 
+@pytest.mark.parametrize("d", [3, 12])  # below SCHUR_MIN_D and from it on
+@pytest.mark.parametrize("side", ["u", "v"])
+def test_search_gradient_is_the_public_gradient_bit_for_bit(side, d):
+    # the search and core.gradient share one body of the data gradient,
+    # Problem.data_gradient; the objective first fills the slot, whose Y V
+    # the U side reads, as in a solve
+    rng = np.random.default_rng(d)
+    y = np.abs(rng.standard_normal((20, 15)))
+    fp = nonneg_pair(20, 15, d, 40 + d)
+    cfg = SolverConfig(lam=0.5, d_init=d)
+    problem = Problem(ProblemKind.NMF, y)
+    problem.objective(fp, cfg.lam, cfg.eta)
+    res = armijo_search(problem, side, fp, weight_diag(fp, cfg.eta), cfg)
+    want = gradient(ProblemKind.NMF, side, y, None, fp, cfg.lam, cfg.eta)
+    assert np.array_equal(res.grad, want)
+
+
 def _decrease_case(name):
     """(y, fp) of one random NMF problem for the factored decrease."""
     rng = np.random.default_rng(sum(map(ord, name)))

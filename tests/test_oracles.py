@@ -16,6 +16,7 @@ from lowrankmf import (
     weight_diag,
 )
 from lowrankmf.common import IterationRecord, IterationTrace
+from lowrankmf.core import curvature_block
 from lowrankmf.data import add_noise_snr, gen_lowrank, sample_mask
 from lowrankmf.nmf import _newton_directions, active_set_rows
 from lowrankmf.oracles import (
@@ -27,14 +28,9 @@ from lowrankmf.oracles import (
     proximity_delta_b,
     psd_gap,
     rate_bound_check,
-    surrogate_hessian,
     surrogate_value,
 )
-
-
-def random_pair(m, n, d, seed):
-    rng = np.random.default_rng(seed)
-    return FactorPair(rng.standard_normal((m, d)), rng.standard_normal((n, d)))
+from reference import fd_hessian, random_pair
 
 
 # ------------------------------------------------------------ exact Hessian
@@ -46,25 +42,6 @@ def test_exact_hessian_lambda_zero_block_diagonal():
     gram = fp.v.T @ fp.v
     want = np.kron(np.eye(4), gram)
     assert np.max(np.abs(h - want)) < 1e-12
-
-
-def fd_hessian(kind, side, y, mask, fp, lam, eta, h=1e-5):
-    factor = fp.u if side == "u" else fp.v
-    rows, d = factor.shape
-    out = np.zeros((rows * d, rows * d))
-    for i in range(rows):
-        for c in range(d):
-            for sgn in (1.0, -1.0):
-                bumped = factor.copy()
-                bumped[i, c] += sgn * h
-                pert = (
-                    FactorPair(bumped, fp.v)
-                    if side == "u"
-                    else FactorPair(fp.u, bumped)
-                )
-                g = gradient(kind, side, y, mask, pert, lam, eta)
-                out[i * d + c] += sgn * g.reshape(-1)
-    return out / (2.0 * h)
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (4, 2)])
@@ -287,7 +264,7 @@ def test_nmf_oracles_match_rowwise_blocks():
     act_u, act_v = rng.random((6, 3)) < 0.4, rng.random((5, 3)) < 0.4
     act_u[0] = False  # a free row shares the block itself
     assert 0 < act_u.any(axis=1).sum() < 6 and act_v.any()
-    h = surrogate_hessian("u", fp, lam, eta)
+    h = curvature_block(fp, "u", weight_diag(fp, eta), lam)
     blocks = [_rowwise_block(h, row) for row in act_u]
     diff = nxt.u - fp.u
     quad = sum(diff[i] @ block @ diff[i] for i, block in enumerate(blocks))
@@ -318,13 +295,13 @@ def nmf_capped_iteration(y, fp, lam, eta, eps):
     g_u = gradient(ProblemKind.NMF, "u", y, None, fp, lam, eta)
     act_u = active_set_rows(fp.u, g_u, eps)
     alpha_u = min(1.0, 0.9 * nmf_alpha_bound("u", fp, lam, eta, act_u))
-    h_u = surrogate_hessian("u", fp, lam, eta)
+    h_u = curvature_block(fp, "u", weight_diag(fp, eta), lam)
     u_new = np.maximum(fp.u - alpha_u * _newton_directions(g_u, h_u, act_u), 0.0)
     mid = FactorPair(u_new, fp.v)
     g_v = gradient(ProblemKind.NMF, "v", y, None, mid, lam, eta)
     act_v = active_set_rows(mid.v, g_v, eps)
     alpha_v = min(1.0, 0.9 * nmf_alpha_bound("v", mid, lam, eta, act_v))
-    h_v = surrogate_hessian("v", mid, lam, eta)
+    h_v = curvature_block(mid, "v", weight_diag(mid, eta), lam)
     v_new = np.maximum(mid.v - alpha_v * _newton_directions(g_v, h_v, act_v), 0.0)
     nxt = FactorPair(u_new, v_new)
     return nxt, (g_u, g_v), (act_u, act_v)
