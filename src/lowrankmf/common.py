@@ -43,6 +43,11 @@ STATUS_MAX_ITER = "max_iter"
 STATUS_DEGENERATE = "degenerate"
 STATUS_STALLED = "stalled"
 
+# On square and tall data an iteration's quadratic forms stay within a few
+# times ||Y||^2 + ||U_0 V_0^T||^2 (the objective only falls); a start with less
+# headroom than this below the float64 maximum is refused.
+OVERFLOW_HEADROOM = 16.0
+
 
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -195,13 +200,16 @@ def prune_columns(fp: FactorPair, threshold: float, eta: float) -> tuple[FactorP
 def _relative_change(prev, next_, du, du_gram, dv, dv_gram) -> float:
     """||dU V'^T + U dV^T||_F / ||U V^T||_F = ||U' V'^T - U V^T||_F / ||U V^T||_F
     in O((m + n) d^2) from dU = U' - U, dV = V' - V, their Grams and the pairs'
-    ledgers; exactly 0 for an unmoved pair, and inf for a moved zero U V^T."""
+    ledgers; exactly 0 for an unmoved pair, inf for a moved zero U V^T, and NaN
+    where a term overflows."""
     change = (
-        np.vdot(du_gram, next_.gram_v)
-        + 2.0 * np.vdot(du.T @ prev.u, next_.v.T @ dv)
-        + np.vdot(prev.gram_u, dv_gram)
+        float(np.vdot(du_gram, next_.gram_v))
+        + 2.0 * float(np.vdot(du.T @ prev.u, next_.v.T @ dv))
+        + float(np.vdot(prev.gram_u, dv_gram))
     )
-    change, base = max(float(change), 0.0), float(np.vdot(prev.gram_u, prev.gram_v))
+    change, base = max(change, 0.0), float(np.vdot(prev.gram_u, prev.gram_v))
+    if not math.isfinite(change + base):
+        return math.nan
     if base <= 0.0:
         return 0.0 if change == 0.0 else math.inf
     return math.sqrt(change / base)
@@ -262,11 +270,11 @@ def init_factors(problem: Problem, d: int, rng: np.random.Generator) -> FactorPa
     per solve it loads P_Omega(Y) onto the problem's data path and costs six
     products of it with l columns, O(m n l) each on the buffer path and
     O(card(Omega) l) on the sparse one.  The other work is on l x l Grams
-    and products with them, O((m + n) l^2 + l^3): four bases by CholeskyQR
-    (Yamamoto, Nakatsukasa, Yanagisawa and Fukaya, ETNA 2015), one Householder
-    QR for Q, and the SVD from the eigenvectors of the Gram of Q^T P_Omega(Y).
+    and products with them, O((m + n) l^2 + l^3): every basis by CholeskyQR
+    (Yamamoto, Nakatsukasa, Yanagisawa and Fukaya, ETNA 2015), Q by two passes
+    (CholeskyQR2), and the SVD from the eigenvectors of the Gram of Q^T P_Omega(Y).
     A basis whose Gram Cholesky refuses, as for a rank-deficient sketch (no
-    nonzero observed value, or one observed row), takes Householder QR too.
+    nonzero observed value, or one observed row), takes Householder QR.
 
     Every other start is scale-matched Gaussian: entries are standard
     Gaussians scaled by (||Y||_F / sqrt(m n d))^(1/2), the norm taken over the
@@ -289,11 +297,11 @@ def init_factors(problem: Problem, d: int, rng: np.random.Generator) -> FactorPa
 def _spectral_start(problem: Problem, d: int, rng: np.random.Generator) -> FactorPair:
     """:func:`init_factors`' sketch of (m n / card(Omega)) P_Omega(Y), d <= min(m, n)."""
     (m, n), (a, a_t) = problem.y.shape, problem._observed()
-    width = min(d + 5, m, n)
-    q = _cholesky_basis(a @ rng.standard_normal((n, width)))
-    q = _cholesky_basis(a @ _cholesky_basis(a_t @ q))
-    # the last basis is orthonormal to working precision: U^T U = S needs it
-    q = np.linalg.qr(a @ _cholesky_basis(a_t @ q))[0]
+    q = a @ rng.standard_normal((n, min(d + 5, m, n)))
+    for _ in range(2):
+        q = a @ _cholesky_basis(a_t @ _cholesky_basis(q))
+    # CholeskyQR2: orthonormal to working precision, as U^T U = S needs
+    q = _cholesky_basis(_cholesky_basis(q))
     # Q^T P_Omega(Y) = W S Z^T from B = P_Omega(Y)^T Q: W the eigenvectors of
     # B^T B, largest first, and Z S = B W, a zero column of B W a zero column
     b = a_t @ q
@@ -368,6 +376,12 @@ def finish_iteration(
     return pruned
 
 
+def _check_headroom(size: float):
+    """Raise unless ``size`` is ``OVERFLOW_HEADROOM`` times below the float64 maximum."""
+    if not size * OVERFLOW_HEADROOM < math.inf:
+        raise InvalidParameterError("y is too large: the solve would overflow; rescale y")
+
+
 def alternate(
     problem: Problem, cfg: SolverConfig, step
 ) -> tuple[FactorPair, IterationTrace]:
@@ -379,9 +393,14 @@ def alternate(
     the stopping rule.  ``step(side, fp, w)`` returns the half-step it took
     (:class:`~lowrankmf.core.HalfStep`); the iteration's guaranteed drop
     ``delta`` is the sum of the two half-steps' drops.  A curvature block
-    singular to working precision raises :class:`InvalidParameterError`.
+    singular to working precision raises :class:`InvalidParameterError`, and
+    so, saying to rescale y, does a start whose ||Y||^2 + ||U_0 V_0^T||^2 is
+    within ``OVERFLOW_HEADROOM`` of the float64 maximum, or an iteration
+    whose objective or relative change overflows.
     """
+    _check_headroom(2.0 * problem.half_sq)  # the spectral start forms Grams of this size
     fp = init_factors(problem, cfg.d_init, np.random.default_rng(cfg.seed))
+    _check_headroom(2.0 * problem.half_sq + float(np.vdot(fp.gram_u, fp.gram_v)))
     trace = IterationTrace(config=cfg)
     # The public objective also checks the start point against the problem.
     trace.initial_objective = objective(
@@ -402,6 +421,9 @@ def alternate(
             ) from exc
         next_fp = mid.with_factor("v", v_step.factor)
         fp = finish_iteration(trace, k, fp, next_fp, (u_step, v_step), problem, t0)
+        last = trace.records[-1]
+        if not math.isfinite(last.objective) or math.isnan(last.rel_change):
+            raise InvalidParameterError(f"y is too large: iteration {k} overflows; rescale y")
         status = stop_status(trace)
         if status is not None:
             trace.status = status

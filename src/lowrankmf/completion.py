@@ -20,8 +20,7 @@ Once per solve, a mask that leaves an entry unobserved gets the spectral
 start of :func:`common.init_factors`, min(d_init, m, n) columns like every
 start: P_Omega(Y) loaded once onto the data path, six products of it with
 l = min(d_init + 5, m, n) columns, and otherwise factorizations of l x l
-Grams, one Householder QR of an m x l block among them (no m x n array on
-the sparse path).
+Grams (no m x n array on the sparse path).
 """
 
 from __future__ import annotations

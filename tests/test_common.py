@@ -553,6 +553,60 @@ def test_y_whose_squared_norm_overflows_is_refused_by_every_solver(solve):
             solve_nmf(y, cfg)
 
 
+@pytest.mark.parametrize("solve", ["denoise", "complete", "nmf"])
+def test_a_solve_near_the_float_range_runs_finite_or_says_to_rescale_y(solve):
+    # up to the squared-norm guard the start's Grams or objective, or the
+    # relative change, used to overflow into an infinite objective, a NaN
+    # rel_change, a false `converged` or a RuntimeWarning
+    y0 = np.random.default_rng(0).standard_normal((300, 300))
+    mask = sample_mask(300, 300, 14_750, 1)
+    cfg = SolverConfig(lam=1.0, d_init=50 if solve == "complete" else 10, seed=0, max_iter=5)
+    outcomes = []
+    # up to 1.05e152, where the completion start's Grams used to overflow
+    # just below Problem's guard (from 1.12e152 on this mask)
+    for scale in np.geomspace(1e150, 1.05e152, 24):
+        try:
+            if solve == "denoise":
+                _, trace = solve_denoise(scale * y0, cfg)
+            elif solve == "complete":
+                _, trace = solve_mc(scale * y0, mask, cfg)
+            else:
+                _, trace = solve_nmf(np.abs(scale * y0), cfg)
+        except InvalidParameterError as exc:
+            # refused before the first iteration: no work is wasted
+            assert "rescale y" in str(exc) and "iteration" not in str(exc)
+            outcomes.append("refused")
+            continue
+        objectives = [trace.initial_objective] + [r.objective for r in trace.records]
+        assert np.isfinite(objectives).all()
+        assert not np.isnan([r.rel_change for r in trace.records]).any()
+        assert trace.records[-1].k == 5  # no false stop
+        outcomes.append("ran")
+    assert outcomes[0] == "ran" and outcomes[-1] == "refused"
+    assert outcomes == sorted(outcomes, key=["ran", "refused"].index)
+
+
+def test_the_complete_bench_instance_scaled_by_1e150_converges():
+    # lam and eta scaled with Y, so the problem is the unscaled one; its start
+    # lies 2^5.8 below the float64 maximum, so a headroom of 64 would refuse it
+    s = 1e150
+    y = add_noise_snr(gen_lowrank(300, 300, 10, "gaussian", 1000), 20.0, 2000) * s
+    cfg = SolverConfig(lam=50.0 * s**1.5, d_init=50, eta=1e-6 * s**0.5)
+    fp, trace = solve_mc(y, sample_mask(300, 300, 14_750, 3000), cfg)
+    assert trace.status == "converged" and fp.d == 10
+
+
+def test_an_iteration_whose_relative_change_overflows_says_to_rescale_y():
+    # the start passes the headroom check, but from the Gaussian start of a
+    # 3 x 30000 Y the first V step grows ||V||^2 to 2e160, and the factored
+    # relative change forms ||U_0 V_1^T||^2, which overflows
+    y = 1e150 * np.random.default_rng(0).standard_normal((3, 30000))
+    with pytest.raises(InvalidParameterError, match="iteration 1 overflows; rescale y"):
+        solve_denoise(y, SolverConfig(lam=1.0, d_init=3, max_iter=8))
+    big = FactorPair(np.full((2, 1), 1e100), np.full((3, 1), 1e100))
+    assert np.isnan(relative_change(FactorPair(np.ones((2, 1)), np.ones((3, 1))), big))
+
+
 # ------------------------------------------- objective from the data-term slot
 
 

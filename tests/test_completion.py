@@ -243,13 +243,14 @@ def test_a_rank_deficient_sketch_takes_householder_qr(monkeypatch):
 
 
 def test_spectral_start_factors_small_grams(monkeypatch):
-    # the complete bench shape: four CholeskyQR bases, one Householder QR
-    # for the last, and an SVD taken from the eigenvectors of an l x l Gram
+    # the complete bench shape: six CholeskyQR bases, two of them for the
+    # last (CholeskyQR2), no Householder QR, and an SVD taken from the
+    # eigenvectors of an l x l Gram
     y = add_noise_snr(gen_lowrank(300, 300, 10, "gaussian", 41), 20.0, 42)
     problem = Problem(ProblemKind.COMPLETE, y, sample_mask(300, 300, 14_750, 43))
     qr, svd, chol = (_count_calls(monkeypatch, np.linalg, f) for f in ("qr", "svd", "cholesky"))
     assert init_factors(problem, 50, np.random.default_rng(0)).d == 50
-    assert (len(qr), len(svd), len(chol)) == (1, 0, 4)
+    assert (len(qr), len(svd), len(chol)) == (0, 0, 6)
 
 
 def _reference_start(y, mask, d, rng) -> np.ndarray:
@@ -284,6 +285,37 @@ def test_spectral_start_is_the_same_on_both_data_paths(d):
                 assert problem.fill_in is (ratio > 0)
                 got = init_factors(problem, d, np.random.default_rng(6)).product()
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _balance_cases():
+    """The complete bench shape at d = 50, and 120 x 120 problems at 50 % and
+    95 % density with a spectrum falling by 1e-14 and with an exact rank 3."""
+    yield (
+        add_noise_snr(gen_lowrank(300, 300, 10, "gaussian", 41), 20.0, 42),
+        sample_mask(300, 300, 14_750, 43),
+        50,
+    )
+    rng = np.random.default_rng(11)
+    left, right = (np.linalg.qr(rng.standard_normal((120, 120)))[0] for _ in range(2))
+    steep = (left * 10.0 ** (-14.0 * np.arange(120) / 119)) @ right.T
+    for y in (steep, gen_lowrank(120, 120, 3, "gaussian", 12)):
+        for card in (7_200, 13_680):
+            for d in (10, 120):
+                yield y, sample_mask(120, 120, card, 13), d
+
+
+@pytest.mark.parametrize("ratio", [0, 10**9])  # the sparse operator, then the buffer
+def test_spectral_start_is_balanced(ratio, monkeypatch):
+    # U^T U = V^T V = S needs an orthonormal Q: CholeskyQR2 gives one even
+    # where the sketch's spectrum falls to round-off
+    monkeypatch.setattr(core, "FILL_IN_RATIO", ratio)
+    for y, mask, d in _balance_cases():
+        problem = Problem(ProblemKind.COMPLETE, y, mask)
+        assert problem.fill_in is (ratio > 0)
+        fp = init_factors(problem, d, np.random.default_rng(6))
+        scale = np.linalg.norm(fp.gram_u)
+        assert np.linalg.norm(fp.gram_u - fp.gram_v) <= 1e-13 * scale
+        assert np.linalg.norm(fp.gram_u - np.diag(fp.gram_u.diagonal())) <= 1e-13 * scale
 
 
 def test_spectral_start_leaves_no_stale_product_in_the_buffer():
